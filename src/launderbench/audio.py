@@ -1,10 +1,9 @@
-"""Mono audio container, WAV/FLAC file I/O, and the lossy-codec backend."""
+"""Mono audio container, WAV/FLAC file I/O, and the lossy-codec round trip."""
 
 from __future__ import annotations
 
-import os
 import subprocess
-import uuid
+import tempfile
 import warnings
 import wave
 from dataclasses import dataclass
@@ -49,10 +48,12 @@ class AudioBuffer:
 
 @dataclass
 class CodecBackend:
-    """Command templates for an external lossy encode/decode pair.
+    """Codec adapter running an external lossy encode/decode command pair.
 
     Placeholders {in}, {out}, and {bitrate_kbps} are substituted literally
-    into whitespace-split argument vectors; no shell is involved.
+    into whitespace-split argument vectors; no shell is involved.  Each
+    call exchanges 16-bit WAV and the coded stream through files in its
+    own temporary directory.
     """
 
     encode_command_template: str
@@ -68,6 +69,25 @@ class CodecBackend:
             if ph not in self.decode_command_template:
                 raise InvalidParameter(
                     f"decode template is missing the {ph} placeholder")
+
+    def __call__(self, buf: AudioBuffer, bitrate_kbps: int) -> AudioBuffer:
+        with tempfile.TemporaryDirectory(prefix="launder-codec-") as tmp:
+            wav_path = Path(tmp) / "in.wav"
+            mp3_path = Path(tmp) / "coded.mp3"
+            out_path = Path(tmp) / "out.wav"
+            write_audio(buf, wav_path, "wav16")
+            _run_backend(_substitute(self.encode_command_template, {
+                "{in}": str(wav_path), "{out}": str(mp3_path),
+                "{bitrate_kbps}": str(int(bitrate_kbps))}), "encode")
+            if not mp3_path.exists() or mp3_path.stat().st_size == 0:
+                raise BackendInvocationFailed(
+                    f"encode command produced no output at {mp3_path}")
+            _run_backend(_substitute(self.decode_command_template, {
+                "{in}": str(mp3_path), "{out}": str(out_path)}), "decode")
+            if not out_path.exists():
+                raise BackendInvocationFailed(
+                    f"decode command produced no output at {out_path}")
+            return read_audio(out_path)
 
 
 def _scale_to_float(data) -> np.ndarray:
@@ -138,7 +158,9 @@ def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
     path = Path(path)
     try:
         if format == "wav16":
-            with wave.open(str(path), "wb") as w:
+            # open the file first: a failed open then leaves no half-built
+            # Wave_write behind to complain at garbage collection
+            with open(path, "wb") as fh, wave.open(fh, "wb") as w:
                 w.setnchannels(1)
                 w.setsampwidth(2)
                 w.setframerate(buf.sample_rate_hz)
@@ -182,40 +204,18 @@ def _run_backend(argv, stage):
 
 
 def codec_roundtrip(buf: AudioBuffer, bitrate_kbps: int,
-                    backend: CodecBackend, workdir) -> AudioBuffer:
-    """Encode to the lossy codec and decode back.
+                    codec) -> AudioBuffer:
+    """Encode to a lossy codec and decode back.
 
-    The decoded signal is trimmed or zero-padded to the input length with
-    no delay compensation, and resampled back (with a warning) if the
-    decoder returns a different rate.
+    A codec is any callable codec(buf, bitrate_kbps) -> AudioBuffer with
+    an identity attribute: mp3tool's in-process LAME codec or the
+    CodecBackend command adapter.  The decoded signal is trimmed or
+    zero-padded to the input length with no delay compensation, and
+    resampled back (with a warning) if the codec returns a different rate.
     """
     if bitrate_kbps <= 0:
         raise InvalidParameter(f"bitrate must be positive, got {bitrate_kbps}")
-    workdir = Path(workdir)
-    token = uuid.uuid4().hex
-    wav_path = workdir / f"{token}.wav"
-    mp3_path = workdir / f"{token}.mp3"
-    try:
-        write_audio(buf, wav_path, "wav16")
-        _run_backend(_substitute(backend.encode_command_template, {
-            "{in}": str(wav_path), "{out}": str(mp3_path),
-            "{bitrate_kbps}": str(int(bitrate_kbps))}), "encode")
-        if not mp3_path.exists() or mp3_path.stat().st_size == 0:
-            raise BackendInvocationFailed(
-                f"encode command produced no output at {mp3_path}")
-        wav_path.unlink()  # the decoder writes over this name
-        _run_backend(_substitute(backend.decode_command_template, {
-            "{in}": str(mp3_path), "{out}": str(wav_path)}), "decode")
-        if not wav_path.exists():
-            raise BackendInvocationFailed(
-                f"decode command produced no output at {wav_path}")
-        out = read_audio(wav_path)
-    finally:
-        for p in (wav_path, mp3_path):
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
+    out = codec(buf, bitrate_kbps)
 
     if out.sample_rate_hz != buf.sample_rate_hz:
         warnings.warn(

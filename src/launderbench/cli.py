@@ -21,18 +21,19 @@ from pathlib import Path
 
 import numpy as np
 
+from . import mp3tool
 from .audio import AudioBuffer, CodecBackend, read_audio, write_audio
 from .dsp import (LOADABLE_NOISES, NoiseLibrary, design_butterworth_lowpass,
                   generate_white_noise, mix_noise, synthesize_rir, resample)
-from .errors import InvalidParameter, LaunderbenchError
+from .errors import EmptyClass, InvalidParameter, LaunderbenchError
 from .metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
                       gaussian_scores, min_dcf)
 from .pipeline import (attack_tag, emit_augmented_manifest, execute_plan,
                        plan_attacks, select_subset)
 from .protocol import (TrialRecord, emit_manifest, join_scores,
                        manifest_stats, parse_manifest, parse_scores)
-from .reporting import METRIC_NAMES, compute_breakdown, rank_worst, render, \
-    render_skipped
+from .reporting import (METRIC_NAMES, POOLED, GroupKey, axis_keys,
+                        compute_breakdown, rank_worst, render, render_skipped)
 
 CONFIG_ENV_VAR = "LAUNDERBENCH_CONFIG"
 
@@ -165,14 +166,13 @@ def _require(value, flag, kind="path"):
 
 
 def _resolve_backend(cfg):
-    """Explicit templates win; otherwise the bundled MP3 tool if usable."""
+    """Explicit templates win; otherwise in-process LAME if it loads."""
     if cfg.encode_cmd or cfg.decode_cmd:
         if not (cfg.encode_cmd and cfg.decode_cmd):
             raise InvalidParameter(
                 "--encode-cmd and --decode-cmd must be given together")
         return CodecBackend(cfg.encode_cmd, cfg.decode_cmd, "external")
     try:
-        from . import mp3tool
         return mp3tool.default_backend()
     except OSError as e:
         print(f"warning: no codec backend available ({e}); "
@@ -188,12 +188,6 @@ def _read_scored(cfg, trials_path, scores_path):
     if cfg.invert_scores:
         scores = [type(s)(s.utterance_id, -s.score) for s in scores]
     return join_scores(trials, scores, policy=cfg.join_policy)
-
-
-def _score_set(scored):
-    bon = [st.score for st in scored if st.trial.label == "bonafide"]
-    spf = [st.score for st in scored if st.trial.label == "spoof"]
-    return ScoreSet(np.sort(bon), np.sort(spf))
 
 
 def cmd_launder(cfg: RunConfig, manifest_path) -> int:
@@ -260,13 +254,14 @@ def cmd_launder(cfg: RunConfig, manifest_path) -> int:
 
 def cmd_evaluate(cfg: RunConfig, trials_path, scores_path) -> int:
     scored = _read_scored(cfg, trials_path, scores_path)
-    s = _score_set(scored)
-    print(f"min_dcf={min_dcf(s, cfg.metrics):.6f}")
-    print(f"act_dcf={act_dcf(s, cfg.metrics):.6f}")
-    print(f"cllr={cllr(s):.6f}")
-    print(f"eer={eer(s):.6f}")
-    print(f"n_bon={len(s.bonafide)}")
-    print(f"n_spf={len(s.spoof)}")
+    table = compute_breakdown(scored, cfg.metrics, axes=())
+    cell = table.cells.get(GroupKey(POOLED, POOLED))
+    if cell is None:
+        raise EmptyClass("need at least one bonafide and one spoof score")
+    for metric in METRIC_NAMES:
+        print(f"{metric}={getattr(cell, metric):.6f}")
+    print(f"n_bon={cell.n_bon}")
+    print(f"n_spf={cell.n_spf}")
     return 0
 
 
@@ -292,11 +287,7 @@ def cmd_report(cfg: RunConfig, trials_path, scores_path) -> int:
 
     for metric in METRIC_NAMES:
         for axis in ("attack", "codec"):
-            cells = [k for k in table.cells
-                     if getattr(k, f"{axis}_id") != "*"
-                     and getattr(k, "codec_id" if axis == "attack"
-                                 else "attack_id") == "*"]
-            k = min(5, len(cells))
+            k = min(5, len(axis_keys(table, axis)))
             worst = rank_worst(table, metric, k, axis=axis)
             ids = ",".join(getattr(key, f"{axis}_id") for key in worst)
             print(f"worst_{metric}_by_{axis}={ids}")

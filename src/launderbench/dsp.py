@@ -308,8 +308,7 @@ def launder_resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
 
 
 def apply_attack(x: AudioBuffer, spec: AttackSpec, seed: int,
-                 noises: NoiseLibrary = None, backend=None,
-                 workdir=None) -> AudioBuffer:
+                 noises: NoiseLibrary = None, backend=None) -> AudioBuffer:
     """Run one laundering attack; output keeps x's length and rate."""
     if spec.kind == "reverberation":
         return apply_reverberation(x, spec.rt60_s, seed)
@@ -326,10 +325,10 @@ def apply_attack(x: AudioBuffer, spec: AttackSpec, seed: int,
             noise = noises.get(spec.noise_name)
         return mix_noise(x, noise, spec.snr_db, seed)
     if spec.kind == "recompression":
-        if backend is None or workdir is None:
+        if backend is None:
             raise InvalidParameter(
-                "recompression attack needs a codec backend and workdir")
-        return codec_roundtrip(x, spec.bitrate_kbps, backend, workdir)
+                "recompression attack needs a codec backend")
+        return codec_roundtrip(x, spec.bitrate_kbps, backend)
     if spec.kind == "resampling":
         return launder_resample(x, spec.target_rate_hz)
     if spec.kind == "lowpass":

@@ -32,7 +32,7 @@ class SampleRateChangedByCodec(UserWarning):
 
 
 class BackendInvocationFailed(LaunderbenchError):
-    """External codec command exited nonzero or produced no output."""
+    """Lossy codec failed: bad exit status, no output, or a LAME error."""
 
 
 # --- DSP ---

@@ -1,9 +1,8 @@
-"""MP3 encode/decode helper on top of the system LAME library.
+"""In-process MP3 codec on top of the system LAME library.
 
-Run as ``python -m launderbench.mp3tool {encode,decode} ...``.  The
-recompression attack shells out to this tool through its command
-templates, so any other encoder/decoder pair with compatible templates
-can replace it without code changes.
+default_backend() binds libmp3lame once through ctypes and returns a
+codec for audio.codec_roundtrip; any other encoder/decoder pair plugs in
+through the audio.CodecBackend command adapter instead.
 
 Encoding does not force the output sample rate: LAME picks a legal rate
 for the requested bitrate (MPEG layer III does not allow every bitrate
@@ -12,13 +11,13 @@ at every rate), and the caller resamples back when they differ.
 
 from __future__ import annotations
 
-import argparse
 import ctypes
 import ctypes.util
-import sys
-import wave
 
 import numpy as np
+
+from .audio import AudioBuffer, _quantize16
+from .errors import BackendInvocationFailed
 
 
 class Mp3Data(ctypes.Structure):
@@ -43,7 +42,7 @@ def load_lame():
     found = ctypes.util.find_library("mp3lame")
     if found:
         return ctypes.CDLL(found)
-    raise RuntimeError("libmp3lame shared library not found")
+    raise OSError("libmp3lame shared library not found")
 
 
 def _bind(lib):
@@ -70,139 +69,102 @@ def _bind(lib):
     return lib
 
 
-def lame_version() -> str:
-    try:
-        lib = _bind(load_lame())
-    except (RuntimeError, OSError, AttributeError):
-        return "unavailable"
-    return lib.get_lame_version().decode("ascii", "replace")
+class LameCodec:
+    """MP3 round trip through one ctypes binding of libmp3lame.
+
+    Raises OSError on construction when the library cannot be loaded.
+    """
+
+    def __init__(self):
+        self.lib = _bind(load_lame())
+        version = self.lib.get_lame_version().decode("ascii", "replace")
+        self.identity = f"libmp3lame-{version}"
+
+    def __call__(self, buf: AudioBuffer, bitrate_kbps: int) -> AudioBuffer:
+        pcm, _ = _quantize16(buf.samples)
+        samples, rate = self.decode(
+            self.encode(pcm, buf.sample_rate_hz, bitrate_kbps))
+        return AudioBuffer(samples / 32768.0, rate)
+
+    def encode(self, pcm_int16, rate: int, bitrate_kbps: int) -> bytes:
+        """Mono 16-bit samples at rate Hz to a constant-bitrate MP3 stream."""
+        pcm = np.ascontiguousarray(pcm_int16, dtype=np.int16)
+        lib = self.lib
+        gfp = lib.lame_init()
+        if not gfp:
+            raise BackendInvocationFailed("lame_init failed")
+        try:
+            lib.lame_set_in_samplerate(gfp, int(rate))
+            lib.lame_set_num_channels(gfp, 1)
+            lib.lame_set_brate(gfp, int(bitrate_kbps))
+            lib.lame_set_mode(gfp, 3)          # mono
+            lib.lame_set_quality(gfp, 2)
+            lib.lame_set_bWriteVbrTag(gfp, 0)
+            if lib.lame_init_params(gfp) < 0:
+                raise BackendInvocationFailed(
+                    f"LAME rejected {bitrate_kbps} kbit/s at {rate} Hz")
+            n = len(pcm)
+            out_size = n + n // 2 + 7200
+            out = (ctypes.c_ubyte * out_size)()
+            left = pcm.ctypes.data_as(ctypes.POINTER(ctypes.c_short))
+            n1 = lib.lame_encode_buffer(gfp, left, left, n, out, out_size)
+            if n1 < 0:
+                raise BackendInvocationFailed(
+                    f"lame_encode_buffer failed with {n1}")
+            tail = (ctypes.c_ubyte * 7200)()
+            n2 = lib.lame_encode_flush(gfp, tail, 7200)
+            if n2 < 0:
+                raise BackendInvocationFailed(
+                    f"lame_encode_flush failed with {n2}")
+            return bytes(out[:n1]) + bytes(tail[:n2])
+        finally:
+            lib.lame_close(gfp)
+
+    def decode(self, blob: bytes):
+        """MP3 stream to (int16 samples, sample rate)."""
+        lib = self.lib
+        hip = lib.hip_decode_init()
+        if not hip:
+            raise BackendInvocationFailed("hip_decode_init failed")
+        info = Mp3Data()
+        cap = 1152 * 64
+        pcm_l = (ctypes.c_short * cap)()
+        pcm_r = (ctypes.c_short * cap)()
+        empty = (ctypes.c_ubyte * 1)()
+        chunks = []
+
+        def drain(got):
+            # one frame comes out per call; pull until the decoder runs dry
+            while got > 0:
+                chunks.append(np.frombuffer(pcm_l, dtype=np.int16,
+                                            count=got).copy())
+                got = lib.hip_decode1_headers(hip, empty, 0, pcm_l, pcm_r,
+                                              info)
+            if got < 0:
+                raise BackendInvocationFailed(
+                    "MP3 bitstream could not be decoded")
+
+        try:
+            # feed small pieces so the decoder's internal input buffer never
+            # overflows, draining completely between feeds
+            step = 512
+            for pos in range(0, len(blob), step):
+                piece = blob[pos:pos + step]
+                buf = (ctypes.c_ubyte * len(piece)).from_buffer_copy(piece)
+                got = lib.hip_decode1_headers(hip, buf, len(piece),
+                                              pcm_l, pcm_r, info)
+                drain(got)
+            drain(lib.hip_decode1_headers(hip, empty, 0, pcm_l, pcm_r, info))
+        finally:
+            lib.hip_decode_exit(hip)
+
+        if not info.header_parsed:
+            raise BackendInvocationFailed("no MP3 frame header found")
+        samples = (np.concatenate(chunks) if chunks
+                   else np.empty(0, dtype=np.int16))
+        return samples, int(info.samplerate)
 
 
-def encode(in_wav: str, out_mp3: str, bitrate_kbps: int) -> None:
-    with wave.open(in_wav, "rb") as w:
-        if w.getnchannels() != 1:
-            raise RuntimeError("only mono input is supported")
-        if w.getsampwidth() != 2:
-            raise RuntimeError("only 16-bit input is supported")
-        rate = w.getframerate()
-        raw = w.readframes(w.getnframes())
-    pcm = np.frombuffer(raw, dtype="<i2")
-
-    lib = _bind(load_lame())
-    gfp = lib.lame_init()
-    if not gfp:
-        raise RuntimeError("lame_init failed")
-    try:
-        lib.lame_set_in_samplerate(gfp, rate)
-        lib.lame_set_num_channels(gfp, 1)
-        lib.lame_set_brate(gfp, int(bitrate_kbps))
-        lib.lame_set_mode(gfp, 3)          # mono
-        lib.lame_set_quality(gfp, 2)
-        lib.lame_set_bWriteVbrTag(gfp, 0)
-        if lib.lame_init_params(gfp) < 0:
-            raise RuntimeError(
-                f"LAME rejected {bitrate_kbps} kbit/s at {rate} Hz")
-        n = len(pcm)
-        out_size = n + n // 2 + 7200
-        out = (ctypes.c_ubyte * out_size)()
-        left = pcm.ctypes.data_as(ctypes.POINTER(ctypes.c_short))
-        n1 = lib.lame_encode_buffer(gfp, left, left, n, out, out_size)
-        if n1 < 0:
-            raise RuntimeError(f"lame_encode_buffer failed with {n1}")
-        tail = (ctypes.c_ubyte * 7200)()
-        n2 = lib.lame_encode_flush(gfp, tail, 7200)
-        if n2 < 0:
-            raise RuntimeError(f"lame_encode_flush failed with {n2}")
-        with open(out_mp3, "wb") as fh:
-            fh.write(bytes(out[:n1]))
-            fh.write(bytes(tail[:n2]))
-    finally:
-        lib.lame_close(gfp)
-
-
-def decode(in_mp3: str, out_wav: str) -> None:
-    with open(in_mp3, "rb") as fh:
-        blob = fh.read()
-    lib = _bind(load_lame())
-    hip = lib.hip_decode_init()
-    if not hip:
-        raise RuntimeError("hip_decode_init failed")
-    info = Mp3Data()
-    cap = 1152 * 64
-    pcm_l = (ctypes.c_short * cap)()
-    pcm_r = (ctypes.c_short * cap)()
-    empty = (ctypes.c_ubyte * 1)()
-    chunks = []
-
-    def drain(got):
-        # one frame comes out per call; pull until the decoder runs dry
-        while got > 0:
-            chunks.append(np.frombuffer(pcm_l, dtype=np.int16,
-                                        count=got).copy())
-            got = lib.hip_decode1_headers(hip, empty, 0, pcm_l, pcm_r, info)
-        if got < 0:
-            raise RuntimeError("MP3 bitstream could not be decoded")
-
-    try:
-        # feed small pieces so the decoder's internal input buffer never
-        # overflows, draining completely between feeds
-        step = 512
-        for pos in range(0, len(blob), step):
-            piece = blob[pos:pos + step]
-            buf = (ctypes.c_ubyte * len(piece)).from_buffer_copy(piece)
-            got = lib.hip_decode1_headers(hip, buf, len(piece),
-                                          pcm_l, pcm_r, info)
-            drain(got)
-        drain(lib.hip_decode1_headers(hip, empty, 0, pcm_l, pcm_r, info))
-    finally:
-        lib.hip_decode_exit(hip)
-
-    if not info.header_parsed:
-        raise RuntimeError("no MP3 frame header found")
-    samples = (np.concatenate(chunks) if chunks
-               else np.empty(0, dtype=np.int16))
-    with wave.open(out_wav, "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(info.samplerate)
-        w.writeframes(samples.astype("<i2").tobytes())
-
-
-def default_backend():
-    """CodecBackend invoking this module with the running interpreter."""
-    from .audio import CodecBackend
-    exe = sys.executable
-    return CodecBackend(
-        encode_command_template=(
-            exe + " -m launderbench.mp3tool encode {in} {out} {bitrate_kbps}"),
-        decode_command_template=(
-            exe + " -m launderbench.mp3tool decode {in} {out}"),
-        identity=f"libmp3lame-{lame_version()}")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="launderbench.mp3tool",
-        description="encode or decode MP3 using the system LAME library")
-    sub = parser.add_subparsers(dest="command", required=True)
-    enc = sub.add_parser("encode", help="WAV in, MP3 out")
-    enc.add_argument("input")
-    enc.add_argument("output")
-    enc.add_argument("bitrate_kbps", type=int)
-    dec = sub.add_parser("decode", help="MP3 in, WAV out")
-    dec.add_argument("input")
-    dec.add_argument("output")
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "encode":
-            encode(args.input, args.output, args.bitrate_kbps)
-        else:
-            decode(args.input, args.output)
-    except (RuntimeError, OSError, wave.Error, EOFError) as e:
-        print(f"mp3tool: {e}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def default_backend() -> LameCodec:
+    """The in-process LAME codec; OSError when libmp3lame is absent."""
+    return LameCodec()

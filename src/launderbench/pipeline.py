@@ -11,7 +11,6 @@ worker scheduling.
 
 from __future__ import annotations
 
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,25 +150,22 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
     except OSError as e:
         raise IoFailure(f"output directory {out_dir} is not writable: {e}")
 
-    with tempfile.TemporaryDirectory(prefix="launder-") as workdir:
+    def run_one(job):
+        try:
+            buf = read_audio(audio_root / job.source.source_path)
+            out = apply_attack(buf, job.spec, job.job_seed, noises=noises,
+                               backend=backend)
+            dest = out_dir / job.output_path
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            return write_audio(out, dest, format="flac"), None
+        except (LaunderbenchError, OSError) as e:
+            return 0, e
 
-        def run_one(job):
-            try:
-                buf = read_audio(audio_root / job.source.source_path)
-                out = apply_attack(buf, job.spec, job.job_seed,
-                                   noises=noises, backend=backend,
-                                   workdir=workdir)
-                dest = out_dir / job.output_path
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                return write_audio(out, dest, format="flac"), None
-            except (LaunderbenchError, OSError) as e:
-                return 0, e
-
-        if parallelism == 1:
-            results = [run_one(j) for j in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                results = list(pool.map(run_one, jobs))
+    if parallelism == 1:
+        results = [run_one(j) for j in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            results = list(pool.map(run_one, jobs))
 
     succeeded = failed = clip_events = 0
     failures = []

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import EmptyInput, InsufficientCells, InvalidParameter
 from .metrics import MetricConfig, ScoreSet, act_dcf, cllr, eer, min_dcf
+from .protocol import BONAFIDE_ATTACK
 
 POOLED = "*"
 METRIC_NAMES = ("min_dcf", "act_dcf", "cllr", "eer")
@@ -65,51 +66,45 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
         raise InvalidParameter(
             f"axes must be a subset of {{'attack', 'codec'}}, got {set(axes)}")
 
-    bon_all = []
-    bon_by_codec = defaultdict(list)
-    spf_all = []
-    spf_by_attack = defaultdict(list)
-    spf_by_codec = defaultdict(list)
-    spf_by_pair = defaultdict(list)
-    codecs = set()
+    groups = defaultdict(list)
     for st in scored:
-        t = st.trial
-        codecs.add(t.codec_id)
-        if t.label == "bonafide":
-            bon_all.append(st.score)
-            bon_by_codec[t.codec_id].append(st.score)
-        else:
-            spf_all.append(st.score)
-            spf_by_attack[t.attack_id].append(st.score)
-            spf_by_codec[t.codec_id].append(st.score)
-            spf_by_pair[(t.attack_id, t.codec_id)].append(st.score)
-    attacks = sorted(spf_by_attack)
-    codecs = sorted(codecs)
+        groups[(st.trial.attack_id, st.trial.codec_id)].append(st.score)
+    groups = {key: np.asarray(scores, dtype=np.float64)
+              for key, scores in groups.items()}
+    attacks = sorted({a for a, _ in groups} - {BONAFIDE_ATTACK})
+    codecs = sorted({c for _, c in groups})
 
-    plan = [(GroupKey(POOLED, POOLED), bon_all, spf_all)]
+    keys = [GroupKey(POOLED, POOLED)]
     if "attack" in axes:
-        plan.extend((GroupKey(a, POOLED), bon_all, spf_by_attack[a])
-                    for a in attacks)
+        keys.extend(GroupKey(a, POOLED) for a in attacks)
     if "codec" in axes:
-        plan.extend((GroupKey(POOLED, c), bon_by_codec[c], spf_by_codec[c])
-                    for c in codecs)
+        keys.extend(GroupKey(POOLED, c) for c in codecs)
     if axes == {"attack", "codec"}:
-        plan.extend((GroupKey(a, c), bon_by_codec[c], spf_by_pair[(a, c)])
-                    for a in attacks for c in codecs)
+        keys.extend(GroupKey(a, c) for a in attacks for c in codecs)
+
+    def gather(key, bonafide):
+        # bonafide groups match any attack key, since they carry no attack
+        return [scores for (a, c), scores in groups.items()
+                if (a == BONAFIDE_ATTACK) == bonafide
+                and (bonafide or key.attack_id in (POOLED, a))
+                and key.codec_id in (POOLED, c)]
 
     cells = {}
     skipped = []
-    for key, bon, spf in plan:
+    for key in keys:
+        bon, spf = gather(key, True), gather(key, False)
         if not bon or not spf:
             skipped.append(key)
             continue
+        bon, spf = np.concatenate(bon), np.concatenate(spf)
         s = ScoreSet(np.sort(bon), np.sort(spf))
         cells[key] = CellMetrics(min_dcf(s, cfg), act_dcf(s, cfg), cllr(s),
                                  eer(s), len(bon), len(spf))
     return BreakdownTable(cells, cfg, tuple(skipped))
 
 
-def _axis_keys(table, axis):
+def axis_keys(table, axis):
+    """Computed single-axis cells of one axis, ascending by id."""
     if axis == "attack":
         return sorted((k for k in table.cells
                        if k.attack_id != POOLED and k.codec_id == POOLED),
@@ -132,7 +127,7 @@ def rank_worst(table: BreakdownTable, metric: str, k: int,
         raise InvalidParameter(f"axis must be attack or codec, got {axis!r}")
     if k < 0:
         raise InvalidParameter("k must be nonnegative")
-    keys = _axis_keys(table, axis)
+    keys = axis_keys(table, axis)
     if len(keys) < k:
         raise InsufficientCells(
             f"asked for top {k} of {len(keys)} {axis} cells")
@@ -182,8 +177,8 @@ def render(table: BreakdownTable, layout: str, fmt: str = "tsv",
             raise EmptyInput("table holds no pooled cell")
         return _format_rows(_flat_rows(table, [key]), fmt)
     if layout in ("per_attack", "per_codec"):
-        keys = _axis_keys(table,
-                          "attack" if layout == "per_attack" else "codec")
+        keys = axis_keys(table,
+                         "attack" if layout == "per_attack" else "codec")
         if not keys:
             raise EmptyInput(f"table holds no {layout} cells")
         return _format_rows(_flat_rows(table, keys), fmt)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from launderbench import cli, mp3tool
 from launderbench.audio import AudioBuffer, write_audio
 from launderbench.cli import (CONFIG_ENV_VAR, build_parser, main,
                               resolve_config)
@@ -148,6 +149,34 @@ class TestLaunder:
         assert summary["backend"] == "external"
         assert summary["manifest_total"] == "10"
         assert "laundered 9/9" in capsys.readouterr().err
+
+    def test_no_codec_backend_fails_recompression_only(
+            self, tmp_path, capsys, monkeypatch):
+        def no_lame():
+            raise OSError("libmp3lame shared library not found")
+
+        reports = []
+        execute_plan = cli.execute_plan
+
+        def recording_execute_plan(*args, **kwargs):
+            reports.append(execute_plan(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(mp3tool, "load_lame", no_lame)
+        monkeypatch.setattr(cli, "execute_plan", recording_execute_plan)
+        corpus = write_corpus(tmp_path)
+        out = tmp_path / "out"
+        argv = launder_argv(corpus, out, ["--fraction", "0.3"])
+        del argv[argv.index("--encode-cmd"):argv.index("--decode-cmd") + 2]
+        assert main(argv) == 2
+        assert "warning: no codec backend available" in \
+            capsys.readouterr().err
+        assert read_summary(out)["backend"] == "none"
+        failures = reports[0].failures
+        assert len(failures) == 3
+        for job, error in failures:
+            assert job.spec.kind == "recompression"
+            assert type(error) is InvalidParameter
 
     def test_missing_noise_asset_fails_fast(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
@@ -293,6 +322,13 @@ class TestEvaluate:
             rc = main(["evaluate", "--manifest", str(manifest),
                        "--scores", str(scores), "--join", "intersect"])
         assert rc == 0
+
+    def test_single_class_is_an_input_error(self, tmp_path, capsys):
+        manifest, scores = write_eval_fixture(tmp_path, spf=())
+        rc = main(["evaluate", "--manifest", str(manifest),
+                   "--scores", str(scores)])
+        assert rc == 1
+        assert "one bonafide and one spoof" in capsys.readouterr().err
 
     def test_empty_intersection(self, tmp_path, capsys):
         manifest, scores = write_eval_fixture(tmp_path)

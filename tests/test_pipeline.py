@@ -22,6 +22,16 @@ from launderbench.rng import derive_seed
 COPY_BODY = "import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n"
 
 
+def fake_codec(buf, bitrate_kbps):
+    """Deterministic in-process stand-in for a lossy codec: one sample of
+    delay and amplitude steps of 1/bitrate."""
+    y = np.round(buf.samples * bitrate_kbps) / bitrate_kbps
+    return AudioBuffer(np.concatenate(([0.0], y)), buf.sample_rate_hz)
+
+
+fake_codec.identity = "fake"
+
+
 def make_trials(n, prefix="u"):
     out = []
     for i in range(n):
@@ -295,6 +305,24 @@ class TestExecutePlan:
         for job in jobs:
             assert (tmp_path / "p1" / job.output_path).read_bytes() == \
                 (tmp_path / "p4" / job.output_path).read_bytes()
+
+    def test_recompression_output_deterministic(self, corpus, tmp_path):
+        jobs = [j for j in plan_attacks(corpus["trials"], seed=17)
+                if j.spec.kind == "recompression"]
+        runs = {tmp_path / "p1": 1, tmp_path / "p1-again": 1,
+                tmp_path / "p3": 3}
+        for out_dir, parallelism in runs.items():
+            report = execute_plan(jobs, corpus["audio_root"], out_dir,
+                                  backend=fake_codec, parallelism=parallelism)
+            assert report.jobs_failed == 0
+        for job in jobs:
+            first = (tmp_path / "p1" / job.output_path).read_bytes()
+            for out_dir in runs:
+                assert (out_dir / job.output_path).read_bytes() == first
+            src = read_audio(corpus["audio_root"] / job.source.source_path)
+            coded = fake_codec(src, job.spec.bitrate_kbps).samples
+            out = read_audio(tmp_path / "p1" / job.output_path)
+            assert np.max(np.abs(out.samples - coded[:len(src)])) <= 2.0 ** -16
 
     def test_clip_events_counted(self, corpus, tmp_path):
         # near-full-scale square wave overshoots through the lowpass
