@@ -225,10 +225,9 @@ def codec_roundtrip(buf: AudioBuffer, bitrate_kbps: int,
         from .dsp import resample
         out = resample(out, buf.sample_rate_hz)
 
-    y = out.samples
-    n = len(buf.samples)
-    if len(y) >= n:
-        y = y[:n]
-    else:
-        y = np.pad(y, (0, n - len(y)))
-    return AudioBuffer(y, buf.sample_rate_hz)
+    return AudioBuffer(fit_length(out.samples, len(buf)), buf.sample_rate_hz)
+
+
+def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
+    """The first n samples, zero-padded at the end when there are fewer."""
+    return np.pad(samples[:n], (0, max(0, n - len(samples))))

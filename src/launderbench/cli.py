@@ -221,12 +221,6 @@ def cmd_launder(cfg: RunConfig, manifest_path) -> int:
         ("seed", cfg.seed),
         ("fraction", cfg.fraction),
         ("parallelism", cfg.parallelism),
-        ("invert_scores", cfg.invert_scores),
-        ("join", cfg.join_policy),
-        ("format", cfg.table_format),
-        ("c_miss", cfg.metrics.c_miss),
-        ("c_fa", cfg.metrics.c_fa),
-        ("pi_spoof", cfg.metrics.pi_spoof),
         ("manifest", manifest_file),
         ("audio_root", audio_root),
         ("noise_dir", noise_dir),

@@ -19,13 +19,12 @@ from pathlib import Path
 import numpy as np
 from scipy import signal
 
-from .audio import AudioBuffer, codec_roundtrip, read_audio, rms_power
+from .audio import (AudioBuffer, codec_roundtrip, fit_length, read_audio,
+                    rms_power)
 from .errors import (InvalidParameter, NoiseAssetMissing, RateMismatch,
                      SilentInput, UnstableFilter)
 from .rng import derive_seed
 
-ATTACK_KINDS = ("reverberation", "additive_noise", "recompression",
-                "resampling", "lowpass")
 RT60_CHOICES = (0.3, 0.6, 0.9)
 NOISE_NAMES = ("babble", "volvo", "white", "cafe", "street")
 SNR_DB_CHOICES = (0, 10, 20)
@@ -289,22 +288,13 @@ def resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     h = _resample_kernel(ratio.numerator, ratio.denominator)
     y = signal.resample_poly(x.samples, ratio.numerator, ratio.denominator,
                              window=h)
-    if len(y) > n_out:
-        y = y[:n_out]
-    elif len(y) < n_out:
-        y = np.pad(y, (0, n_out - len(y)))
-    return AudioBuffer(y, target_rate_hz)
+    return AudioBuffer(fit_length(y, n_out), target_rate_hz)
 
 
 def launder_resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     """Resample away and back, keeping the original rate and length."""
     y = resample(resample(x, target_rate_hz), x.sample_rate_hz)
-    n = len(x)
-    if len(y) > n:
-        y = AudioBuffer(y.samples[:n], y.sample_rate_hz)
-    elif len(y) < n:
-        y = AudioBuffer(np.pad(y.samples, (0, n - len(y))), y.sample_rate_hz)
-    return y
+    return AudioBuffer(fit_length(y.samples, len(x)), x.sample_rate_hz)
 
 
 def apply_attack(x: AudioBuffer, spec: AttackSpec, seed: int,

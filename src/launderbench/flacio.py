@@ -26,6 +26,7 @@ _BLOCKSIZE_CODES = {192: 0b0001, 576: 0b0010, 1152: 0b0011, 2304: 0b0100,
                     4608: 0b0101, 256: 0b1000, 512: 0b1001, 1024: 0b1010,
                     2048: 0b1011, 4096: 0b1100, 8192: 0b1101, 16384: 0b1110,
                     32768: 0b1111}
+_BLOCKSIZE_FROM_CODE = {v: k for k, v in _BLOCKSIZE_CODES.items()}
 _RATE_CODES = {88200: 0b0001, 176400: 0b0010, 192000: 0b0011, 8000: 0b0100,
                16000: 0b0101, 22050: 0b0110, 24000: 0b0111, 32000: 0b1000,
                44100: 0b1001, 48000: 0b1010, 96000: 0b1011}
@@ -183,40 +184,14 @@ class _BitReader:
         return self.pos - self.navail // 8
 
 
-class _BitWriter:
-    """MSB-first bit writer."""
-
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value, n):
-        acc = (self.acc << n) | (value & ((1 << n) - 1))
-        nbits = self.nbits + n
-        buf = self.buf
-        while nbits >= 8:
-            nbits -= 8
-            buf.append((acc >> nbits) & 0xFF)
-        self.acc = acc & ((1 << nbits) - 1)
-        self.nbits = nbits
-
-    def write_bytes(self, data):
-        if self.nbits:
-            for b in data:
-                self.write(b, 8)
-        else:
-            self.buf.extend(data)
-
-    def align(self):
-        if self.nbits:
-            self.buf.append((self.acc << (8 - self.nbits)) & 0xFF)
-            self.acc = 0
-            self.nbits = 0
-
-    def getvalue(self):
-        self.align()
-        return bytes(self.buf)
+def _pack(values, widths):
+    """MSB-first bits of unsigned (value, width) int64 fields, zero-padded
+    to whole bytes.  A field wider than 63 bits holds its value in the low
+    63 bits and leading zeros above, as long Rice quotients do."""
+    field = np.repeat(np.arange(len(widths)), widths)
+    shift = np.cumsum(widths)[field] - 1 - np.arange(len(field))
+    bits = (values[field] >> np.minimum(shift, 63)) & 1
+    return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
 def _restore_fixed(order, warmup, resid):
@@ -356,12 +331,8 @@ def _decode_frame_inner(data, pos, info):
     if pos > len(data):
         raise CorruptFile("truncated coded number")
 
-    if bs_code == 0b0000:
-        raise CorruptFile("reserved block size code")
-    elif bs_code == 0b0001:
-        blocksize = 192
-    elif bs_code <= 0b0101:
-        blocksize = 576 << (bs_code - 2)
+    if bs_code in _BLOCKSIZE_FROM_CODE:
+        blocksize = _BLOCKSIZE_FROM_CODE[bs_code]
     elif bs_code == 0b0110:
         blocksize = data[pos] + 1
         pos += 1
@@ -369,7 +340,7 @@ def _decode_frame_inner(data, pos, info):
         blocksize = int.from_bytes(data[pos:pos + 2], "big") + 1
         pos += 2
     else:
-        blocksize = 256 << (bs_code - 8)
+        raise CorruptFile("reserved block size code")
 
     if rate_code == 0b0000:
         rate = info["rate"]
@@ -538,19 +509,7 @@ def _rice_plan(resid):
     return u, best_k, best_bits
 
 
-def _write_rice_residual(bw, u, k):
-    bw.write(0b00, 2)     # 4-bit Rice parameters
-    bw.write(0b0000, 4)   # partition order 0
-    bw.write(k, 4)
-    terminator = 1 << k
-    kmask = terminator - 1
-    write = bw.write
-    for v in u.tolist():
-        write(terminator | (v & kmask), (v >> k) + 1 + k)
-
-
 def _encode_frame(block, index, rate):
-    bw = _BitWriter()
     n = len(block)
     bs_code, bs_extra = _blocksize_code_for(n)
     rate_code, rate_extra = _rate_code_for(rate)
@@ -560,36 +519,32 @@ def _encode_frame(block, index, rate):
     header += bs_extra
     header += rate_extra
     header.append(_crc8(header))
-    bw.write_bytes(header)
 
+    # subframe: zero pad bit, 6-bit type, no wasted bits; then 16-bit
+    # samples (the constant, the warm-up or the whole block) and Rice codes
+    rice = None
     if np.all(block == block[0]):
-        bw.write(0, 1)
-        bw.write(0b000000, 6)  # constant
-        bw.write(0, 1)
-        bw.write(int(block[0]), 16)
+        sftype, raw = 0b000000, block[:1]  # constant
     else:
         order = _best_fixed_order(block)
         resid = np.diff(block, order) if order else block
         u, k, rice_bits = _rice_plan(resid)
-        fixed_bits = 16 * order + 10 + rice_bits
-        if fixed_bits < 16 * n:
-            bw.write(0, 1)
-            bw.write(0b001000 | order, 6)  # fixed predictor
-            bw.write(0, 1)
-            for v in block[:order].tolist():
-                bw.write(int(v), 16)
-            _write_rice_residual(bw, u, k)
+        if 16 * order + 10 + rice_bits < 16 * n:
+            sftype, raw = 0b001000 | order, block[:order]  # fixed predictor
+            rice = u, k
         else:
-            bw.write(0, 1)
-            bw.write(0b000001, 6)  # verbatim
-            bw.write(0, 1)
-            write = bw.write
-            for v in block.tolist():
-                write(v, 16)
-
-    frame = bytearray(bw.getvalue())
-    frame += _crc16(frame).to_bytes(2, "big")
-    return bytes(frame)
+            sftype, raw = 0b000001, block  # verbatim
+    values = [[sftype << 1], raw & 0xFFFF]
+    widths = [[8], np.full(len(raw), 16)]
+    if rice is not None:
+        u, k = rice
+        # 4-bit Rice parameters (0b00), partition order 0, parameter k;
+        # then per residual: quotient zeros, a terminating 1, k low bits
+        values += [[k], (1 << k) | (u & ((1 << k) - 1))]
+        widths += [[10], (u >> k) + 1 + k]
+    frame = bytes(header) + _pack(np.concatenate(values),
+                                  np.concatenate(widths))
+    return frame + _crc16(frame).to_bytes(2, "big")
 
 
 def encode_flac(samples, sample_rate, blocksize=BLOCKSIZE):
@@ -606,16 +561,13 @@ def encode_flac(samples, sample_rate, blocksize=BLOCKSIZE):
         frames.append(_encode_frame(block, fi, sample_rate))
     frame_sizes = [len(f) for f in frames] or [0, 0]
 
-    sw = _BitWriter()
-    sw.write(blocksize, 16)              # min block size (last frame may be shorter)
-    sw.write(blocksize, 16)              # max block size
-    sw.write(min(frame_sizes), 24)
-    sw.write(max(frame_sizes), 24)
-    sw.write(sample_rate, 20)
-    sw.write(0, 3)                       # channels - 1
-    sw.write(15, 5)                      # bits per sample - 1
-    sw.write(n, 36)
-    streaminfo = sw.getvalue() + md5
+    # min and max block size (the last frame may be shorter), min and max
+    # frame size, rate, channels - 1, bits per sample - 1, total samples
+    fields = [(blocksize, 16), (blocksize, 16), (min(frame_sizes), 24),
+              (max(frame_sizes), 24), (sample_rate, 20), (0, 3), (15, 5),
+              (n, 36)]
+    values, widths = np.array(fields, dtype=np.int64).T
+    streaminfo = _pack(values, widths) + md5
 
     out = bytearray(b"fLaC")
     out.append(0x80)                     # last metadata block, type 0

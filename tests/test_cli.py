@@ -146,6 +146,9 @@ class TestLaunder:
         assert summary["jobs_total"] == "9"
         assert summary["jobs_succeeded"] == "9"
         assert summary["jobs_failed"] == "0"
+        for scoring_key in ("invert_scores", "join", "format", "c_miss",
+                            "c_fa", "pi_spoof"):
+            assert scoring_key not in summary
         assert summary["backend"] == "external"
         assert summary["manifest_total"] == "10"
         assert "laundered 9/9" in capsys.readouterr().err

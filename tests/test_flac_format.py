@@ -16,13 +16,28 @@ from hypothesis import strategies as st
 
 from launderbench import flacio
 from launderbench.errors import CorruptFile, MultichannelInput
-from launderbench.flacio import (_BitWriter, _blocksize_code_for, _crc8,
-                                 _crc16, _encode_utf8_number)
+from launderbench.flacio import (_blocksize_code_for, _crc8, _crc16,
+                                 _encode_utf8_number)
+
+
+class BitWriter:
+    """Collects write(value, width) fields, masked to width, for _pack."""
+
+    def __init__(self):
+        self.values, self.widths = [], []
+
+    def write(self, value, width):
+        self.values.append(value & ((1 << width) - 1))
+        self.widths.append(width)
+
+    def getvalue(self):
+        return flacio._pack(np.array(self.values, dtype=np.int64),
+                            np.array(self.widths, dtype=np.int64))
 
 
 def build_streaminfo(rate, channels, bps, total, md5=b"\x00" * 16,
                      min_bs=4096, max_bs=4096):
-    bw = _BitWriter()
+    bw = BitWriter()
     bw.write(min_bs, 16)
     bw.write(max_bs, 16)
     bw.write(0, 24)
@@ -46,10 +61,9 @@ def build_frame(blocksize, fill_subframe, number=0, variable=False,
     hdr += bs_extra
     hdr += rate_extra
     hdr.append(_crc8(hdr))
-    bw = _BitWriter()
-    bw.write_bytes(hdr)
+    bw = BitWriter()
     fill_subframe(bw)
-    body = bytearray(bw.getvalue())
+    body = hdr + bw.getvalue()
     body += _crc16(body).to_bytes(2, "big")
     return bytes(body)
 
@@ -115,6 +129,77 @@ def test_full_scale_and_alternating():
     x = np.tile([32767, -32768], 3000).astype(np.int64)
     y, _, _ = flacio.decode_flac(flacio.encode_flac(x, 16000))
     assert np.array_equal(x, y)
+
+
+# -------------------------------------------------------------- encoder bytes
+
+def hash_noise(n, amp, seed):
+    """Integers in [-amp, amp] from a 32-bit integer hash, not an RNG stream."""
+    x = (np.arange(n, dtype=np.uint64) + np.uint64(seed)) * np.uint64(0x9E3779B1)
+    x &= np.uint64(0xFFFFFFFF)
+    x ^= x >> np.uint64(15)
+    x = (x * np.uint64(0x85EBCA77)) & np.uint64(0xFFFFFFFF)
+    x ^= x >> np.uint64(13)
+    return (x % np.uint64(2 * amp + 1)).astype(np.int64) - amp
+
+
+def integrated_noise(n, order, amp, seed):
+    """order-fold cumulative sum of hash noise: fixed order `order` wins."""
+    x = hash_noise(n, amp, seed)
+    for _ in range(order):
+        x = np.cumsum(x)
+    return x
+
+
+def spike():
+    x = np.zeros(4096, dtype=np.int64)
+    x[1000] = 1000               # order 0, Rice k=0: a 2000-bit quotient
+    return x
+
+
+# name -> (signal, rate, blocksize, first subframe type, SHA-256 of the
+# stream); the digests were recorded from the bit-serial encoder
+GOLDEN = {
+    "empty": (lambda: np.zeros(0, dtype=np.int64), 16000, 4096, None,
+              "ca3fe60a2134ea52c26b94a721f78a462e092f97af3564b3c3c3ce3275d76ee6"),
+    "constant": (lambda: np.full(300, -12345), 16000, 4096, 0b000000,
+                 "ec10adce68459724e77b6a94e1ac3cb2b279793908c351f555bd5f6f36ee8774"),
+    "fixed_order0": (lambda: hash_noise(600, 100, 1), 16000, 4096, 0b001000,
+                     "c81cabe36acc89f6db351615cf55529be122af28e79ad721f0f3bb61d7f86a46"),
+    "fixed_order1": (lambda: integrated_noise(600, 1, 3, 2), 16000, 4096,
+                     0b001001,
+                     "cc247b42aff7ddbc9508c7c8e0d23d638389849871e4bcbdd92679d23045a58f"),
+    "fixed_order2": (lambda: integrated_noise(600, 2, 1, 3), 16000, 4096,
+                     0b001010,
+                     "5d5330ef451f419697aaf6b89bd39091fed0ad2491ffbfa6b00dda6b8801a1da"),
+    "fixed_order3": (lambda: integrated_noise(64, 3, 1, 4), 16000, 4096,
+                     0b001011,
+                     "406fe46891918b885f43ab3c6d22ffc943c6ba2ea7b2ef8373f7fe550b2806bc"),
+    "fixed_order4": (lambda: integrated_noise(40, 4, 1, 5), 16000, 4096,
+                     0b001100,
+                     "075ec3187c29b4a9873936aca762e275a3f30411a94c668ba2f8cb073fa5705d"),
+    "verbatim": (lambda: hash_noise(500, 32767, 6), 16000, 4096, 0b000001,
+                 "aa0d7b7ba09fdd47ef6b8de9f43a71f7c1eace9b4516974cad5e2af971748789"),
+    "short_last_frame_12345hz": (lambda: integrated_noise(1000, 1, 50, 7),
+                                 12345, 192, 0b001001,
+                                 "ba5da94343d505c56e1494736ea7d832bdfba11268e360b6244bf595a02e7611"),
+    "rice_spike": (spike, 16000, 4096, 0b001000,
+                   "761a9d4615bb1c224ed1a373a7816696cc54cdbff21842df6b28ce16233719ac"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_encoder_bytes_match_golden(name):
+    make, rate, blocksize, sftype, digest = GOLDEN[name]
+    x = make()
+    blob = flacio.encode_flac(x, rate, blocksize)
+    if sftype is not None:
+        # STREAMINFO, then a frame header of 4 bytes, a 1-byte frame number,
+        # the block size and rate extras and the CRC-8
+        _, bs_extra = _blocksize_code_for(min(len(x), blocksize))
+        _, rate_extra = flacio._rate_code_for(rate)
+        assert blob[48 + len(bs_extra) + len(rate_extra)] >> 1 == sftype
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 # ------------------------------------------------------------- container shape
@@ -401,6 +486,15 @@ def test_rejects_stereo_frame_even_if_streaminfo_lies():
     hdr.append(_crc8(hdr))
     blob = build_streaminfo(16000, 1, 16, 4096) + bytes(hdr)
     with pytest.raises(MultichannelInput):
+        flacio.decode_flac(blob)
+
+
+def test_rejects_reserved_blocksize_code():
+    hdr = bytearray([0xFF, 0xF8, (0b0000 << 4) | 0b0101, 0b100 << 1])
+    hdr += _encode_utf8_number(0)
+    hdr.append(_crc8(hdr))
+    blob = build_streaminfo(16000, 1, 16, 4096) + bytes(hdr)
+    with pytest.raises(CorruptFile, match="reserved block size code"):
         flacio.decode_flac(blob)
 
 
