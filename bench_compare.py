@@ -1,0 +1,80 @@
+"""Before/after benchmark: a base commit against the working tree.
+
+Runs bench/run.py --trace 0 per workload and seed in a git archive export
+of --base and in the working tree, alternating which goes first, and
+writes BENCH_NAME.json: each side's median, q1, q3 and spread per
+end-to-end metric, the ratio of medians, pairs won, failures and digests.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent
+
+
+def bench(tree, workload, seed, seconds):
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    digest = out.split("non_codec_sha256=")[1].split()[0]
+    return ({k: v["value"] for k, v in result["metrics"].items()},
+            result["failed"], digest)
+
+
+def summary(values):
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med}
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--label", required=True)
+    p.add_argument("--base", default="HEAD")
+    p.add_argument("--seeds", default="1-10", help="first-last")
+    args = p.parse_args()
+    first, last = map(int, args.seeds.split("-"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    sign = {m["name"]: 1 if m["better"] == "higher" else -1
+            for m in spec["end_to_end"]}
+    base = subprocess.check_output(["git", "rev-parse", "--short", args.base],
+                                   cwd=ROOT, text=True).strip()
+    report = {"about": f"bench/run.py --trace 0, seeds {args.seeds}, {base}"
+                       " against the working tree, alternating",
+              "host": {"nproc": len(os.sched_getaffinity(0)),
+                       "python": sys.version.split()[0]}, "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        subprocess.run(f"git archive {base} | tar -x -C {tmp}", shell=True,
+                       cwd=ROOT, check=True)
+        for w in (w["name"] for w in spec["workloads"]):
+            runs = {"base": [], "change": []}
+            for seed in range(first, last + 1):
+                for side in ("base", "change")[::1 if seed % 2 else -1]:
+                    runs[side].append(bench(tmp if side == "base" else ROOT,
+                                            w, seed, spec["run_seconds"]))
+                    print(w, seed, side, runs[side][-1], flush=True)
+            pairs = list(zip(runs["base"], runs["change"]))
+            out = {"seeds": args.seeds, "runs": len(pairs),
+                   "failed": {s: sum(r[1] for r in runs[s]) for s in runs},
+                   "digests_equal": all(b[2] == c[2] for b, c in pairs)}
+            for s in runs:
+                out[s] = {m: summary([r[0][m] for r in runs[s]]) for m in sign}
+            out["change_over_base"] = {
+                m: out["change"][m]["median"] / out["base"][m]["median"]
+                for m in sign}
+            out["pairs_won"] = {m: sum(sign[m] * (c[0][m] - b[0][m]) > 0
+                                       for b, c in pairs) for m in sign}
+            report["workloads"][w] = out
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

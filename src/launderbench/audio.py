@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import flacio
 from .errors import (BackendInvocationFailed, CorruptFile, EmptyBuffer,
@@ -113,6 +112,7 @@ def read_audio(path) -> AudioBuffer:
         raise IoFailure(f"cannot read {path}: {e}") from e
 
     if head[:4] == b"RIFF" and head[8:12] == b"WAVE":
+        from scipy.io import wavfile
         try:
             rate, data = wavfile.read(path)
         except ValueError as e:

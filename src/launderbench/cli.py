@@ -30,8 +30,9 @@ from .metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
                       gaussian_scores, min_dcf)
 from .pipeline import (attack_tag, emit_augmented_manifest, execute_plan,
                        plan_attacks, select_subset)
-from .protocol import (TrialRecord, emit_manifest, join_scores,
-                       manifest_stats, parse_manifest, parse_scores)
+from .protocol import (ScoreColumns, TrialRecord, emit_manifest, join_scores,
+                       manifest_columns, manifest_stats, parse_manifest,
+                       parse_scores)
 from .reporting import (METRIC_NAMES, POOLED, GroupKey, axis_keys,
                         compute_breakdown, rank_worst, render, render_skipped)
 
@@ -181,13 +182,17 @@ def _resolve_backend(cfg):
 
 
 def _read_scored(cfg, trials_path, scores_path):
-    trials = parse_manifest(
+    trials = manifest_columns(
         _require(trials_path, "--manifest", "file").read_text())
     scores = parse_scores(
         _require(scores_path, "--scores", "file").read_text())
     if cfg.invert_scores:
-        scores = [type(s)(s.utterance_id, -s.score) for s in scores]
+        scores = ScoreColumns(scores.ids, -scores.scores)
     return join_scores(trials, scores, policy=cfg.join_policy)
+
+
+def _write_summary(path, items):
+    Path(path).write_text("".join(f"{key}={value}\n" for key, value in items))
 
 
 def cmd_launder(cfg: RunConfig, manifest_path) -> int:
@@ -235,8 +240,7 @@ def cmd_launder(cfg: RunConfig, manifest_path) -> int:
         ("jobs_failed", report.jobs_failed),
         ("clip_events", report.clip_events),
     ]
-    (out_dir / "run_summary.txt").write_text(
-        "".join(f"{key}={value}\n" for key, value in summary))
+    _write_summary(out_dir / "run_summary.txt", summary)
 
     for job, error in report.failures:
         print(f"failed {job.output_utterance_id}: {error}", file=sys.stderr)
@@ -278,6 +282,20 @@ def cmd_report(cfg: RunConfig, trials_path, scores_path) -> int:
             table, "grid", fmt, metric=metric)
     for path, text in files.items():
         Path(path).write_text(text)
+    _write_summary(out_dir / "report_summary.txt", [
+        ("command", "report"),
+        ("manifest", trials_path),
+        ("scores", scores_path),
+        ("trials_kept", len(scored.scores)),
+        ("unscored_trials", scored.unscored),
+        ("orphan_scores", scored.orphans),
+        ("skipped_cells", len(table.skipped)),
+        ("join", cfg.join_policy),
+        ("invert_scores", cfg.invert_scores),
+        ("c_miss", cfg.metrics.c_miss),
+        ("c_fa", cfg.metrics.c_fa),
+        ("pi_spoof", cfg.metrics.pi_spoof),
+    ])
 
     for metric in METRIC_NAMES:
         for axis in ("attack", "codec"):

@@ -17,7 +17,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from .audio import (AudioBuffer, codec_roundtrip, fit_length, read_audio,
                     rms_power)
@@ -167,7 +166,8 @@ def apply_reverberation(x: AudioBuffer, rt60_s: float, seed: int) -> AudioBuffer
     rir = synthesize_rir(rt60_s, x.sample_rate_hz, seed)
     if len(x) == 0:
         return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
-    y = signal.fftconvolve(x.samples, rir.samples)[:len(x)]
+    from scipy.signal import fftconvolve
+    y = fftconvolve(x.samples, rir.samples)[:len(x)]
     peak_in = np.max(np.abs(x.samples))
     peak_out = np.max(np.abs(y))
     if peak_out > peak_in and peak_out > 0:
@@ -259,7 +259,8 @@ def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
     sos = np.array([[b0, b1, b2, 1.0, a1, a2]
                     for b0, b1, b2, a1, a2 in c.sections])
     sos[0, :3] *= c.gain
-    y = signal.sosfilt(sos, x.samples)
+    from scipy.signal import sosfilt
+    y = sosfilt(sos, x.samples)
     return AudioBuffer(y, x.sample_rate_hz)
 
 
@@ -267,10 +268,11 @@ def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
 def _resample_kernel(up: int, down: int) -> np.ndarray:
     # designed at the upsampled rate: passband 0.9/max, stopband 1/max,
     # 80 dB of stopband attenuation
+    from scipy.signal import firwin, kaiserord
     cutoff = 1.0 / max(up, down)
-    numtaps, beta = signal.kaiserord(80.0, 0.1 * cutoff)
+    numtaps, beta = kaiserord(80.0, 0.1 * cutoff)
     numtaps |= 1
-    return signal.firwin(numtaps, 0.95 * cutoff, window=("kaiser", beta))
+    return firwin(numtaps, 0.95 * cutoff, window=("kaiser", beta))
 
 
 def resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
@@ -286,8 +288,9 @@ def resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     if len(x) == 0:
         return AudioBuffer(np.zeros(0), target_rate_hz)
     h = _resample_kernel(ratio.numerator, ratio.denominator)
-    y = signal.resample_poly(x.samples, ratio.numerator, ratio.denominator,
-                             window=h)
+    from scipy.signal import resample_poly
+    y = resample_poly(x.samples, ratio.numerator, ratio.denominator,
+                      window=h)
     return AudioBuffer(fit_length(y, n_out), target_rate_hz)
 
 

@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import CorruptFile, MultichannelInput
+from .errors import CorruptFile, InvalidParameter, MultichannelInput
 
 BLOCKSIZE = 4096
 
@@ -547,12 +547,26 @@ def _encode_frame(block, index, rate):
     return frame + _crc16(frame).to_bytes(2, "big")
 
 
+def _check_streaminfo(n, sample_rate, blocksize):
+    """STREAMINFO holds the rate in 20 bits, the total in 36 and block
+    sizes in 16; a value out of range would be masked, not stored."""
+    if not 1 <= sample_rate < 1 << 20:
+        raise InvalidParameter(
+            f"sample rate must lie in 1..{(1 << 20) - 1} Hz, got {sample_rate}")
+    if n >= 1 << 36:
+        raise InvalidParameter(f"{n} samples do not fit in 36 bits")
+    if not 16 <= blocksize < 1 << 16:
+        raise InvalidParameter(
+            f"block size must lie in 16..{(1 << 16) - 1}, got {blocksize}")
+
+
 def encode_flac(samples, sample_rate, blocksize=BLOCKSIZE):
     """Encode mono 16-bit samples (integer array in [-32768, 32767])."""
     s = np.asarray(samples, dtype=np.int64)
     if s.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     n = len(s)
+    _check_streaminfo(n, sample_rate, blocksize)
     md5 = hashlib.md5(s.astype("<i2").tobytes()).digest()
 
     frames = []

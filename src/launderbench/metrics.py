@@ -92,28 +92,32 @@ def det_points(s: ScoreSet) -> list:
             for t, nm, nf in zip(thresholds, n_miss, n_fa)]
 
 
-def eer(s: ScoreSet) -> float:
-    """Equal error rate in percent at the nearest-crossing threshold.
+def min_dcf_and_eer(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> tuple:
+    """minDCF and EER (percent) from one threshold sweep.
 
-    The |p_miss - p_fa| comparison runs on exact integer cross products
-    so that rational ties resolve to the smaller threshold instead of
-    whichever side float rounding happens to favor.
+    The EER is taken at the nearest crossing; its |p_miss - p_fa|
+    comparison runs on exact integer cross products so that rational ties
+    resolve to the smaller threshold instead of whichever side float
+    rounding happens to favor.
     """
-    _require(s)
-    _, n_miss, n_fa, nb, ns = _sweep(s)
-    gaps = np.abs(n_miss * ns - n_fa * nb)
-    i = int(np.argmin(gaps))
-    return 100.0 * (n_miss[i] / nb + n_fa[i] / ns) / 2.0
-
-
-def min_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
-    """Minimum normalized detection cost over the threshold sweep."""
     _require(s)
     _, n_miss, n_fa, nb, ns = _sweep(s)
     w_miss = cfg.c_miss * (1.0 - cfg.pi_spoof)
     w_fa = cfg.c_fa * cfg.pi_spoof
     costs = w_miss * (n_miss / nb) + w_fa * (n_fa / ns)
-    return float(costs.min() / min(w_miss, w_fa))
+    dcf = float(costs.min() / min(w_miss, w_fa))
+    i = int(np.argmin(np.abs(n_miss * ns - n_fa * nb)))
+    return dcf, 100.0 * (n_miss[i] / nb + n_fa[i] / ns) / 2.0
+
+
+def eer(s: ScoreSet) -> float:
+    """Equal error rate in percent at the nearest-crossing threshold."""
+    return min_dcf_and_eer(s)[1]
+
+
+def min_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
+    """Minimum normalized detection cost over the threshold sweep."""
+    return min_dcf_and_eer(s, cfg)[0]
 
 
 def bayes_threshold(cfg: MetricConfig = MetricConfig()) -> float:

@@ -8,13 +8,22 @@ with '#' starting a comment (full-line or trailing).  Score files carry
 "<utterance_id> <score>" pairs where higher scores mean more
 bonafide-like.  Attack and codec vocabularies are open; the bonafide
 attack placeholder is the literal "-".
+
+Scoring reads both files as columns (manifest_columns, parse_scores) and
+joins them by row index; parse_manifest is the per-line record parser
+launder uses.  The column readers share one tokenizer whose fast path
+covers plain ASCII text.  Other text, and text failing a bulk check, is
+parsed line by line, so every error names the line it comes from.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (DuplicateId, InvalidParameter, MalformedLine,
                      MissingScore, NonFiniteScore, OrphanScore)
@@ -53,22 +62,48 @@ class TrialRecord:
                 f"trials name their attack")
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    utterance_id: str
-    score: float
+@dataclass(frozen=True, eq=False)
+class TrialColumns:
+    """Manifest trials as columns, in line order.
 
-    def __post_init__(self):
-        _check_field("utterance_id", self.utterance_id)
-        if not math.isfinite(self.score):
-            raise NonFiniteScore(
-                f"score for {self.utterance_id!r} is {self.score}")
+    attack and codec hold indexes into the sorted vocabularies attacks
+    and codecs; index maps each utterance id to its row.
+    """
+
+    ids: list
+    bonafide: np.ndarray
+    attack: np.ndarray
+    attacks: tuple
+    codec: np.ndarray
+    codecs: tuple
+    index: dict
 
 
-@dataclass(frozen=True)
-class ScoredTrial:
-    trial: TrialRecord
-    score: float
+@dataclass(frozen=True, eq=False)
+class ScoreColumns:
+    """Score file entries as columns, in line order."""
+
+    ids: list
+    scores: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredTrials:
+    """Joined trials as columns, in manifest order, with their scores.
+
+    unscored and orphans count the trials and scores an intersect join
+    dropped.
+    """
+
+    ids: list
+    bonafide: np.ndarray
+    attack: np.ndarray
+    attacks: tuple
+    codec: np.ndarray
+    codecs: tuple
+    scores: np.ndarray
+    unscored: int
+    orphans: int
 
 
 @dataclass(frozen=True)
@@ -83,6 +118,36 @@ def _content_lines(text):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line_no, line
+
+
+# bytes str.split() or str.splitlines() treat as separators besides
+# space, tab and newline
+_OTHER_SEPARATORS = np.zeros(256, dtype=bool)
+_OTHER_SEPARATORS[[0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F]] = True
+
+
+def _fits_fast_path(text, n_fields):
+    """Whether text is ASCII, holds no '#' and no separator but space, tab
+    and newline, and has n_fields fields on every non-blank line."""
+    if not text.isascii() or "#" in text:
+        return False
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if _OTHER_SEPARATORS[raw[raw < 0x20]].any():
+        return False
+    gap = (raw == 0x20) | (raw == 0x09) | (raw == 0x0A)
+    starts = np.flatnonzero(~gap & np.concatenate(([True], gap[:-1])))
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(raw == 0x0A),
+                                           starts))
+    return bool(np.all((per_line == 0) | (per_line == n_fields)))
+
+
+def _columns(text, n_fields):
+    """The fields of every content line as n_fields lists of strings, or
+    None when the text needs the per-line path."""
+    if not _fits_fast_path(text, n_fields):
+        return None
+    tokens = text.split()
+    return [tokens[i::n_fields] for i in range(n_fields)]
 
 
 def parse_manifest(text: str) -> list:
@@ -107,9 +172,49 @@ def parse_manifest(text: str) -> list:
     return records
 
 
-def parse_scores(text: str) -> list:
-    """Parse score text into ScoreRecords, preserving line order."""
-    records = []
+def _codes(values):
+    vocab = sorted(set(values))
+    code = {v: i for i, v in enumerate(vocab)}
+    return (np.fromiter(map(code.__getitem__, values), dtype=np.intp,
+                        count=len(values)), tuple(vocab))
+
+
+def _trial_columns(ids, labels, attack_ids, codec_ids):
+    """TrialColumns of tokenized fields, or None if an id repeats, a label
+    is not in LABELS or a label disagrees with its attack."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids) or not set(labels) <= set(LABELS):
+        return None
+    bonafide = np.fromiter(map(LABELS[0].__eq__, labels), dtype=bool,
+                           count=len(labels))
+    attack, attacks = _codes(attack_ids)
+    placeholder = (attacks.index(BONAFIDE_ATTACK)
+                   if BONAFIDE_ATTACK in attacks else -1)
+    if not np.array_equal(bonafide, attack == placeholder):
+        return None
+    codec, codecs = _codes(codec_ids)
+    return TrialColumns(ids, bonafide, attack, attacks, codec, codecs, index)
+
+
+def manifest_columns(text: str) -> TrialColumns:
+    """Parse manifest text into columns.
+
+    Text the tokenizer or its bulk checks reject goes through
+    parse_manifest, which raises the error for the first bad line.
+    """
+    fields = _columns(text, 5)
+    trials = None if fields is None else _trial_columns(*fields[:4])
+    if trials is None:
+        records = parse_manifest(text)
+        trials = _trial_columns(*([getattr(r, name) for r in records]
+                                  for name in ("utterance_id", "label",
+                                               "attack_id", "codec_id")))
+    return trials
+
+
+def _score_lines(text):
+    """Per-line score parse; raises at the first bad line."""
+    ids, scores = [], []
     for line_no, line in _content_lines(text):
         fields = line.split()
         if len(fields) != 2:
@@ -124,11 +229,28 @@ def parse_scores(text: str) -> list:
         if not math.isfinite(score):
             raise NonFiniteScore(
                 f"score for {utt!r} on line {line_no} is {raw_score}")
-        records.append(ScoreRecord(utt, score))
-    return records
+        ids.append(utt)
+        scores.append(score)
+    return ScoreColumns(ids, np.array(scores, dtype=np.float64))
 
 
-def join_scores(trials, scores, policy: str = "strict") -> list:
+def parse_scores(text: str) -> ScoreColumns:
+    """Parse score text into columns, preserving line order."""
+    fields = _columns(text, 2)
+    if fields is not None:
+        ids, raw = fields
+        try:
+            scores = np.fromiter(map(float, raw), dtype=np.float64,
+                                 count=len(raw))
+        except ValueError:
+            return _score_lines(text)
+        if np.isfinite(scores).all():
+            return ScoreColumns(ids, scores)
+    return _score_lines(text)
+
+
+def join_scores(trials: TrialColumns, scores: ScoreColumns,
+                policy: str = "strict") -> ScoredTrials:
     """Attach scores to trials by utterance id.
 
     strict demands a bijection and raises on any mismatch; intersect keeps
@@ -137,16 +259,19 @@ def join_scores(trials, scores, policy: str = "strict") -> list:
     if policy not in ("strict", "intersect"):
         raise InvalidParameter(
             f"policy must be 'strict' or 'intersect', got {policy!r}")
-    by_id = {}
-    for s in scores:
-        if s.utterance_id in by_id:
-            raise DuplicateId(
-                f"utterance {s.utterance_id!r} is scored more than once")
-        by_id[s.utterance_id] = s.score
+    n = len(trials.ids)
+    rows = np.fromiter(map(trials.index.get, scores.ids,
+                           itertools.repeat(-1)),
+                       dtype=np.intp, count=len(scores.ids))
+    matched = rows >= 0
+    hits = np.bincount(rows[matched], minlength=n)
+    orphans = [scores.ids[j] for j in np.flatnonzero(~matched).tolist()]
+    if hits.max(initial=0) > 1 or len(set(orphans)) < len(orphans):
+        seen = set()   # set.add returns None, so this finds the first repeat
+        repeat = next(u for u in scores.ids if u in seen or seen.add(u))
+        raise DuplicateId(f"utterance {repeat!r} is scored more than once")
 
-    trial_ids = {t.utterance_id for t in trials}
-    missing = [t.utterance_id for t in trials if t.utterance_id not in by_id]
-    orphans = [u for u in by_id if u not in trial_ids]
+    missing = [trials.ids[i] for i in np.flatnonzero(hits == 0).tolist()]
     if policy == "strict":
         if missing:
             raise MissingScore(missing)
@@ -157,8 +282,15 @@ def join_scores(trials, scores, policy: str = "strict") -> list:
             f"dropped {len(missing) + len(orphans)} unmatched entries "
             f"({len(missing)} unscored trials, {len(orphans)} orphan scores)",
             stacklevel=2)
-    return [ScoredTrial(t, by_id[t.utterance_id]) for t in trials
-            if t.utterance_id in by_id]
+    by_row = np.empty(n, dtype=np.float64)
+    by_row[rows[matched]] = scores.scores[matched]
+    keep = hits > 0
+    ids = trials.ids
+    if missing:
+        ids = [ids[i] for i in np.flatnonzero(keep).tolist()]
+    return ScoredTrials(ids, trials.bonafide[keep], trials.attack[keep],
+                        trials.attacks, trials.codec[keep], trials.codecs,
+                        by_row[keep], len(missing), len(orphans))
 
 
 def manifest_stats(trials) -> ManifestStats:
@@ -174,10 +306,11 @@ def emit_manifest(trials) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def emit_scores(scores) -> str:
-    """Render score records back to text; inverse of parse_scores.
+def emit_scores(scores: ScoreColumns) -> str:
+    """Render score columns back to text; inverse of parse_scores.
 
     repr() round-trips doubles exactly, so parse_scores(emit_scores(s))
     reproduces every score bit for bit.
     """
-    return "".join(f"{s.utterance_id} {s.score!r}\n" for s in scores)
+    return "".join(f"{u} {v!r}\n"
+                   for u, v in zip(scores.ids, scores.scores.tolist()))

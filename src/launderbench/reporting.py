@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInput, InsufficientCells, InvalidParameter
-from .metrics import MetricConfig, ScoreSet, act_dcf, cllr, eer, min_dcf
-from .protocol import BONAFIDE_ATTACK
+from .metrics import MetricConfig, ScoreSet, act_dcf, cllr, min_dcf_and_eer
 
 POOLED = "*"
 METRIC_NAMES = ("min_dcf", "act_dcf", "cllr", "eer")
@@ -53,26 +51,34 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
                       axes=("attack", "codec")) -> BreakdownTable:
     """Evaluate metrics for the pooled cell and each requested breakdown.
 
-    axes = {} gives only the pooled cell; {"attack"} adds per-attack
-    cells; {"codec"} adds per-codec; both add the full attack x codec
-    grid.  Scores are sorted within each cell so results do not depend
-    on trial input order.
+    scored is a protocol.ScoredTrials.  axes = {} gives only the pooled
+    cell; {"attack"} adds per-attack cells; {"codec"} adds per-codec;
+    both add the full attack x codec grid.  Scores are sorted within each
+    cell so results do not depend on trial input order.
     """
-    scored = list(scored)
-    if not scored:
+    if len(scored.scores) == 0:
         raise EmptyInput("no scored trials to break down")
     axes = frozenset(axes)
     if not axes <= {"attack", "codec"}:
         raise InvalidParameter(
             f"axes must be a subset of {{'attack', 'codec'}}, got {set(axes)}")
 
-    groups = defaultdict(list)
-    for st in scored:
-        groups[(st.trial.attack_id, st.trial.codec_id)].append(st.score)
-    groups = {key: np.asarray(scores, dtype=np.float64)
-              for key, scores in groups.items()}
-    attacks = sorted({a for a, _ in groups} - {BONAFIDE_ATTACK})
-    codecs = sorted({c for _, c in groups})
+    # one sort puts every (class, codec, attack) group in a run of its
+    # own, bonafide first, with the group's scores ascending
+    spoof = ~scored.bonafide
+    order = np.lexsort((scored.scores, scored.attack, scored.codec, spoof))
+    values = scored.scores[order]
+    group_of = np.stack((spoof[order], scored.codec[order],
+                         scored.attack[order]))
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (group_of[:, 1:] != group_of[:, :-1]).any(axis=0))))
+    ends = np.append(starts[1:], len(values))
+    groups = [(bool(is_spoof), scored.codecs[c], scored.attacks[a], lo, hi)
+              for (is_spoof, c, a), lo, hi in zip(
+                  group_of[:, starts].T.tolist(), starts.tolist(),
+                  ends.tolist())]
+    attacks = sorted({a for spf, _, a, _, _ in groups if spf})
+    codecs = sorted({c for _, c, _, _, _ in groups})
 
     keys = [GroupKey(POOLED, POOLED)]
     if "attack" in axes:
@@ -84,22 +90,25 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
 
     def gather(key, bonafide):
         # bonafide groups match any attack key, since they carry no attack
-        return [scores for (a, c), scores in groups.items()
-                if (a == BONAFIDE_ATTACK) == bonafide
+        runs = [values[lo:hi] for spf, c, a, lo, hi in groups
+                if spf != bonafide
                 and (bonafide or key.attack_id in (POOLED, a))
                 and key.codec_id in (POOLED, c)]
+        if len(runs) == 1:
+            return runs[0]
+        return np.sort(np.concatenate(runs)) if runs else None
 
     cells = {}
     skipped = []
     for key in keys:
         bon, spf = gather(key, True), gather(key, False)
-        if not bon or not spf:
+        if bon is None or spf is None:
             skipped.append(key)
             continue
-        bon, spf = np.concatenate(bon), np.concatenate(spf)
-        s = ScoreSet(np.sort(bon), np.sort(spf))
-        cells[key] = CellMetrics(min_dcf(s, cfg), act_dcf(s, cfg), cllr(s),
-                                 eer(s), len(bon), len(spf))
+        s = ScoreSet(bon, spf)
+        dcf, equal_error = min_dcf_and_eer(s, cfg)
+        cells[key] = CellMetrics(dcf, act_dcf(s, cfg), cllr(s), equal_error,
+                                 len(bon), len(spf))
     return BreakdownTable(cells, cfg, tuple(skipped))
 
 

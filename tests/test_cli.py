@@ -1,6 +1,9 @@
 """CLI behavior: config precedence, subcommands, exit codes."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,7 +375,7 @@ class TestReport:
         names = {p.name for p in out.iterdir()}
         assert names == {
             "report_pooled.tsv", "report_by_attack.tsv",
-            "report_by_codec.tsv", "report_skipped.txt",
+            "report_by_codec.tsv", "report_skipped.txt", "report_summary.txt",
             "report_grid_min_dcf.tsv", "report_grid_act_dcf.tsv",
             "report_grid_cllr.tsv", "report_grid_eer.tsv"}
         stdout = capsys.readouterr().out.splitlines()
@@ -381,6 +384,42 @@ class TestReport:
         assert worst["worst_min_dcf_by_attack"].split(",")[0] == "Abad"
         assert worst["worst_min_dcf_by_attack"].split(",")[-1] == "Agood"
         assert len(worst["worst_eer_by_codec"].split(",")) == 2
+
+    def test_summary_strict(self, tmp_path):
+        manifest, scores = self.fixture(tmp_path)
+        out = tmp_path / "rep"
+        assert main(["report", "--manifest", str(manifest),
+                     "--scores", str(scores), "--out", str(out)]) == 0
+        assert (out / "report_summary.txt").read_text() == (
+            f"command=report\nmanifest={manifest}\nscores={scores}\n"
+            "trials_kept=10\nunscored_trials=0\norphan_scores=0\n"
+            "skipped_cells=0\njoin=strict\ninvert_scores=False\n"
+            "c_miss=1.0\nc_fa=10.0\npi_spoof=0.05\n")
+
+    def test_summary_counts_intersect_drops(self, tmp_path):
+        manifest, scores = self.fixture(tmp_path)
+        kept = [ln for ln in scores.read_text().splitlines()
+                if not ln.startswith(("b001", "b003"))]
+        scores.write_text("".join(ln + "\n" for ln in kept + ["zzz 0.5"]))
+        out = tmp_path / "rep"
+        with pytest.warns(UserWarning, match="dropped 3"):
+            rc = main(["report", "--manifest", str(manifest),
+                       "--scores", str(scores), "--out", str(out),
+                       "--join", "intersect", "--invert-scores",
+                       "--c-fa", "5"])
+        assert rc == 0
+        summary = dict(ln.split("=", 1) for ln in
+                       (out / "report_summary.txt").read_text().splitlines())
+        # both C01 bonafide trials are unscored, so every C01 cell is
+        # skipped: (*, C01) and the three attacks' (A, C01)
+        assert {k: summary[k] for k in (
+            "trials_kept", "unscored_trials", "orphan_scores",
+            "skipped_cells", "join", "invert_scores", "c_fa")} == {
+            "trials_kept": "8", "unscored_trials": "2", "orphan_scores": "1",
+            "skipped_cells": "4", "join": "intersect",
+            "invert_scores": "True", "c_fa": "5.0"}
+        assert len((out / "report_skipped.txt").read_text().splitlines()) \
+            == 4
 
     def test_grid_file_shape(self, tmp_path):
         manifest, scores = self.fixture(tmp_path)
@@ -399,6 +438,26 @@ class TestReport:
                    "--scores", str(scores), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert not (tmp_path / "x").exists()
+
+
+class TestImports:
+    def test_scoring_leaves_scipy_signal_unloaded(self, tmp_path):
+        manifest, scores = write_eval_fixture(tmp_path)
+        code = ("import sys\n"
+                "from launderbench import cli\n"
+                f"rc = cli.main(['evaluate', '--manifest', {str(manifest)!r},"
+                f" '--scores', {str(scores)!r}])\n"
+                "assert rc == 0, rc\n"
+                "assert 'scipy.signal' not in sys.modules\n"
+                "assert 'scipy.io' not in sys.modules\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]),
+             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        env.pop(CONFIG_ENV_VAR, None)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestNoiseCheck:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from launderbench import flacio
-from launderbench.errors import CorruptFile, MultichannelInput
+from launderbench.errors import CorruptFile, InvalidParameter, MultichannelInput
 from launderbench.flacio import (_blocksize_code_for, _crc8, _crc16,
                                  _encode_utf8_number)
 
@@ -530,3 +530,33 @@ def test_rejects_invalid_lpc_precision():
     blob = build_streaminfo(16000, 1, 16, 4) + build_frame(4, subframe)
     with pytest.raises(CorruptFile):
         flacio.decode_flac(blob)
+
+
+@pytest.mark.parametrize("rate", [1, (1 << 20) - 1])
+def test_streaminfo_rate_bounds_round_trip(rate):
+    x = np.arange(40, dtype=np.int64) - 20
+    y, got_rate, _ = flacio.decode_flac(flacio.encode_flac(x, rate))
+    assert got_rate == rate and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("blocksize", [16, (1 << 16) - 1])
+def test_streaminfo_blocksize_bounds_round_trip(blocksize):
+    x = np.arange(100, dtype=np.int64) - 20
+    y, _, _ = flacio.decode_flac(flacio.encode_flac(x, 16000, blocksize))
+    assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("rate, blocksize", [
+    (0, 4096), (1 << 20, 4096), (2_000_000, 4096),
+    (16000, 15), (16000, 1 << 16)])
+def test_encoder_rejects_streaminfo_overflow(rate, blocksize):
+    with pytest.raises(InvalidParameter):
+        flacio.encode_flac(np.arange(10), rate, blocksize)
+
+
+def test_encoder_rejects_36_bit_total():
+    # a zero-stride view: 2^36 samples without allocating them
+    huge = np.broadcast_to(np.int64(0), (1 << 36,))
+    with pytest.raises(InvalidParameter, match="36 bits"):
+        flacio.encode_flac(huge, 16000)
+    flacio._check_streaminfo((1 << 36) - 1, 16000, 4096)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from launderbench.errors import (EmptyInput, InsufficientCells,
                                  InvalidParameter)
 from launderbench.metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
                                   min_dcf)
-from launderbench.protocol import ScoredTrial, TrialRecord
+from launderbench.protocol import (TrialRecord, emit_manifest, join_scores,
+                                   manifest_columns, parse_scores)
 from launderbench.reporting import (BreakdownTable, CellMetrics, GroupKey,
                                     compute_breakdown, rank_worst, render,
                                     render_skipped)
@@ -30,8 +32,18 @@ CODEC_MIN_DCF = {
 }
 
 
+Scored = namedtuple("Scored", "trial score")
+
+
 def scored(utt, label, attack, codec, score):
-    return ScoredTrial(TrialRecord(utt, label, attack, codec, "p"), score)
+    return Scored(TrialRecord(utt, label, attack, codec, "p"), score)
+
+
+def columns(rows):
+    """ScoredTrials of rows, through manifest and score text."""
+    scores = "".join(f"{r.trial.utterance_id} {r.score!r}\n" for r in rows)
+    return join_scores(manifest_columns(emit_manifest([r.trial for r in rows])),
+                       parse_scores(scores))
 
 
 def fixture_scored():
@@ -62,7 +74,7 @@ def table_of(values, axis):
 
 class TestComputeBreakdown:
     def test_cell_population(self):
-        table = compute_breakdown(fixture_scored())
+        table = compute_breakdown(columns(fixture_scored()))
         keys = set(table.cells)
         assert GroupKey("*", "*") in keys
         assert GroupKey("A1", "*") in keys
@@ -76,13 +88,13 @@ class TestComputeBreakdown:
         rows = [scored("b1", "bonafide", "-", "C00", 5.0),
                 scored("b2", "bonafide", "-", "C00", 6.0),
                 scored("s1", "spoof", "A9", "C00", -1.0)]
-        table = compute_breakdown(rows)
+        table = compute_breakdown(columns(rows))
         assert table.cells[GroupKey("A9", "C00")].eer == 0.0
         assert table.cells[GroupKey("A9", "C00")].min_dcf == 0.0
 
     def test_pooled_matches_metadata_free_metrics(self):
         rows = fixture_scored()
-        table = compute_breakdown(rows)
+        table = compute_breakdown(columns(rows))
         bon = np.sort([r.score for r in rows if r.trial.label == "bonafide"])
         spf = np.sort([r.score for r in rows if r.trial.label == "spoof"])
         s = ScoreSet(bon, spf)
@@ -95,21 +107,21 @@ class TestComputeBreakdown:
         assert (cell.n_bon, cell.n_spf) == (len(bon), len(spf))
 
     def test_bonafide_shared_across_attacks(self):
-        table = compute_breakdown(fixture_scored())
+        table = compute_breakdown(columns(fixture_scored()))
         a1 = table.cells[GroupKey("A1", "C00")]
         a2 = table.cells[GroupKey("A2", "C00")]
         assert a1.n_bon == a2.n_bon == 3
         assert table.cells[GroupKey("A1", "*")].n_bon == 6
 
     def test_overlapping_attack_scores_worse(self):
-        table = compute_breakdown(fixture_scored())
+        table = compute_breakdown(columns(fixture_scored()))
         assert table.cells[GroupKey("A2", "*")].eer > \
             table.cells[GroupKey("A1", "*")].eer
         assert table.cells[GroupKey("A1", "*")].eer == 0.0
 
     def test_spoof_counts_match_manifest(self):
         rows = fixture_scored()
-        table = compute_breakdown(rows)
+        table = compute_breakdown(columns(rows))
         for key, cell in table.cells.items():
             if key.attack_id == "*" or key.codec_id == "*":
                 continue
@@ -124,7 +136,7 @@ class TestComputeBreakdown:
                 scored("b2", "bonafide", "-", "C01", 3.0),
                 scored("s1", "spoof", "A1", "C00", 0.0),
                 scored("s2", "spoof", "A2", "C01", 0.0)]
-        table = compute_breakdown(rows)
+        table = compute_breakdown(columns(rows))
         assert GroupKey("A1", "C01") in table.skipped
         assert GroupKey("A2", "C00") in table.skipped
         assert GroupKey("A1", "C01") not in table.cells
@@ -133,7 +145,7 @@ class TestComputeBreakdown:
         rows = [scored("b1", "bonafide", "-", "C00", 3.0),
                 scored("s1", "spoof", "A1", "C00", 0.0),
                 scored("s2", "spoof", "A1", "C09", 0.0)]
-        table = compute_breakdown(rows)
+        table = compute_breakdown(columns(rows))
         assert GroupKey("*", "C09") in table.skipped
         assert GroupKey("A1", "C09") in table.skipped
         assert GroupKey("A1", "*") in table.cells
@@ -142,24 +154,85 @@ class TestComputeBreakdown:
         rows = fixture_scored()
         rng = np.random.Generator(np.random.PCG64(0))
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
-        assert compute_breakdown(rows) == compute_breakdown(shuffled)
+        assert compute_breakdown(columns(rows)) == \
+            compute_breakdown(columns(shuffled))
 
     def test_axes_subsets(self):
         rows = fixture_scored()
-        only_pooled = compute_breakdown(rows, axes=())
+        only_pooled = compute_breakdown(columns(rows), axes=())
         assert set(only_pooled.cells) == {GroupKey("*", "*")}
-        by_attack = compute_breakdown(rows, axes=("attack",))
+        by_attack = compute_breakdown(columns(rows), axes=("attack",))
         assert set(by_attack.cells) == {GroupKey("*", "*"),
                                         GroupKey("A1", "*"),
                                         GroupKey("A2", "*")}
 
     def test_empty_scored(self):
         with pytest.raises(EmptyInput):
-            compute_breakdown([])
+            compute_breakdown(columns([]))
 
     def test_bad_axes(self):
         with pytest.raises(InvalidParameter):
-            compute_breakdown(fixture_scored(), axes=("attack", "speaker"))
+            compute_breakdown(columns(fixture_scored()),
+                              axes=("attack", "speaker"))
+
+
+def random_trials(n, seed):
+    """Labels, attack ids, codec ids and scores of n trials; codec C9 holds
+    spoof trials only, so every C9 cell lacks bonafide scores."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    attacks = np.array([f"A{i:02d}" for i in range(1, 6)])
+    bonafide = rng.random(n) < 0.3
+    attack = np.where(bonafide, "-", attacks[rng.integers(0, 5, n)])
+    codec = np.array(["C0", "C1", "C2", "C9"])[rng.integers(0, 4, n)]
+    codec[bonafide & (codec == "C9")] = "C0"
+    # coarse scores, so that cells hold ties across classes
+    scores = np.round(rng.normal(np.where(bonafide, 1.0, -1.0), 1.5), 2)
+    return bonafide, attack, codec, scores
+
+
+@pytest.mark.parametrize("axes", [(), ("attack",), ("codec",),
+                                  ("attack", "codec")])
+def test_breakdown_matches_mask_reference(axes):
+    bonafide, attack, codec, scores = random_trials(20_000, 5)
+    manifest = "".join(
+        f"t{i:05d} {'bonafide' if b else 'spoof'} {a} {c} p\n"
+        for i, (b, a, c) in enumerate(zip(bonafide, attack, codec)))
+    score_text = "".join(f"t{i:05d} {v!r}\n"
+                         for i, v in enumerate(scores.tolist()))
+    cfg = MetricConfig()
+    table = compute_breakdown(
+        join_scores(manifest_columns(manifest), parse_scores(score_text)),
+        cfg, axes=axes)
+
+    attack_ids = sorted(set(attack.tolist()) - {"-"})
+    codec_ids = sorted(set(codec.tolist()))
+    keys = [GroupKey("*", "*")]
+    if "attack" in axes:
+        keys += [GroupKey(a, "*") for a in attack_ids]
+    if "codec" in axes:
+        keys += [GroupKey("*", c) for c in codec_ids]
+    if len(axes) == 2:
+        keys += [GroupKey(a, c) for a in attack_ids for c in codec_ids]
+    cells, skipped = {}, []
+    for key in keys:
+        bon, spf = bonafide.copy(), ~bonafide
+        if key.attack_id != "*":
+            spf &= attack == key.attack_id
+        if key.codec_id != "*":
+            bon &= codec == key.codec_id
+            spf &= codec == key.codec_id
+        if not bon.any() or not spf.any():
+            skipped.append(key)
+            continue
+        s = ScoreSet(np.sort(scores[bon]), np.sort(scores[spf]))
+        cells[key] = CellMetrics(min_dcf(s, cfg), act_dcf(s, cfg), cllr(s),
+                                 eer(s), int(bon.sum()), int(spf.sum()))
+
+    assert list(table.cells) == list(cells)
+    assert table.cells == cells
+    assert table.skipped == tuple(skipped)
+    if "codec" in axes:
+        assert GroupKey("*", "C9") in table.skipped
 
 
 class TestRankWorst:
@@ -293,7 +366,7 @@ class TestRender:
         assert a == b
 
     def test_flat_layouts(self):
-        table = compute_breakdown(fixture_scored())
+        table = compute_breakdown(columns(fixture_scored()))
         pooled = render(table, "pooled", "tsv")
         lines = pooled.splitlines()
         assert len(lines) == 2
@@ -312,7 +385,7 @@ class TestRender:
                 scored("b3", "bonafide", "-", "C00", 4.0),
                 scored("s1", "spoof", "A1", "C00", 0.0),
                 scored("s2", "spoof", "A1", "C00", 3.0)]
-        table = compute_breakdown(rows)
+        table = compute_breakdown(columns(rows))
         line = render(table, "pooled", "tsv").splitlines()[1]
         assert line.split("\t")[5] == "41.667"
 
