@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import subprocess
 import tempfile
 import warnings
@@ -106,15 +107,14 @@ def read_audio(path) -> AudioBuffer:
     """Read a mono WAV or FLAC file into an AudioBuffer scaled to [-1, 1]."""
     path = Path(path)
     try:
-        with open(path, "rb") as fh:
-            head = fh.read(12)
+        blob = path.read_bytes()
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
 
-    if head[:4] == b"RIFF" and head[8:12] == b"WAVE":
+    if blob[:4] == b"RIFF" and blob[8:12] == b"WAVE":
         from scipy.io import wavfile
         try:
-            rate, data = wavfile.read(path)
+            rate, data = wavfile.read(io.BytesIO(blob))
         except ValueError as e:
             if "nknown wave file format" in str(e):
                 raise UnsupportedFormat(f"{path}: {e}") from e
@@ -126,17 +126,12 @@ def read_audio(path) -> AudioBuffer:
                 f"{path}: {data.shape[1]} channels, only mono is supported")
         return AudioBuffer(_scale_to_float(data), rate)
 
-    if head[:4] == b"fLaC" or head[:3] == b"ID3":
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError as e:
-            raise IoFailure(f"cannot read {path}: {e}") from e
+    if blob[:4] == b"fLaC" or blob[:3] == b"ID3":
         samples, rate, bps = flacio.decode_flac(blob)
         return AudioBuffer(samples.astype(np.float64) / (1 << (bps - 1)), rate)
 
     raise UnsupportedFormat(
-        f"{path}: not a RIFF/WAVE or FLAC file (header {head[:4]!r})")
+        f"{path}: not a RIFF/WAVE or FLAC file (header {blob[:4]!r})")
 
 
 def _quantize16(samples):

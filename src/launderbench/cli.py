@@ -54,9 +54,6 @@ _DEFAULTS = {
     "join": "strict",
     "format": "tsv",
 }
-_INT_KEYS = {"seed", "jobs"}
-_FLOAT_KEYS = {"fraction", "c_miss", "c_fa", "pi_spoof"}
-_BOOL_KEYS = {"invert_scores"}
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def _parse_bool(text):
 
 
 def load_config_file(path) -> dict:
-    """key=value lines with '#' comments; values typed per key."""
+    """key=value lines with '#' comments; values take their default's type."""
     values = {}
     text = Path(path).read_text()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -113,15 +110,11 @@ def load_config_file(path) -> dict:
         if key not in _DEFAULTS:
             raise InvalidParameter(f"{path} line {line_no}: unknown key "
                                    f"{key!r}")
+        default = _DEFAULTS[key]
+        parse = (_parse_bool if isinstance(default, bool)
+                 else str if default is None else type(default))
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
-                values[key] = _parse_bool(value)
-            else:
-                values[key] = value
+            values[key] = parse(value)
         except ValueError:
             raise InvalidParameter(
                 f"{path} line {line_no}: bad value for {key}: {value!r}"

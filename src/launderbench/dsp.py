@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -34,15 +34,15 @@ LOWPASS_ORDER = 5
 NOISE_RATE_HZ = 16000
 LOADABLE_NOISES = ("babble", "volvo", "cafe", "street")
 
-_REQUIRED_FIELDS = {
-    "reverberation": ("rt60_s",),
-    "additive_noise": ("noise_name", "snr_db"),
-    "recompression": ("bitrate_kbps",),
-    "resampling": ("target_rate_hz",),
-    "lowpass": ("cutoff_hz", "order"),
+# kind -> parameter -> allowed values, in plan order; pipeline.plan_attacks
+# draws one value per parameter (noise_name fans out over all its values)
+ATTACK_GRID = {
+    "reverberation": {"rt60_s": RT60_CHOICES},
+    "additive_noise": {"noise_name": NOISE_NAMES, "snr_db": SNR_DB_CHOICES},
+    "recompression": {"bitrate_kbps": BITRATE_CHOICES},
+    "resampling": {"target_rate_hz": TARGET_RATE_CHOICES},
+    "lowpass": {"cutoff_hz": (LOWPASS_CUTOFF_HZ,), "order": (LOWPASS_ORDER,)},
 }
-_PARAM_FIELDS = ("rt60_s", "noise_name", "snr_db", "bitrate_kbps",
-                 "target_rate_hz", "cutoff_hz", "order")
 
 
 @dataclass(frozen=True)
@@ -59,46 +59,20 @@ class AttackSpec:
     order: int = None
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED_FIELDS:
+        grid = ATTACK_GRID.get(self.kind)
+        if grid is None:
             raise InvalidParameter(f"unknown attack kind {self.kind!r}")
-        required = _REQUIRED_FIELDS[self.kind]
-        for name in _PARAM_FIELDS:
-            value = getattr(self, name)
-            if name in required:
-                if value is None:
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in grid:
+                if value is not None:
                     raise InvalidParameter(
-                        f"{self.kind} attack requires {name}")
-            elif value is not None:
+                        f"{f.name} does not apply to {self.kind} attacks")
+            elif value is None:
+                raise InvalidParameter(f"{self.kind} attack requires {f.name}")
+            elif value not in grid[f.name]:
                 raise InvalidParameter(
-                    f"{name} does not apply to {self.kind} attacks")
-        if self.kind == "reverberation" and self.rt60_s not in RT60_CHOICES:
-            raise InvalidParameter(
-                f"rt60_s must be one of {RT60_CHOICES}, got {self.rt60_s}")
-        if self.kind == "additive_noise":
-            if self.noise_name not in NOISE_NAMES:
-                raise InvalidParameter(
-                    f"noise_name must be one of {NOISE_NAMES}, "
-                    f"got {self.noise_name!r}")
-            if self.snr_db not in SNR_DB_CHOICES:
-                raise InvalidParameter(
-                    f"snr_db must be one of {SNR_DB_CHOICES}, got {self.snr_db}")
-        if (self.kind == "recompression"
-                and self.bitrate_kbps not in BITRATE_CHOICES):
-            raise InvalidParameter(
-                f"bitrate_kbps must be one of {BITRATE_CHOICES}, "
-                f"got {self.bitrate_kbps}")
-        if (self.kind == "resampling"
-                and self.target_rate_hz not in TARGET_RATE_CHOICES):
-            raise InvalidParameter(
-                f"target_rate_hz must be one of {TARGET_RATE_CHOICES}, "
-                f"got {self.target_rate_hz}")
-        if self.kind == "lowpass":
-            if self.cutoff_hz != LOWPASS_CUTOFF_HZ:
-                raise InvalidParameter(
-                    f"cutoff_hz must be {LOWPASS_CUTOFF_HZ}, got {self.cutoff_hz}")
-            if self.order != LOWPASS_ORDER:
-                raise InvalidParameter(
-                    f"order must be {LOWPASS_ORDER}, got {self.order}")
+                    f"{f.name} must be one of {grid[f.name]}, got {value!r}")
 
 
 @dataclass

@@ -452,16 +452,10 @@ def decode_flac(data: bytes):
             f"decoded {len(samples)} samples, STREAMINFO says {info['total']}")
 
     if info["md5"] != b"\x00" * 16:
-        if bps == 16:
-            raw = samples.astype("<i2").tobytes()
-        elif bps == 8:
-            raw = samples.astype("i1").tobytes()
-        elif bps == 24:
-            as32 = samples.astype("<i4").tobytes()
-            raw = b"".join(as32[i:i + 3] for i in range(0, len(as32), 4))
-        else:
-            raw = None  # no cheap byte layout; skip verification
-        if raw is not None and hashlib.md5(raw).digest() != info["md5"]:
+        # signed little-endian samples in (bps + 7) // 8 bytes each
+        raw = (samples.astype("<i8").view(np.uint8).reshape(-1, 8)
+               [:, :(bps + 7) // 8].tobytes())
+        if hashlib.md5(raw).digest() != info["md5"]:
             raise CorruptFile("stream MD5 mismatch")
     return samples, rate, bps
 

@@ -17,9 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .audio import read_audio, write_audio
-from .dsp import (BITRATE_CHOICES, LOWPASS_CUTOFF_HZ, LOWPASS_ORDER,
-                  NOISE_NAMES, RT60_CHOICES, SNR_DB_CHOICES,
-                  TARGET_RATE_CHOICES, AttackSpec, apply_attack)
+from .dsp import ATTACK_GRID, AttackSpec, apply_attack
 from .errors import (EmptyInput, InvalidParameter, IoFailure,
                      LaunderbenchError, ZeroSelection)
 from .protocol import emit_manifest
@@ -93,6 +91,18 @@ def _draw(seed, utt, slot, choices):
     return choices[int(rng.integers(len(choices)))]
 
 
+def _attack_specs(seed, utt):
+    """One spec per ATTACK_GRID kind, one per noise name for additive
+    noise; each kind draws under its own slot, each noise under
+    noise:{name}."""
+    for kind, grid in ATTACK_GRID.items():
+        for name in grid.get("noise_name", (None,)):
+            slot = kind if name is None else f"noise:{name}"
+            yield AttackSpec(kind, noise_name=name, **{
+                param: _draw(seed, utt, slot, values)
+                for param, values in grid.items() if param != "noise_name"})
+
+
 def plan_attacks(selected, seed: int) -> list:
     """Expand each selected record into its nine attack jobs."""
     selected = list(selected)
@@ -101,23 +111,7 @@ def plan_attacks(selected, seed: int) -> list:
     jobs = []
     for t in selected:
         utt = t.utterance_id
-        specs = [AttackSpec(kind="reverberation",
-                            rt60_s=_draw(seed, utt, "reverberation",
-                                         RT60_CHOICES))]
-        specs.extend(
-            AttackSpec(kind="additive_noise", noise_name=name,
-                       snr_db=_draw(seed, utt, f"noise:{name}",
-                                    SNR_DB_CHOICES))
-            for name in NOISE_NAMES)
-        specs.append(AttackSpec(kind="recompression",
-                                bitrate_kbps=_draw(seed, utt, "recompression",
-                                                   BITRATE_CHOICES)))
-        specs.append(AttackSpec(kind="resampling",
-                                target_rate_hz=_draw(seed, utt, "resampling",
-                                                     TARGET_RATE_CHOICES)))
-        specs.append(AttackSpec(kind="lowpass", cutoff_hz=LOWPASS_CUTOFF_HZ,
-                                order=LOWPASS_ORDER))
-        for spec in specs:
+        for spec in _attack_specs(seed, utt):
             tag = attack_tag(spec)
             out_id = f"{utt}_{tag}"
             jobs.append(AugmentationJob(

@@ -64,16 +64,22 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
             f"axes must be a subset of {{'attack', 'codec'}}, got {set(axes)}")
 
     # one sort puts every (class, codec, attack) group in a run of its
-    # own, bonafide first, with the group's scores ascending
+    # own, bonafide first, with the group's scores ascending; an axis not
+    # asked for stays out of the sort and is one run named POOLED
     spoof = ~scored.bonafide
-    order = np.lexsort((scored.scores, scored.attack, scored.codec, spoof))
+    pooled = np.zeros_like(scored.codec)
+    codec, codec_names = ((scored.codec, scored.codecs) if "codec" in axes
+                          else (pooled, (POOLED,)))
+    attack, attack_names = ((scored.attack, scored.attacks)
+                            if "attack" in axes else (pooled, (POOLED,)))
+    order = np.lexsort([k for k in (scored.scores, attack, codec)
+                        if k is not pooled] + [spoof])
     values = scored.scores[order]
-    group_of = np.stack((spoof[order], scored.codec[order],
-                         scored.attack[order]))
+    group_of = np.stack((spoof[order], codec[order], attack[order]))
     starts = np.flatnonzero(np.concatenate(
         ([True], (group_of[:, 1:] != group_of[:, :-1]).any(axis=0))))
     ends = np.append(starts[1:], len(values))
-    groups = [(bool(is_spoof), scored.codecs[c], scored.attacks[a], lo, hi)
+    groups = [(bool(is_spoof), codec_names[c], attack_names[a], lo, hi)
               for (is_spoof, c, a), lo, hi in zip(
                   group_of[:, starts].T.tolist(), starts.tolist(),
                   ends.tolist())]

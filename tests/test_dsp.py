@@ -74,6 +74,40 @@ class TestAttackSpec:
         assert len(set(grid)) == len(grid)
 
 
+GRID_PARAMS = [(kind, param) for kind, grid in dsp.ATTACK_GRID.items()
+               for param in grid]
+
+
+def grid_point(kind):
+    """The first allowed value of every parameter of kind."""
+    return {param: values[0]
+            for param, values in dsp.ATTACK_GRID[kind].items()}
+
+
+@pytest.mark.parametrize("kind,param", GRID_PARAMS)
+class TestAttackGridRules:
+    def test_missing_value(self, kind, param):
+        kwargs = grid_point(kind)
+        del kwargs[param]
+        with pytest.raises(InvalidParameter, match=f"requires {param}"):
+            AttackSpec(kind, **kwargs)
+
+    def test_off_grid_value(self, kind, param):
+        values = dsp.ATTACK_GRID[kind][param]
+        off = "rain" if isinstance(values[0], str) else max(values) + 1
+        with pytest.raises(InvalidParameter, match=f"{param} must be one of"):
+            AttackSpec(kind, **{**grid_point(kind), param: off})
+
+    def test_foreign_to_other_kinds(self, kind, param):
+        value = dsp.ATTACK_GRID[kind][param][0]
+        others = [k for k, grid in dsp.ATTACK_GRID.items() if param not in grid]
+        assert others
+        for other in others:
+            with pytest.raises(InvalidParameter,
+                               match=f"{param} does not apply to {other}"):
+                AttackSpec(other, **{**grid_point(other), param: value})
+
+
 class TestRir:
     def test_length_and_direct_path(self):
         h = synthesize_rir(0.6, 16000, 1)

@@ -50,13 +50,16 @@ def build_streaminfo(rate, channels, bps, total, md5=b"\x00" * 16,
     return b"fLaC" + bytes([0x80]) + len(info).to_bytes(3, "big") + info
 
 
+DEPTH_CODES = {bps: code for code, bps in flacio._DEPTH_FROM_CODE.items()}
+
+
 def build_frame(blocksize, fill_subframe, number=0, variable=False,
-                rate_code=0b0101, rate_extra=b""):
-    """Assemble one mono 16-bit frame; fill_subframe writes the subframe bits."""
+                rate_code=0b0101, rate_extra=b"", bps=16):
+    """Assemble one mono frame; fill_subframe writes the subframe bits."""
     hdr = bytearray([0xFF, 0xF9 if variable else 0xF8])
     bs_code, bs_extra = _blocksize_code_for(blocksize)
     hdr.append((bs_code << 4) | rate_code)
-    hdr.append(0b100 << 1)
+    hdr.append(DEPTH_CODES[bps] << 1)
     hdr += _encode_utf8_number(number)
     hdr += bs_extra
     hdr += rate_extra
@@ -447,6 +450,34 @@ def test_rejects_md5_mismatch():
     blob[30] ^= 0xFF             # inside the STREAMINFO MD5 field
     with pytest.raises(CorruptFile):
         flacio.decode_flac(bytes(blob))
+
+
+@pytest.mark.parametrize("bps", [8, 12, 16, 20, 24, 32])
+@pytest.mark.parametrize("wrong_md5", [False, True])
+def test_md5_checked_at_every_depth(bps, wrong_md5):
+    top = 1 << (bps - 1)
+    x = [-top, top - 1, -1, 0, 1, top // 3, -top // 5]
+    raw = b"".join(v.to_bytes((bps + 7) // 8, "little", signed=True)
+                   for v in x)
+    md5 = hashlib.md5(raw).digest()
+    if wrong_md5:
+        md5 = bytes([md5[0] ^ 1]) + md5[1:]
+
+    def subframe(bw):
+        bw.write(0, 1)
+        bw.write(0b000001, 6)    # verbatim
+        bw.write(0, 1)
+        for v in x:
+            bw.write(v, bps)
+
+    blob = (build_streaminfo(16000, 1, bps, len(x), md5=md5)
+            + build_frame(len(x), subframe, bps=bps))
+    if wrong_md5:
+        with pytest.raises(CorruptFile, match="MD5"):
+            flacio.decode_flac(blob)
+    else:
+        y, _, got_bps = flacio.decode_flac(blob)
+        assert y.tolist() == x and got_bps == bps
 
 
 def test_rejects_total_sample_mismatch():

@@ -1,5 +1,6 @@
 """Selection, planning, batch execution, and augmented-manifest emission."""
 
+import hashlib
 import math
 import sys
 from collections import Counter
@@ -217,6 +218,22 @@ class TestPlanAttacks:
     def test_empty_selection(self):
         with pytest.raises(EmptyInput):
             plan_attacks([], seed=0)
+
+    # recorded from the hand-written plan that dsp.ATTACK_GRID replaced; a
+    # renamed draw slot, a reordered grid or a changed tag changes them
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "64f9cdcf1229fa351b77e5df6b09e4506b7226fcfe6d47b8ffaaf9547988ec8e"),
+        (7, "42b4a99c5bb723ebc50fc96c1df1924ad7eca018e67acb6d5de46873002c2499"),
+        (2024,
+         "785b23e216f916e4cbd79d1757a6c026f5495c073c4c845b2382b49c9fee83a7"),
+        (123456789,
+         "50cf0c52cca0e917974a38004dfc2537eb4f2668d68461e1bd401ba3f9801a8a"),
+    ])
+    def test_plan_matches_golden(self, seed, digest):
+        jobs = plan_attacks(make_trials(30), seed=seed)
+        text = "".join(f"{j.output_utterance_id} {j.output_path} "
+                       f"{j.job_seed} {j.spec!r}\n" for j in jobs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
