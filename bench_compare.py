@@ -34,11 +34,21 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med}
 
 
+def seed_range(text):
+    """first-last with first < last: quartiles need two runs a side."""
+    first, _, last = text.partition("-")
+    if not (first.isdigit() and last.isdigit() and int(first) < int(last)):
+        raise argparse.ArgumentTypeError(
+            f"expected first-last with first < last, got {text!r}")
+    return text
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
     p.add_argument("--base", default="HEAD")
-    p.add_argument("--seeds", default="1-10", help="first-last")
+    p.add_argument("--seeds", default="1-10", type=seed_range,
+                   help="first-last, at least two seeds")
     args = p.parse_args()
     first, last = map(int, args.seeds.split("-"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -30,10 +30,10 @@ from .metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
                       gaussian_scores, min_dcf)
 from .pipeline import (attack_tag, emit_augmented_manifest, execute_plan,
                        plan_attacks, select_subset)
-from .protocol import (ScoreColumns, TrialRecord, emit_manifest, join_scores,
-                       manifest_columns, manifest_stats, parse_manifest,
-                       parse_scores)
-from .reporting import (METRIC_NAMES, POOLED, GroupKey, axis_keys,
+from .protocol import (JOIN_POLICIES, ScoreColumns, TrialRecord, emit_manifest,
+                       join_scores, manifest_columns, manifest_stats,
+                       parse_manifest, parse_scores)
+from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey, axis_keys,
                         compute_breakdown, rank_worst, render, render_skipped)
 
 CONFIG_ENV_VAR = "LAUNDERBENCH_CONFIG"
@@ -77,10 +77,10 @@ class RunConfig:
                 f"fraction must lie in (0, 1], got {self.fraction}")
         if self.parallelism < 1:
             raise InvalidParameter("jobs must be at least 1")
-        if self.join_policy not in ("strict", "intersect"):
+        if self.join_policy not in JOIN_POLICIES:
             raise InvalidParameter(
                 f"join must be strict or intersect, got {self.join_policy!r}")
-        if self.table_format not in ("tsv", "csv", "markdown"):
+        if self.table_format not in FORMATS:
             raise InvalidParameter(
                 f"format must be tsv, csv, or markdown, "
                 f"got {self.table_format!r}")
@@ -432,7 +432,7 @@ def _add_metric_flags(p):
     p.add_argument("--pi-spoof", type=float, dest="pi_spoof")
     p.add_argument("--invert-scores", action="store_true", default=None,
                    dest="invert_scores")
-    p.add_argument("--join", choices=("strict", "intersect"))
+    p.add_argument("--join", choices=JOIN_POLICIES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--scores")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("tsv", "csv", "markdown"))
+    p.add_argument("--format", choices=FORMATS)
     _add_metric_flags(p)
 
     p = sub.add_parser("noise-check", help="validate noise assets")

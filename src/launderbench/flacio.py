@@ -3,7 +3,11 @@
 No native FLAC library is assumed.  The decoder handles standard streams:
 constant, verbatim, fixed-predictor, and LPC subframes, both Rice coding
 methods with escaped partitions, wasted bits, fixed and variable blocking,
-and verifies the header CRC-8, per-frame CRC-16, and the stream MD5.  The
+and verifies the header CRC-8, per-frame CRC-16, and the stream MD5.  It
+reads the frames as one string of '0'/'1' characters: a field is one
+int(..., 2) of a slice, and a Rice partition of n codes is the first n
+consecutive matches of the pattern 0*1[01]{k}, decoded together with
+numpy.  Each frame's CRC-16 is checked before prediction is undone.  The
 encoder emits mono 16-bit streams using fixed predictors (orders 0-4) with
 single-partition Rice residuals, which every compliant decoder reads.
 
@@ -14,6 +18,9 @@ rejected up front rather than silently downmixed.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import re
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -85,103 +92,64 @@ def _encode_utf8_number(value):
 
 
 class _BitReader:
-    """MSB-first bit reader over a bytes object."""
+    """MSB-first reader over a stream held as one string of ASCII '0'/'1'
+    bytes, one per bit; every read past the end raises CorruptFile."""
 
-    def __init__(self, data, pos=0):
-        self.data = data
-        self.pos = pos
-        self.acc = 0
-        self.navail = 0
+    def __init__(self, data, pos):
+        self.bits = format(int.from_bytes(data, "big"),
+                           f"0{8 * len(data)}b").encode()
+        self.pos = 8 * pos
 
-    def _fill(self, n):
-        data, pos = self.data, self.pos
-        while self.navail < n:
-            take = min(6, len(data) - pos)
-            if take == 0:
-                raise CorruptFile("unexpected end of FLAC stream")
-            self.acc = (self.acc << (8 * take)) | int.from_bytes(
-                data[pos:pos + take], "big")
-            pos += take
-            self.navail += 8 * take
-        self.pos = pos
+    def _advance(self, n):
+        p = self.pos
+        self.pos = p + n
+        if self.pos > len(self.bits):
+            raise CorruptFile("unexpected end of FLAC stream")
+        return p
 
     def read(self, n):
-        if n == 0:
-            return 0
-        if self.navail < n:
-            self._fill(n)
-        self.navail -= n
-        v = self.acc >> self.navail
-        self.acc &= (1 << self.navail) - 1
-        return v
+        p = self._advance(n)
+        return int(self.bits[p:p + n], 2)
 
     def read_signed(self, n):
         v = self.read(n)
-        return v - (1 << n) if v >= (1 << (n - 1)) else v
+        return v - (v >> (n - 1) << n)
 
     def read_unary(self):
-        q = 0
-        while True:
-            if self.navail:
-                if self.acc:
-                    z = self.navail - self.acc.bit_length()
-                    q += z
-                    self.navail -= z + 1
-                    self.acc &= (1 << self.navail) - 1
-                    return q
-                q += self.navail
-                self.navail = 0
-            self._fill(1)
+        q = self.bits.find(b"1", self.pos) - self.pos
+        if q < 0:
+            raise CorruptFile("unexpected end of FLAC stream")
+        self.pos += q + 1
+        return q
 
-    def read_rice_block(self, n, k, out):
-        """Append n Rice(k)-coded signed residuals to the list `out`."""
-        acc, navail, pos, data = self.acc, self.navail, self.pos, self.data
-        append = out.append
-        for _ in range(n):
-            q = 0
-            while True:
-                if navail:
-                    if acc:
-                        z = navail - acc.bit_length()
-                        q += z
-                        navail -= z + 1
-                        acc &= (1 << navail) - 1
-                        break
-                    q += navail
-                    navail = 0
-                take = min(6, len(data) - pos)
-                if take == 0:
-                    self.acc, self.navail, self.pos = acc, navail, pos
-                    raise CorruptFile("unexpected end of FLAC stream")
-                acc = (acc << (8 * take)) | int.from_bytes(
-                    data[pos:pos + take], "big")
-                pos += take
-                navail += 8 * take
-            if k:
-                while navail < k:
-                    take = min(6, len(data) - pos)
-                    if take == 0:
-                        self.acc, self.navail, self.pos = acc, navail, pos
-                        raise CorruptFile("unexpected end of FLAC stream")
-                    acc = (acc << (8 * take)) | int.from_bytes(
-                        data[pos:pos + take], "big")
-                    pos += take
-                    navail += 8 * take
-                navail -= k
-                u = (q << k) | (acc >> navail)
-                acc &= (1 << navail) - 1
-            else:
-                u = q
-            append((u >> 1) ^ -(u & 1))
-        self.acc, self.navail, self.pos = acc, navail, pos
+    def read_signed_block(self, n, w):
+        """n signed w-bit fields as an int64 array."""
+        p = self._advance(n * w)
+        digits = np.frombuffer(self.bits, np.uint8, n * w, p).reshape(n, w)
+        v = (digits & 1).astype(np.int64) @ (1 << np.arange(w - 1, -1, -1))
+        return v - (v >> (w - 1) << w)
 
-    def align(self):
-        drop = self.navail % 8
-        self.navail -= drop
-        self.acc &= (1 << self.navail) - 1
+    def read_rice_block(self, n, k):
+        """n Rice(k)-coded signed residuals as an int64 array: the first n
+        consecutive matches of 0*1[01]{k}, i.e. quotient zeros, a
+        terminating 1 and k low bits."""
+        run, code = _rice_patterns(n, k)
+        m = run.match(self.bits, self.pos)
+        if m is None:
+            raise CorruptFile("unexpected end of FLAC stream")
+        codes = code.findall(self.bits, self.pos, m.end())
+        self.pos = m.end()
+        # a code of length q + 1 + k reads as the integer 2**k + low bits
+        size = np.fromiter(map(len, codes), np.int64, n)
+        value = np.fromiter(map(int, codes, itertools.repeat(2)), np.int64, n)
+        u = (size - (k + 2) << k) + value
+        return (u >> 1) ^ -(u & 1)
 
-    def byte_pos(self):
-        return self.pos - self.navail // 8
+
+@lru_cache(maxsize=256)
+def _rice_patterns(n, k):
+    code = rb"0*1[01]{%d}" % k
+    return re.compile(rb"(?:%s){%d}" % (code, n)), re.compile(code)
 
 
 def _pack(values, widths):
@@ -209,12 +177,15 @@ def _restore_fixed(order, warmup, resid):
 def _restore_lpc(order, warmup, coefs, shift, resid):
     s = list(warmup) + [0] * len(resid)
     rev = list(range(order))
-    for i, e in enumerate(resid, start=order):
+    for i, e in enumerate(resid.tolist(), start=order):
         acc = 0
         for j in rev:
             acc += coefs[j] * s[i - 1 - j]
         s[i] = e + (acc >> shift)
-    return np.asarray(s, dtype=np.int64)
+    try:
+        return np.asarray(s, dtype=np.int64)
+    except OverflowError:
+        raise CorruptFile("LPC prediction overflows 64 bits") from None
 
 
 def _read_residual(br, blocksize, order):
@@ -228,117 +199,89 @@ def _read_residual(br, blocksize, order):
     if blocksize % nparts:
         raise CorruptFile("partition count does not divide block size")
     part_len = blocksize >> porder
-    out = []
+    parts = []
     for p in range(nparts):
         n = part_len - (order if p == 0 else 0)
         if n < 0:
             raise CorruptFile("predictor order exceeds first partition")
         param = br.read(pbits)
-        if param == escape:
-            nbits = br.read(5)
-            if nbits:
-                for _ in range(n):
-                    out.append(br.read_signed(nbits))
-            else:
-                out.extend([0] * n)
+        if param != escape:
+            parts.append(br.read_rice_block(n, param))
         else:
-            br.read_rice_block(n, param, out)
-    return out
+            nbits = br.read(5)
+            parts.append(br.read_signed_block(n, nbits) if nbits
+                         else np.zeros(n, dtype=np.int64))
+    return np.concatenate(parts)
 
 
-def _decode_subframe(br, blocksize, bps):
+def _read_subframe(br, blocksize, bps):
+    """Read one subframe; return (restore, residual, wasted bits), where
+    restore(residual) undoes the prediction."""
     if br.read(1):
         raise CorruptFile("nonzero subframe padding bit")
     sftype = br.read(6)
-    wasted = 0
-    if br.read(1):
-        wasted = 1 + br.read_unary()
+    wasted = 1 + br.read_unary() if br.read(1) else 0
     eff_bps = bps - wasted
     if eff_bps <= 0:
         raise CorruptFile("wasted bits exceed sample size")
 
-    if sftype == 0:
-        v = br.read_signed(eff_bps)
-        block = np.full(blocksize, v, dtype=np.int64)
-    elif sftype == 1:
-        block = np.asarray([br.read_signed(eff_bps) for _ in range(blocksize)],
-                           dtype=np.int64)
-    elif 8 <= sftype <= 12:
+    if sftype <= 1:  # constant or verbatim: the samples are the residual
+        resid = (np.full(blocksize, br.read_signed(eff_bps), dtype=np.int64)
+                 if sftype == 0 else br.read_signed_block(blocksize, eff_bps))
+        return partial(_restore_fixed, 0, []), resid, wasted
+    if 8 <= sftype <= 12:
         order = sftype - 8
-        if order > blocksize:
-            raise CorruptFile("predictor order exceeds block size")
-        warmup = [br.read_signed(eff_bps) for _ in range(order)]
-        resid = _read_residual(br, blocksize, order)
-        block = _restore_fixed(order, warmup, resid)
     elif sftype >= 32:
         order = sftype - 31
-        if order > blocksize:
-            raise CorruptFile("predictor order exceeds block size")
-        warmup = [br.read_signed(eff_bps) for _ in range(order)]
+    else:
+        raise CorruptFile("reserved subframe type")
+    if order > blocksize:
+        raise CorruptFile("predictor order exceeds block size")
+    warmup = [br.read_signed(eff_bps) for _ in range(order)]
+    if sftype < 32:
+        restore = partial(_restore_fixed, order, warmup)
+    else:
         prec = br.read(4)
         if prec == 0b1111:
             raise CorruptFile("invalid LPC precision code")
-        prec += 1
         shift = br.read_signed(5)
         if shift < 0:
             raise CorruptFile("negative LPC shift")
-        coefs = [br.read_signed(prec) for _ in range(order)]
-        resid = _read_residual(br, blocksize, order)
-        block = _restore_lpc(order, warmup, coefs, shift, resid)
-    else:
-        raise CorruptFile("reserved subframe type")
-
-    if wasted:
-        block = block << wasted
-    return block
+        coefs = [br.read_signed(prec + 1) for _ in range(order)]
+        restore = partial(_restore_lpc, order, warmup, coefs, shift)
+    return restore, _read_residual(br, blocksize, order), wasted
 
 
-def _decode_frame(data, pos, info):
-    try:
-        return _decode_frame_inner(data, pos, info)
-    except IndexError:
-        raise CorruptFile("truncated frame header") from None
-
-
-def _decode_frame_inner(data, pos, info):
-    start = pos
-    if pos + 4 > len(data):
-        raise CorruptFile("truncated frame header")
-    b0, b1, b2, b3 = data[pos:pos + 4]
-    if b0 != 0xFF or (b1 >> 2) != 0b111110:
+def _decode_frame(br, data, info):
+    """Decode the frame at the reader's (byte-aligned) position; the
+    CRC-16 is checked before prediction is undone."""
+    start = br.pos // 8
+    if br.read(14) != 0b11111111111110:
         raise CorruptFile("bad frame sync code")
-    if b1 & 0b10:
+    if br.read(1):
         raise CorruptFile("nonzero reserved bit in frame header")
-    bs_code = b2 >> 4
-    rate_code = b2 & 0xF
-    chan_code = b3 >> 4
-    depth_code = (b3 >> 1) & 0x7
-    if b3 & 1:
+    br.read(1)  # blocking strategy
+    bs_code, rate_code = br.read(4), br.read(4)
+    chan_code, depth_code = br.read(4), br.read(3)
+    if br.read(1):
         raise CorruptFile("nonzero reserved bit in frame header")
     if chan_code > 0:
         raise MultichannelInput("FLAC frame has more than one channel")
-    pos += 4
 
     # coded frame/sample number (UTF-8 style)
-    lead = data[pos]
-    if lead < 0x80:
-        nbytes = 1
-    else:
+    lead = br.read(8)
+    if lead >= 0x80:
         nbytes = 8 - (lead ^ 0xFF).bit_length()
         if nbytes < 2 or nbytes > 7:
             raise CorruptFile("bad coded-number lead byte")
-    pos += nbytes
-    if pos > len(data):
-        raise CorruptFile("truncated coded number")
+        br.read(8 * (nbytes - 1))
 
     if bs_code in _BLOCKSIZE_FROM_CODE:
         blocksize = _BLOCKSIZE_FROM_CODE[bs_code]
     elif bs_code == 0b0110:
-        blocksize = data[pos] + 1
-        pos += 1
+        blocksize = br.read(8) + 1
     elif bs_code == 0b0111:
-        blocksize = int.from_bytes(data[pos:pos + 2], "big") + 1
-        pos += 2
+        blocksize = br.read(16) + 1
     else:
         raise CorruptFile("reserved block size code")
 
@@ -347,14 +290,11 @@ def _decode_frame_inner(data, pos, info):
     elif rate_code in _RATE_FROM_CODE:
         rate = _RATE_FROM_CODE[rate_code]
     elif rate_code == 0b1100:
-        rate = data[pos] * 1000
-        pos += 1
+        rate = br.read(8) * 1000
     elif rate_code == 0b1101:
-        rate = int.from_bytes(data[pos:pos + 2], "big")
-        pos += 2
+        rate = br.read(16)
     elif rate_code == 0b1110:
-        rate = int.from_bytes(data[pos:pos + 2], "big") * 10
-        pos += 2
+        rate = br.read(16) * 10
     else:
         raise CorruptFile("invalid sample rate code")
 
@@ -365,22 +305,16 @@ def _decode_frame_inner(data, pos, info):
     else:
         raise CorruptFile("reserved sample size code")
 
-    if pos + 1 > len(data):
-        raise CorruptFile("truncated frame header")
-    if _crc8(data[start:pos]) != data[pos]:
+    crc = _crc8(data[start:br.pos // 8])
+    if br.read(8) != crc:
         raise CorruptFile("frame header CRC-8 mismatch")
-    pos += 1
 
-    br = _BitReader(data, pos)
-    block = _decode_subframe(br, blocksize, bps)
-    br.align()
-    end = br.byte_pos()
-    if end + 2 > len(data):
-        raise CorruptFile("truncated frame footer")
-    stored = int.from_bytes(data[end:end + 2], "big")
-    if _crc16(data[start:end]) != stored:
+    restore, resid, wasted = _read_subframe(br, blocksize, bps)
+    br.pos += -br.pos % 8  # zero padding to the byte boundary
+    crc = _crc16(data[start:br.pos // 8])
+    if br.read(16) != crc:
         raise CorruptFile("frame CRC-16 mismatch")
-    return block, rate, bps, end + 2
+    return restore(resid) << wasted, rate, bps
 
 
 def decode_flac(data: bytes):
@@ -439,8 +373,9 @@ def decode_flac(data: bytes):
     blocks = []
     rate = info["rate"]
     bps = info["bps"]
-    while pos < len(data):
-        block, frate, fbps, pos = _decode_frame(data, pos, info)
+    br = _BitReader(data, pos)
+    while br.pos < len(br.bits):
+        block, frate, fbps = _decode_frame(br, data, info)
         if frate != rate or fbps != bps:
             raise CorruptFile("frame parameters disagree with STREAMINFO")
         blocks.append(block)

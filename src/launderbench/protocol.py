@@ -30,6 +30,7 @@ from .errors import (DuplicateId, InvalidParameter, MalformedLine,
 
 LABELS = ("bonafide", "spoof")
 BONAFIDE_ATTACK = "-"
+JOIN_POLICIES = ("strict", "intersect")
 
 
 def _check_field(name, value):
@@ -256,7 +257,7 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
     strict demands a bijection and raises on any mismatch; intersect keeps
     the matched pairs (in trial order) and warns with the drop count.
     """
-    if policy not in ("strict", "intersect"):
+    if policy not in JOIN_POLICIES:
         raise InvalidParameter(
             f"policy must be 'strict' or 'intersect', got {policy!r}")
     n = len(trials.ids)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from launderbench import cli, mp3tool
+from launderbench import cli, flacio, mp3tool
 from launderbench.audio import AudioBuffer, write_audio
 from launderbench.cli import (CONFIG_ENV_VAR, build_parser, main,
                               resolve_config)
@@ -218,6 +218,21 @@ class TestLaunder:
         summary = read_summary(out)
         assert summary["jobs_failed"] == "9"
         assert summary["jobs_succeeded"] == "18"
+
+    def test_corrupt_source_exits_two(self, tmp_path):
+        corpus = write_corpus(tmp_path, n_files=1)
+        x = np.random.default_rng(2).integers(-10, 11, 4800)
+        blob = bytearray(flacio.encode_flac(x, 16000, blocksize=1000))
+        blob[50] = 97                # first subframe: LPC order 17, overflows
+        (corpus["audio_root"] / "bad.flac").write_bytes(blob)
+        manifest = corpus["manifest"]
+        manifest.write_text(manifest.read_text()
+                            + "u9999 spoof A17 C00 bad.flac\n")
+        out = tmp_path / "out"
+        assert main(launder_argv(corpus, out, ["--fraction", "1.0"])) == 2
+        summary = read_summary(out)
+        assert summary["jobs_failed"] == summary["jobs_succeeded"] == "9"
+        assert (out / "augmented.manifest").exists()
 
     def test_missing_manifest_flag(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from launderbench import flacio
-from launderbench.errors import CorruptFile, InvalidParameter, MultichannelInput
+from launderbench.errors import (CorruptFile, InvalidParameter,
+                                 LaunderbenchError, MultichannelInput)
 from launderbench.flacio import (_blocksize_code_for, _crc8, _crc16,
                                  _encode_utf8_number)
 
@@ -591,3 +592,125 @@ def test_encoder_rejects_36_bit_total():
     with pytest.raises(InvalidParameter, match="36 bits"):
         flacio.encode_flac(huge, 16000)
     flacio._check_streaminfo((1 << 36) - 1, 16000, 4096)
+
+
+# ---------------------------------------------------------- corrupt streams
+
+def prediction_overflow_stream(n=4800):
+    """0.3 s of small noise at block size 1000 with byte 50, the first
+    subframe header, set to 97: LPC order 17 with the wasted-bits flag,
+    whose restored samples outgrow int64."""
+    x = np.random.default_rng(2).integers(-10, 11, n)
+    blob = bytearray(flacio.encode_flac(x, 16000, blocksize=1000))
+    blob[50] = 97
+    return bytes(blob)
+
+
+def test_overflowing_prediction_is_corrupt_file():
+    with pytest.raises(CorruptFile):
+        flacio.decode_flac(prediction_overflow_stream())
+
+
+def test_overflowing_prediction_with_valid_crc_is_corrupt_file():
+    def subframe(bw):
+        bw.write(0, 1)
+        bw.write(32 + 1, 6)      # LPC, order 2
+        bw.write(0, 1)
+        bw.write(30000, 16)
+        bw.write(30000, 16)
+        bw.write(15 - 1, 4)      # precision 15
+        bw.write(0, 5)           # no shift: each sample ~2^15 times the last
+        bw.write(16383, 15)
+        bw.write(16383, 15)
+        bw.write(0b00, 2)
+        bw.write(0, 4)
+        bw.write(0, 4)
+        write_rice(bw, [0] * 38, 0)
+
+    blob = build_streaminfo(16000, 1, 16, 40) + build_frame(40, subframe)
+    with pytest.raises(CorruptFile, match="overflow"):
+        flacio.decode_flac(blob)
+
+
+def lpc_stream():
+    """Three order-2 LPC frames of 192, 192 and 100 samples, four Rice
+    partitions each, the last partition of the last frame escaped."""
+    rng = np.random.default_rng(5)
+    coefs, shift = [3, -1], 1
+    frames, samples = [], []
+    for number, n in enumerate((192, 192, 100)):
+        x = rng.integers(-300, 300, 2).tolist()
+        resid = rng.integers(-20, 20, n - 2).tolist()
+        for e in resid:
+            x.append(e + ((coefs[0] * x[-1] + coefs[1] * x[-2]) >> shift))
+        samples += x
+
+        def subframe(bw, x=x, resid=resid, n=n):
+            bw.write(0, 1)
+            bw.write(32 + 1, 6)
+            bw.write(0, 1)
+            for w in x[:2]:
+                bw.write(w, 16)
+            bw.write(15 - 1, 4)
+            bw.write(shift, 5)
+            for c in coefs:
+                bw.write(c, 15)
+            bw.write(0b00, 2)
+            bw.write(2, 4)       # four partitions
+            q = n // 4
+            bounds = [0, q - 2, 2 * q - 2, 3 * q - 2, n - 2]
+            for p in range(4):
+                part = resid[bounds[p]:bounds[p + 1]]
+                if number == 2 and p == 3:
+                    bw.write(0b1111, 4)
+                    bw.write(7, 5)
+                    for v in part:
+                        bw.write(v, 7)
+                else:
+                    bw.write(p + 2, 4)
+                    write_rice(bw, part, p + 2)
+
+        frames.append(build_frame(n, subframe, number=number))
+    md5 = hashlib.md5(np.asarray(samples).astype("<i2").tobytes()).digest()
+    return (build_streaminfo(16000, 1, 16, len(samples), md5=md5)
+            + b"".join(frames)), samples
+
+
+def fixed_stream():
+    """1500 samples of small noise at block size 1000: a short last frame."""
+    x = np.random.default_rng(2).integers(-10, 11, 1500)
+    return flacio.encode_flac(x, 16000, blocksize=1000), x.tolist()
+
+
+def corruptions(blob, seed, count=150):
+    """Seeded one- and two-byte overwrites, half of them within the first
+    64 bytes (STREAMINFO, the first frame header and subframe header) or
+    the 8 bytes after a frame sync code."""
+    rng = np.random.default_rng(seed)
+    syncs = [i for i in range(42, len(blob) - 1)
+             if blob[i] == 0xFF and blob[i + 1] >> 2 == 0b111110]
+    hot = list(range(64)) + [s + d for s in syncs for d in range(8)]
+    for i in range(count):
+        out = bytearray(blob)
+        for _ in range(1 + i % 2):
+            pick = hot if rng.random() < 0.5 else range(len(blob))
+            out[pick[rng.integers(len(pick))] % len(blob)] = rng.integers(256)
+        yield bytes(out)
+
+
+@pytest.mark.parametrize("make", [lpc_stream, fixed_stream],
+                         ids=["lpc", "fixed"])
+def test_decoder_error_paths_stay_closed(make):
+    blob, samples = make()
+    assert flacio.decode_flac(blob)[0].tolist() == samples
+    for end in range(len(blob)):
+        with pytest.raises(CorruptFile):
+            flacio.decode_flac(blob[:end])
+    mutated = list(corruptions(blob, seed=len(blob)))
+    if make is fixed_stream:
+        mutated.append(prediction_overflow_stream(1500))
+    for bad in mutated:
+        try:
+            flacio.decode_flac(bad)
+        except LaunderbenchError:
+            pass

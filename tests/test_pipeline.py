@@ -8,12 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from launderbench import flacio
 from launderbench.audio import AudioBuffer, CodecBackend, read_audio, write_audio
 from launderbench.dsp import (BITRATE_CHOICES, NOISE_NAMES, RT60_CHOICES,
                               SNR_DB_CHOICES, TARGET_RATE_CHOICES, AttackSpec,
                               NoiseLibrary)
-from launderbench.errors import (EmptyInput, InvalidParameter, IoFailure,
-                                 ZeroSelection)
+from launderbench.errors import (CorruptFile, EmptyInput, InvalidParameter,
+                                 IoFailure, ZeroSelection)
 from launderbench.pipeline import (AugmentationJob, AugmentReport, attack_tag,
                                    emit_augmented_manifest, execute_plan,
                                    plan_attacks, select_subset)
@@ -289,6 +290,28 @@ class TestExecutePlan:
         assert report.jobs_succeeded == 9
         assert all(j.source.utterance_id == "zz999"
                    for j, _ in report.failures)
+
+    def test_corrupt_source_is_isolated(self, corpus, tmp_path):
+        # the first subframe header of this stream becomes LPC order 17,
+        # whose restored samples outgrow int64
+        x = np.random.default_rng(2).integers(-10, 11, 4800)
+        blob = bytearray(flacio.encode_flac(x, 16000, blocksize=1000))
+        blob[50] = 97
+        (tmp_path / "bad.flac").write_bytes(blob)
+        healthy = corpus["trials"][0]
+        (tmp_path / healthy.source_path).write_bytes(
+            (corpus["audio_root"] / healthy.source_path).read_bytes())
+        bad = TrialRecord("bd001", "spoof", "A01", "C00", "bad.flac")
+        for sources, out in (([healthy], "alone"), ([healthy, bad], "both")):
+            report = execute_plan(plan_attacks(sources, seed=4), tmp_path,
+                                  tmp_path / out, noises=corpus["noises"],
+                                  backend=fake_codec, parallelism=2)
+        assert (report.jobs_failed, report.jobs_succeeded) == (9, 9)
+        assert all(j.source is bad and isinstance(e, CorruptFile)
+                   for j, e in report.failures)
+        for job in plan_attacks([healthy], seed=4):
+            assert (tmp_path / "both" / job.output_path).read_bytes() == \
+                (tmp_path / "alone" / job.output_path).read_bytes()
 
     def test_missing_backend_recorded_not_raised(self, corpus, tmp_path):
         jobs = [j for j in plan_attacks(corpus["trials"][:1], seed=3)
