@@ -9,6 +9,8 @@ end-to-end metric, the ratio of medians, pairs won, failures and digests.
 import argparse
 import json
 import os
+import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -19,10 +21,28 @@ ROOT = Path(__file__).resolve().parent
 
 
 def bench(tree, workload, seed, seconds):
-    out = subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True).stdout
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = child.communicate()
+    finally:
+        if child.poll() is None:
+            # interrupted: SIGINT lets run.py's own cleanup remove its
+            # work dir; one that does not stop in time is killed
+            child.send_signal(signal.SIGINT)
+            try:
+                child.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                child.wait()
+        shutil.rmtree(Path(tree) / ".bench_work"
+                      / f"{workload}-seed{seed}-{child.pid}",
+                      ignore_errors=True)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, child.args,
+                                            out, err)
     result = json.loads(out.splitlines()[-1])
     digest = out.split("non_codec_sha256=")[1].split()[0]
     return ({k: v["value"] for k, v in result["metrics"].items()},
@@ -50,6 +70,9 @@ def main():
     p.add_argument("--seeds", default="1-10", type=seed_range,
                    help="first-last, at least two seeds")
     args = p.parse_args()
+    # unwind on SIGTERM too, so the base export and the running
+    # benchmark's work dir are removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     first, last = map(int, args.seeds.split("-"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sign = {m["name"]: 1 if m["better"] == "higher" else -1

@@ -449,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-dir", dest="noise_dir")
     p.add_argument("--seed", type=int)
     p.add_argument("--fraction", type=float)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help="number of sources processed at once (default 4)")
     p.add_argument("--encode-cmd", dest="encode_cmd")
     p.add_argument("--decode-cmd", dest="decode_cmd")
 

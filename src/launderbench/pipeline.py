@@ -7,6 +7,11 @@ fixed lowpass.  Every random draw is keyed by (run seed, utterance id,
 attack slot), so plans and non-codec output bytes are reproducible from
 the manifest and the seed alone, regardless of manifest line order or
 worker scheduling.
+
+Execution runs one task per source: the source is read once, and its
+attacks and writes run in plan order on that one decoded buffer.  A
+failed read fails exactly that source's jobs; a failed attack or write
+fails only its own job.
 """
 
 from __future__ import annotations
@@ -127,9 +132,13 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
                  parallelism: int = 4) -> AugmentReport:
     """Run jobs against audio under audio_root, writing FLAC to out_dir.
 
-    Per-job failures (unreadable source, codec trouble, rate mismatch)
-    are collected in the report instead of aborting the batch; only an
-    unusable out_dir is fatal.
+    Jobs are grouped by source path in first-seen order, and each group
+    is one task: one read, then its attacks and writes in plan order on
+    the shared, read-only decoded buffer.  Up to `parallelism` sources
+    run at once.  Failures are collected in the report, in job order,
+    instead of aborting the batch: an unreadable source fails exactly
+    its own jobs with the read's error, and a failed attack or write
+    fails only its job.  Only an unusable out_dir is fatal.
     """
     jobs = list(jobs)
     if parallelism < 1:
@@ -144,9 +153,13 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
     except OSError as e:
         raise IoFailure(f"output directory {out_dir} is not writable: {e}")
 
-    def run_one(job):
+    groups = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(job.source.source_path, []).append(i)
+    groups = list(groups.items())
+
+    def run_one(buf, job):
         try:
-            buf = read_audio(audio_root / job.source.source_path)
             out = apply_attack(buf, job.spec, job.job_seed, noises=noises,
                                backend=backend)
             dest = out_dir / job.output_path
@@ -155,11 +168,26 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
         except (LaunderbenchError, OSError) as e:
             return 0, e
 
-    if parallelism == 1:
-        results = [run_one(j) for j in jobs]
+    def run_source(group):
+        source_path, indices = group
+        try:
+            buf = read_audio(audio_root / source_path)
+        except (LaunderbenchError, OSError) as e:
+            return [(0, e)] * len(indices)
+        # an attack that wrote into its input would corrupt the others
+        buf.samples.flags.writeable = False
+        return [run_one(buf, jobs[i]) for i in indices]
+
+    workers = min(parallelism, len(groups))
+    if workers <= 1:
+        outcomes = [run_source(g) for g in groups]
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_one, jobs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_source, groups))
+    results = [None] * len(jobs)
+    for (_, indices), outcome in zip(groups, outcomes):
+        for i, result in zip(indices, outcome):
+            results[i] = result
 
     succeeded = failed = clip_events = 0
     failures = []

@@ -8,11 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from launderbench import flacio
+from launderbench import flacio, pipeline
 from launderbench.audio import AudioBuffer, CodecBackend, read_audio, write_audio
 from launderbench.dsp import (BITRATE_CHOICES, NOISE_NAMES, RT60_CHOICES,
                               SNR_DB_CHOICES, TARGET_RATE_CHOICES, AttackSpec,
-                              NoiseLibrary)
+                              NoiseLibrary, apply_attack)
 from launderbench.errors import (CorruptFile, EmptyInput, InvalidParameter,
                                  IoFailure, ZeroSelection)
 from launderbench.pipeline import (AugmentationJob, AugmentReport, attack_tag,
@@ -312,6 +312,70 @@ class TestExecutePlan:
         for job in plan_attacks([healthy], seed=4):
             assert (tmp_path / "both" / job.output_path).read_bytes() == \
                 (tmp_path / "alone" / job.output_path).read_bytes()
+
+    def test_matches_per_job_decoding(self, corpus, tmp_path):
+        jobs = plan_attacks(corpus["trials"][:2], seed=21)
+        assert len(jobs) == 18
+        for job in jobs:
+            src = read_audio(corpus["audio_root"] / job.source.source_path)
+            out = apply_attack(src, job.spec, job.job_seed,
+                               noises=corpus["noises"], backend=fake_codec)
+            dest = tmp_path / "expected" / job.output_path
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            write_audio(out, dest, format="flac")
+        for parallelism in (1, 3):
+            out_dir = tmp_path / f"p{parallelism}"
+            report = execute_plan(jobs, corpus["audio_root"], out_dir,
+                                  noises=corpus["noises"], backend=fake_codec,
+                                  parallelism=parallelism)
+            assert report.jobs_failed == 0
+            for job in jobs:
+                assert (out_dir / job.output_path).read_bytes() == \
+                    (tmp_path / "expected" / job.output_path).read_bytes()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_each_source_read_once(self, corpus, tmp_path, monkeypatch,
+                                   parallelism):
+        reads = []
+
+        def counting_read(path):
+            reads.append(path.name)
+            return read_audio(path)
+
+        monkeypatch.setattr(pipeline, "read_audio", counting_read)
+        jobs = plan_attacks(corpus["trials"][:2], seed=8)
+        report = execute_plan(jobs, corpus["audio_root"], tmp_path / "plan",
+                              noises=corpus["noises"], backend=fake_codec,
+                              parallelism=parallelism)
+        assert report.jobs_failed == 0
+        assert Counter(reads) == {t.source_path: 1
+                                  for t in corpus["trials"][:2]}
+
+        # alternate a healthy and a missing source, without a codec
+        reads.clear()
+        broken = TrialRecord("zz999", "spoof", "A01", "C00", "zz999.flac")
+        pair = plan_attacks([corpus["trials"][0], broken], seed=8)
+        jobs = [j for both in zip(pair[:9], pair[9:]) for j in both]
+        report = execute_plan(jobs, corpus["audio_root"], tmp_path / "mixed",
+                              noises=corpus["noises"], parallelism=parallelism)
+        assert Counter(reads) == {corpus["trials"][0].source_path: 1,
+                                  "zz999.flac": 1}
+        assert [j for j, _ in report.failures] == [
+            j for j in jobs
+            if j.source is broken or j.spec.kind == "recompression"]
+        assert all(isinstance(e, IoFailure if j.source is broken
+                              else InvalidParameter)
+                   for j, e in report.failures)
+
+    def test_shared_source_is_read_only(self, corpus, tmp_path, monkeypatch):
+        def in_place(x, *args, **kwargs):
+            x.samples *= 2
+            return x
+
+        monkeypatch.setattr(pipeline, "apply_attack", in_place)
+        jobs = plan_attacks(corpus["trials"][:1], seed=0)
+        with pytest.raises(ValueError):
+            execute_plan(jobs, corpus["audio_root"], tmp_path, parallelism=1)
 
     def test_missing_backend_recorded_not_raised(self, corpus, tmp_path):
         jobs = [j for j in plan_attacks(corpus["trials"][:1], seed=3)
