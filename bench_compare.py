@@ -4,6 +4,9 @@ Runs bench/run.py --trace 0 per workload and seed in a git archive export
 of --base and in the working tree, alternating which goes first, and
 writes BENCH_NAME.json: each side's median, q1, q3 and spread per
 end-to-end metric, the ratio of medians, pairs won, failures and digests.
+A run that exits non-zero stops the comparison: the tail of its stderr is
+printed, and the json keeps the workloads already done plus a failed_run
+entry; the exit status is then 1.
 """
 
 import argparse
@@ -63,6 +66,44 @@ def seed_range(text):
     return text
 
 
+def compare(report, base_tree, spec, seeds):
+    """Fill report["workloads"]; on the first failed run, record it under
+    report["failed_run"] and stop, keeping the workloads already done."""
+    first, last = map(int, seeds.split("-"))
+    sign = {m["name"]: 1 if m["better"] == "higher" else -1
+            for m in spec["end_to_end"]}
+    for w in (w["name"] for w in spec["workloads"]):
+        runs = {"base": [], "change": []}
+        for seed in range(first, last + 1):
+            for side in ("base", "change")[::1 if seed % 2 else -1]:
+                try:
+                    runs[side].append(bench(
+                        base_tree if side == "base" else ROOT, w, seed,
+                        spec["run_seconds"]))
+                except subprocess.CalledProcessError as e:
+                    print("\n".join(e.stderr.splitlines()[-20:]),
+                          file=sys.stderr)
+                    print(w, seed, side, "failed with exit code",
+                          e.returncode, file=sys.stderr)
+                    report["failed_run"] = {"workload": w, "seed": seed,
+                                            "side": side,
+                                            "exit_code": e.returncode}
+                    return
+                print(w, seed, side, runs[side][-1], flush=True)
+        pairs = list(zip(runs["base"], runs["change"]))
+        out = {"seeds": seeds, "runs": len(pairs),
+               "failed": {s: sum(r[1] for r in runs[s]) for s in runs},
+               "digests_equal": all(b[2] == c[2] for b, c in pairs)}
+        for s in runs:
+            out[s] = {m: summary([r[0][m] for r in runs[s]]) for m in sign}
+        out["change_over_base"] = {
+            m: out["change"][m]["median"] / out["base"][m]["median"]
+            for m in sign}
+        out["pairs_won"] = {m: sum(sign[m] * (c[0][m] - b[0][m]) > 0
+                                   for b, c in pairs) for m in sign}
+        report["workloads"][w] = out
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
@@ -73,10 +114,7 @@ def main():
     # unwind on SIGTERM too, so the base export and the running
     # benchmark's work dir are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    first, last = map(int, args.seeds.split("-"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    sign = {m["name"]: 1 if m["better"] == "higher" else -1
-            for m in spec["end_to_end"]}
     base = subprocess.check_output(["git", "rev-parse", "--short", args.base],
                                    cwd=ROOT, text=True).strip()
     report = {"about": f"bench/run.py --trace 0, seeds {args.seeds}, {base}"
@@ -86,27 +124,11 @@ def main():
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         subprocess.run(f"git archive {base} | tar -x -C {tmp}", shell=True,
                        cwd=ROOT, check=True)
-        for w in (w["name"] for w in spec["workloads"]):
-            runs = {"base": [], "change": []}
-            for seed in range(first, last + 1):
-                for side in ("base", "change")[::1 if seed % 2 else -1]:
-                    runs[side].append(bench(tmp if side == "base" else ROOT,
-                                            w, seed, spec["run_seconds"]))
-                    print(w, seed, side, runs[side][-1], flush=True)
-            pairs = list(zip(runs["base"], runs["change"]))
-            out = {"seeds": args.seeds, "runs": len(pairs),
-                   "failed": {s: sum(r[1] for r in runs[s]) for s in runs},
-                   "digests_equal": all(b[2] == c[2] for b, c in pairs)}
-            for s in runs:
-                out[s] = {m: summary([r[0][m] for r in runs[s]]) for m in sign}
-            out["change_over_base"] = {
-                m: out["change"][m]["median"] / out["base"][m]["median"]
-                for m in sign}
-            out["pairs_won"] = {m: sum(sign[m] * (c[0][m] - b[0][m]) > 0
-                                       for b, c in pairs) for m in sign}
-            report["workloads"][w] = out
+        compare(report, tmp, spec, args.seeds)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
+    if "failed_run" in report:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Subcommands: launder (build the attacked copies), evaluate (scores to
 pooled metrics), report (breakdown tables), noise-check (asset
-validation), selftest (quick built-in correctness checks).
+validation).
 
 Configuration precedence is CLI flag > config file > default, where the
 config file is key=value text named by the LAUNDERBENCH_CONFIG
@@ -13,26 +13,21 @@ environment variable.  Exit codes: 0 success, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import mp3tool
-from .audio import AudioBuffer, CodecBackend, read_audio, write_audio
-from .dsp import (LOADABLE_NOISES, NoiseLibrary, design_butterworth_lowpass,
-                  generate_white_noise, mix_noise, synthesize_rir, resample)
+from .audio import CodecBackend
+from .dsp import LOADABLE_NOISES, NoiseLibrary
 from .errors import EmptyClass, InvalidParameter, LaunderbenchError
-from .metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
-                      gaussian_scores, min_dcf)
-from .pipeline import (attack_tag, emit_augmented_manifest, execute_plan,
-                       plan_attacks, select_subset)
-from .protocol import (JOIN_POLICIES, ScoreColumns, TrialRecord, emit_manifest,
-                       join_scores, manifest_columns, manifest_stats,
-                       parse_manifest, parse_scores)
+from .metrics import MetricConfig
+from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
+                       select_subset)
+from .protocol import (JOIN_POLICIES, ScoreColumns, join_scores,
+                       manifest_columns, manifest_stats, parse_manifest,
+                       parse_scores)
 from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey, axis_keys,
                         compute_breakdown, rank_worst, render, render_skipped)
 
@@ -318,106 +313,6 @@ def cmd_noise_check(cfg: RunConfig) -> int:
     return 0 if problems == 0 else 1
 
 
-def _filter_magnitude(coeffs, freq_hz, fs_hz):
-    z1 = np.exp(-2j * np.pi * freq_hz / fs_hz)
-    h = complex(coeffs.gain)
-    for b0, b1, b2, a1, a2 in coeffs.sections:
-        h *= (b0 + b1 * z1 + b2 * z1 * z1) / (1.0 + a1 * z1 + a2 * z1 * z1)
-    return abs(h)
-
-
-def _selftest_checks(tmp_dir):
-    def sweep_fixture():
-        s = ScoreSet([1.0, 2.0, 4.0], [0.0, 3.0])
-        cfg = MetricConfig()
-        assert eer(s) == 100.0 * (1 / 3 + 1 / 2) / 2.0
-        assert min_dcf(s, cfg) == 0.5
-        assert act_dcf(s, cfg) == 1.0
-        assert cllr(ScoreSet(np.zeros(25), np.zeros(4))) == 1.0
-
-    def gaussian_calibration():
-        s = gaussian_scores(100_000, 100_000, 1.0, -1.0, 1.0, seed=7)
-        assert abs(eer(s) - 15.8655) < 0.5
-
-    def butterworth_response():
-        coeffs = design_butterworth_lowpass(5, 3000.0, 16000)
-        assert abs(_filter_magnitude(coeffs, 0.0, 16000) - 1.0) <= 1e-9
-        assert abs(_filter_magnitude(coeffs, 3000.0, 16000)
-                   - 1.0 / math.sqrt(2.0)) <= 1e-6
-
-    def snr_mixing():
-        n = 16000
-        x = AudioBuffer(0.1 * np.sin(2 * np.pi * 440.0 * np.arange(n)
-                                     / 16000.0), 16000)
-        noise = AudioBuffer(0.05 * generate_white_noise(n, 3), 16000)
-        mixed = mix_noise(x, noise, 10.0, seed=4)
-        residual = mixed.samples - x.samples
-        achieved = 10.0 * math.log10(
-            np.mean(x.samples ** 2) / np.mean(residual ** 2))
-        assert abs(achieved - 10.0) <= 1e-6
-
-    def rir_decay():
-        rt60, fs = 0.3, 16000
-        h = synthesize_rir(rt60, fs, seed=5)
-        again = synthesize_rir(rt60, fs, seed=5)
-        assert np.array_equal(h.samples, again.samples)
-        assert h.samples[0] == 1.0
-        t = np.arange(len(h)) / fs
-        env = np.exp(-t * (3.0 * math.log(10.0)) / rt60)
-        k = round(rt60 * fs)
-        assert abs(env[k] - 1e-3) <= 1e-12
-
-    def resample_round_trip():
-        n = 16000
-        x = AudioBuffer(0.5 * np.sin(2 * np.pi * 1000.0 * np.arange(n)
-                                     / 16000.0), 16000)
-        back = resample(resample(x, 44100), 16000)
-        err = back.samples - x.samples
-        snr = 10.0 * math.log10(np.mean(x.samples ** 2) / np.mean(err ** 2))
-        assert snr >= 40.0
-
-    def file_round_trip():
-        rng = np.random.Generator(np.random.PCG64(11))
-        x = AudioBuffer(0.8 * rng.uniform(-1.0, 1.0, 3001), 16000)
-        for fmt, suffix in (("flac", "flac"), ("wav16", "wav")):
-            path = Path(tmp_dir) / f"selftest.{suffix}"
-            write_audio(x, path, format=fmt)
-            back = read_audio(path)
-            assert back.sample_rate_hz == 16000
-            assert np.max(np.abs(back.samples - x.samples)) <= 2.0 ** -15
-
-    def manifest_identity():
-        records = [TrialRecord("u001", "bonafide", "-", "C00", "a.flac"),
-                   TrialRecord("u002", "spoof", "A17", "C03", "b.flac")]
-        assert parse_manifest(emit_manifest(records)) == records
-
-    return [
-        ("metric_sweep_fixture", sweep_fixture),
-        ("gaussian_calibration", gaussian_calibration),
-        ("butterworth_response", butterworth_response),
-        ("snr_mixing", snr_mixing),
-        ("rir_decay", rir_decay),
-        ("resample_round_trip", resample_round_trip),
-        ("file_round_trip", file_round_trip),
-        ("manifest_identity", manifest_identity),
-    ]
-
-
-def cmd_selftest() -> int:
-    import tempfile
-    failures = 0
-    with tempfile.TemporaryDirectory(prefix="launder-selftest-") as tmp_dir:
-        for name, check in _selftest_checks(tmp_dir):
-            try:
-                check()
-            except Exception as e:
-                failures += 1
-                print(f"FAIL {name}: {e}")
-            else:
-                print(f"ok {name}")
-    return 0 if failures == 0 else 1
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse front end with usage errors mapped to exit code 1."""
 
@@ -468,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-check", help="validate noise assets")
     p.add_argument("--noise-dir", dest="noise_dir")
-
-    sub.add_parser("selftest", help="run built-in correctness checks")
     return parser
 
 
@@ -487,9 +380,7 @@ def main(argv=None) -> int:
             return cmd_evaluate(cfg, args.manifest, args.scores)
         if args.command == "report":
             return cmd_report(cfg, args.manifest, args.scores)
-        if args.command == "noise-check":
-            return cmd_noise_check(cfg)
-        return cmd_selftest()
+        return cmd_noise_check(cfg)
     except (LaunderbenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

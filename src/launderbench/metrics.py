@@ -29,8 +29,11 @@ class MetricConfig:
     pi_spoof: float = 0.05
 
     def __post_init__(self):
-        if self.c_miss < 0.0 or self.c_fa < 0.0:
-            raise InvalidParameter("costs must be nonnegative")
+        # a NaN fails both comparisons
+        if not (0.0 <= self.c_miss < math.inf and 0.0 <= self.c_fa < math.inf):
+            raise InvalidParameter(
+                f"costs must be finite and nonnegative, got c_miss="
+                f"{self.c_miss}, c_fa={self.c_fa}")
         if not 0.0 < self.pi_spoof < 1.0:
             raise InvalidParameter(
                 f"pi_spoof must lie in (0, 1), got {self.pi_spoof}")
@@ -60,13 +63,6 @@ class ScoreSet:
         return arr
 
 
-@dataclass(frozen=True)
-class DetPoint:
-    threshold: float
-    p_miss: float
-    p_fa: float
-
-
 def _require(s: ScoreSet):
     if len(s.bonafide) == 0 or len(s.spoof) == 0:
         raise EmptyClass("need at least one bonafide and one spoof score")
@@ -82,14 +78,6 @@ def _sweep(s: ScoreSet):
     n_miss = np.searchsorted(bon, thresholds, side="left")
     n_fa = len(spf) - np.searchsorted(spf, thresholds, side="left")
     return thresholds, n_miss, n_fa, len(bon), len(spf)
-
-
-def det_points(s: ScoreSet) -> list:
-    """DET curve samples in order of increasing threshold."""
-    _require(s)
-    thresholds, n_miss, n_fa, nb, ns = _sweep(s)
-    return [DetPoint(float(t), nm / nb, nf / ns)
-            for t, nm, nf in zip(thresholds, n_miss, n_fa)]
 
 
 def min_dcf_and_eer(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> tuple:

@@ -153,7 +153,9 @@ def rank_worst(table: BreakdownTable, metric: str, k: int,
 
 def _format_rows(rows, fmt):
     if fmt == "markdown":
-        out = [" | ".join(str(v) for v in row) for row in rows]
+        # an escaped pipe stays inside its cell
+        out = [" | ".join(str(v).replace("|", "\\|") for v in row)
+               for row in rows]
         out.insert(1, " | ".join("---" for _ in rows[0]))
         return "".join(f"| {line} |\n" for line in out)
     buf = io.StringIO()

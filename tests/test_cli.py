@@ -129,9 +129,17 @@ class TestConfigResolution:
         with pytest.raises(InvalidParameter):
             resolve_config(parse_args(["evaluate"]))
 
-    def test_missing_config_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(tmp_path / "absent.txt"))
-        assert main(["selftest"]) == 1
+    def test_missing_config_file(self, tmp_path, monkeypatch, capsys):
+        manifest, scores = write_eval_fixture(tmp_path, bon=(1.0,),
+                                              spf=(-1.0,))
+        argv = ["evaluate", "--manifest", str(manifest),
+                "--scores", str(scores)]
+        assert main(argv) == 0
+        absent = tmp_path / "absent.txt"
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(absent))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert str(absent) in capsys.readouterr().err
 
 
 class TestLaunder:
@@ -351,6 +359,15 @@ class TestEvaluate:
         assert rc == 1
         assert "one bonafide and one spoof" in capsys.readouterr().err
 
+    def test_non_finite_cost_is_an_input_error(self, tmp_path, capsys):
+        manifest, scores = write_eval_fixture(tmp_path)
+        rc = main(["evaluate", "--manifest", str(manifest),
+                   "--scores", str(scores), "--c-miss", "inf"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_empty_intersection(self, tmp_path, capsys):
         manifest, scores = write_eval_fixture(tmp_path)
         scores.write_text("zzz 0.5\n")
@@ -493,21 +510,17 @@ class TestNoiseCheck:
         assert "cafe" in capsys.readouterr().err
 
 
-class TestSelftest:
-    def test_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert len(out) >= 8
-        assert all(ln.startswith("ok ") for ln in out)
-
-
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 1
+        for command in ("frobnicate", "selftest"):
+            assert main([command]) == 1
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{command}'" in err
+            assert "{launder,evaluate,report,noise-check}" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from launderbench.errors import EmptyClass, InvalidParameter, NonFiniteScore
-from launderbench.metrics import (DetPoint, MetricConfig, ScoreSet, act_dcf,
-                                  bayes_threshold, cllr, det_points, eer,
-                                  gaussian_scores, min_dcf)
+from launderbench.metrics import (MetricConfig, ScoreSet, _sweep, act_dcf,
+                                  bayes_threshold, cllr, eer, gaussian_scores,
+                                  min_dcf)
 
 # --- reference implementation: plain-Python threshold sweep ---
 
@@ -86,7 +86,9 @@ class TestMetricConfig:
     @pytest.mark.parametrize("kw", [dict(c_miss=-1.0), dict(c_fa=-0.5),
                                     dict(pi_spoof=0.0), dict(pi_spoof=1.0),
                                     dict(pi_spoof=-0.2), dict(c_miss=0.0),
-                                    dict(c_fa=0.0)])
+                                    dict(c_fa=0.0), dict(c_miss=math.nan),
+                                    dict(c_miss=math.inf), dict(c_fa=math.nan),
+                                    dict(c_fa=math.inf)])
     def test_invalid(self, kw):
         with pytest.raises(InvalidParameter):
             MetricConfig(**kw)
@@ -110,7 +112,7 @@ class TestScoreSet:
 
     def test_empty_class_rejected_by_metrics(self):
         s = ScoreSet([], [1.0])
-        for fn in (det_points, eer, cllr):
+        for fn in (eer, cllr):
             with pytest.raises(EmptyClass):
                 fn(s)
         with pytest.raises(EmptyClass):
@@ -119,17 +121,22 @@ class TestScoreSet:
             act_dcf(s, MetricConfig())
 
 
+def det_points(s):
+    """(threshold, p_miss, p_fa) at each threshold of metrics._sweep."""
+    thresholds, n_miss, n_fa, nb, ns = _sweep(s)
+    return [(t, nm / nb, nf / ns)
+            for t, nm, nf in zip(thresholds.tolist(), n_miss, n_fa)]
+
+
 class TestDetPoints:
     def test_sentinels(self):
         pts = det_points(ScoreSet([2.0, 3.0], [0.0, 1.0]))
-        assert pts[0].threshold == -np.inf
-        assert (pts[0].p_miss, pts[0].p_fa) == (0.0, 1.0)
-        assert pts[-1].threshold == np.inf
-        assert (pts[-1].p_miss, pts[-1].p_fa) == (1.0, 0.0)
+        assert pts[0] == (-np.inf, 0.0, 1.0)
+        assert pts[-1] == (np.inf, 1.0, 0.0)
 
     def test_separable_has_perfect_point(self):
         pts = det_points(ScoreSet([2.0, 3.0], [0.0, 1.0]))
-        assert any(p.p_miss == 0.0 and p.p_fa == 0.0 for p in pts)
+        assert any(p_miss == 0.0 and p_fa == 0.0 for _, p_miss, p_fa in pts)
 
     def test_point_count(self):
         # k distinct pooled values -> k-1 midpoints + 2 sentinels
@@ -139,22 +146,19 @@ class TestDetPoints:
     def test_matches_direct_counting(self):
         for bon, spf in random_score_sets(50, seed=7):
             pts = det_points(ScoreSet(bon, spf))
-            assert pts[0].threshold == -np.inf
-            for p in pts:
-                n_miss, n_fa = ref_counts(bon, spf, p.threshold)
-                assert p.p_miss == n_miss / len(bon)
-                assert p.p_fa == n_fa / len(spf)
+            assert pts[0][0] == -np.inf
+            for tau, p_miss, p_fa in pts:
+                n_miss, n_fa = ref_counts(bon, spf, tau)
+                assert p_miss == n_miss / len(bon)
+                assert p_fa == n_fa / len(spf)
 
     def test_monotone_along_threshold(self):
         for bon, spf in random_score_sets(50, seed=8):
             pts = det_points(ScoreSet(bon, spf))
             for a, b in zip(pts, pts[1:]):
-                assert a.threshold < b.threshold
-                assert a.p_miss <= b.p_miss
-                assert a.p_fa >= b.p_fa
-
-    def test_is_detpoint(self):
-        assert isinstance(det_points(ScoreSet([1.0], [0.0]))[0], DetPoint)
+                assert a[0] < b[0]
+                assert a[1] <= b[1]
+                assert a[2] >= b[2]
 
 
 class TestEer:

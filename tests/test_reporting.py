@@ -347,12 +347,23 @@ class TestRender:
         assert row.split("\t")[1] == f"{cell.eer:.3f}"
 
     def test_markdown_well_formed(self):
-        text = render(full_grid_table(), "grid", "markdown")
-        lines = text.splitlines()
-        assert len(lines) == 2 + 16
-        assert set(lines[1].replace("|", "").split()) == {"---"}
-        widths = {line.count("|") for line in lines}
-        assert widths == {14}
+        grid = full_grid_table()
+        # ids refuse only whitespace and '#', so one may hold a '|'
+        piped = BreakdownTable(
+            {GroupKey(k.attack_id.replace("A17", "A|17"), k.codec_id): c
+             for k, c in grid.cells.items()}, grid.config)
+        for table in (grid, piped):
+            text = render(table, "grid", "markdown")
+            lines = text.splitlines()
+            assert len(lines) == 2 + 16
+            assert set(lines[1].replace("|", "").split()) == {"---"}
+            widths = {line.replace("\\|", "").count("|") for line in lines}
+            assert widths == {14}
+        assert lines[-1].startswith("| A\\|17 | ")  # '|' sorts last
+        by_attack = render(table_of({"A|17": 0.5, "A18": 0.4}, "attack"),
+                           "per_attack", "markdown").splitlines()
+        assert {ln.replace("\\|", "").count("|") for ln in by_attack} == {9}
+        assert by_attack[-1].startswith("| A\\|17 | * | ")
 
     def test_csv_parses_as_rectangle(self):
         text = render(full_grid_table(), "grid", "csv")
