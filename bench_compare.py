@@ -3,7 +3,8 @@
 Runs bench/run.py --trace 0 per workload and seed in a git archive export
 of --base and in the working tree, alternating which goes first, and
 writes BENCH_NAME.json: each side's median, q1, q3 and spread per
-end-to-end metric, the ratio of medians, pairs won, failures and digests.
+end-to-end metric, the ratio of medians, pairs won, whether every change
+run reads better than every base run (separated), failures and digests.
 A run that exits non-zero stops the comparison: the tail of its stderr is
 printed, and the json keeps the workloads already done plus a failed_run
 entry; the exit status is then 1.
@@ -101,6 +102,10 @@ def compare(report, base_tree, spec, seeds):
             for m in sign}
         out["pairs_won"] = {m: sum(sign[m] * (c[0][m] - b[0][m]) > 0
                                    for b, c in pairs) for m in sign}
+        # every change run better than every base run
+        out["separated"] = {
+            m: min(sign[m] * r[0][m] for r in runs["change"])
+            > max(sign[m] * r[0][m] for r in runs["base"]) for m in sign}
         report["workloads"][w] = out
 
 

@@ -6,7 +6,6 @@ import io
 import subprocess
 import tempfile
 import warnings
-import wave
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,13 +152,8 @@ def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
     path = Path(path)
     try:
         if format == "wav16":
-            # open the file first: a failed open then leaves no half-built
-            # Wave_write behind to complain at garbage collection
-            with open(path, "wb") as fh, wave.open(fh, "wb") as w:
-                w.setnchannels(1)
-                w.setsampwidth(2)
-                w.setframerate(buf.sample_rate_hz)
-                w.writeframes(q.astype("<i2").tobytes())
+            from scipy.io import wavfile
+            wavfile.write(path, buf.sample_rate_hz, q.astype("<i2"))
         else:
             blob = flacio.encode_flac(q, buf.sample_rate_hz)
             with open(path, "wb") as fh:

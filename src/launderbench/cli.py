@@ -4,24 +4,22 @@ Subcommands: launder (build the attacked copies), evaluate (scores to
 pooled metrics), report (breakdown tables), noise-check (asset
 validation).
 
-Configuration precedence is CLI flag > config file > default, where the
-config file is key=value text named by the LAUNDERBENCH_CONFIG
-environment variable.  Exit codes: 0 success, 1 usage or input error,
-2 batch finished with some jobs failed.
+Every setting is a flag; `launderbench <command> --help` shows each
+default.  Exit codes: 0 success, 1 usage or input error, 2 batch
+finished with some jobs failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import mp3tool
 from .audio import CodecBackend
 from .dsp import LOADABLE_NOISES, NoiseLibrary
-from .errors import EmptyClass, InvalidParameter, LaunderbenchError
+from .errors import (CorruptFile, EmptyClass, InvalidParameter,
+                     LaunderbenchError)
 from .metrics import MetricConfig
 from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
                        select_subset)
@@ -30,118 +28,6 @@ from .protocol import (JOIN_POLICIES, ScoreColumns, join_scores,
                        parse_scores)
 from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey, axis_keys,
                         compute_breakdown, rank_worst, render, render_skipped)
-
-CONFIG_ENV_VAR = "LAUNDERBENCH_CONFIG"
-
-_DEFAULTS = {
-    "seed": 0,
-    "fraction": 0.1,
-    "jobs": 4,
-    "noise_dir": None,
-    "audio_root": None,
-    "out": None,
-    "encode_cmd": None,
-    "decode_cmd": None,
-    "c_miss": 1.0,
-    "c_fa": 10.0,
-    "pi_spoof": 0.05,
-    "invert_scores": False,
-    "join": "strict",
-    "format": "tsv",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    fraction: float
-    parallelism: int
-    noise_dir: object
-    audio_root: object
-    out_dir: object
-    encode_cmd: object
-    decode_cmd: object
-    metrics: MetricConfig
-    invert_scores: bool
-    join_policy: str
-    table_format: str
-
-    def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise InvalidParameter(
-                f"fraction must lie in (0, 1], got {self.fraction}")
-        if self.parallelism < 1:
-            raise InvalidParameter("jobs must be at least 1")
-        if self.join_policy not in JOIN_POLICIES:
-            raise InvalidParameter(
-                f"join must be strict or intersect, got {self.join_policy!r}")
-        if self.table_format not in FORMATS:
-            raise InvalidParameter(
-                f"format must be tsv, csv, or markdown, "
-                f"got {self.table_format!r}")
-
-
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise InvalidParameter(f"not a boolean: {text!r}")
-
-
-def load_config_file(path) -> dict:
-    """key=value lines with '#' comments; values take their default's type."""
-    values = {}
-    text = Path(path).read_text()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidParameter(
-                f"{path} line {line_no}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise InvalidParameter(f"{path} line {line_no}: unknown key "
-                                   f"{key!r}")
-        default = _DEFAULTS[key]
-        parse = (_parse_bool if isinstance(default, bool)
-                 else str if default is None else type(default))
-        try:
-            values[key] = parse(value)
-        except ValueError:
-            raise InvalidParameter(
-                f"{path} line {line_no}: bad value for {key}: {value!r}"
-            ) from None
-    return values
-
-
-def resolve_config(args) -> RunConfig:
-    """Merge defaults, config file, and CLI flags into one RunConfig."""
-    merged = dict(_DEFAULTS)
-    config_path = os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        merged.update(load_config_file(config_path))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return RunConfig(
-        seed=merged["seed"],
-        fraction=merged["fraction"],
-        parallelism=merged["jobs"],
-        noise_dir=merged["noise_dir"],
-        audio_root=merged["audio_root"],
-        out_dir=merged["out"],
-        encode_cmd=merged["encode_cmd"],
-        decode_cmd=merged["decode_cmd"],
-        metrics=MetricConfig(merged["c_miss"], merged["c_fa"],
-                             merged["pi_spoof"]),
-        invert_scores=bool(merged["invert_scores"]),
-        join_policy=merged["join"],
-        table_format=merged["format"],
-    )
 
 
 def _require(value, flag, kind="path"):
@@ -154,13 +40,22 @@ def _require(value, flag, kind="path"):
     return Path(value)
 
 
-def _resolve_backend(cfg):
+def _read_text(value, flag) -> str:
+    """The UTF-8 text of the file a flag names."""
+    path = _require(value, flag, "file")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise CorruptFile(f"{flag} {path} is not UTF-8 text: {e}") from None
+
+
+def _resolve_backend(args):
     """Explicit templates win; otherwise in-process LAME if it loads."""
-    if cfg.encode_cmd or cfg.decode_cmd:
-        if not (cfg.encode_cmd and cfg.decode_cmd):
+    if args.encode_cmd or args.decode_cmd:
+        if not (args.encode_cmd and args.decode_cmd):
             raise InvalidParameter(
                 "--encode-cmd and --decode-cmd must be given together")
-        return CodecBackend(cfg.encode_cmd, cfg.decode_cmd, "external")
+        return CodecBackend(args.encode_cmd, args.decode_cmd, "external")
     try:
         return mp3tool.default_backend()
     except OSError as e:
@@ -169,52 +64,50 @@ def _resolve_backend(cfg):
         return None
 
 
-def _read_scored(cfg, trials_path, scores_path):
-    trials = manifest_columns(
-        _require(trials_path, "--manifest", "file").read_text())
-    scores = parse_scores(
-        _require(scores_path, "--scores", "file").read_text())
-    if cfg.invert_scores:
+def _read_scored(args):
+    """The metric settings, checked first, and the joined scores."""
+    metrics = MetricConfig(args.c_miss, args.c_fa, args.pi_spoof)
+    trials = manifest_columns(_read_text(args.manifest, "--manifest"))
+    scores = parse_scores(_read_text(args.scores, "--scores"))
+    if args.invert_scores:
         scores = ScoreColumns(scores.ids, -scores.scores)
-    return join_scores(trials, scores, policy=cfg.join_policy)
+    return metrics, join_scores(trials, scores, policy=args.join)
 
 
 def _write_summary(path, items):
     Path(path).write_text("".join(f"{key}={value}\n" for key, value in items))
 
 
-def cmd_launder(cfg: RunConfig, manifest_path) -> int:
-    manifest_file = _require(manifest_path, "--manifest", "file")
-    audio_root = _require(cfg.audio_root, "--audio-root", "dir")
-    noise_dir = _require(cfg.noise_dir, "--noise-dir", "dir")
-    if cfg.out_dir is None:
-        raise InvalidParameter("missing required --out")
-    trials = parse_manifest(manifest_file.read_text())
+def cmd_launder(args) -> int:
+    manifest_text = _read_text(args.manifest, "--manifest")
+    audio_root = _require(args.audio_root, "--audio-root", "dir")
+    noise_dir = _require(args.noise_dir, "--noise-dir", "dir")
+    out_dir = _require(args.out, "--out")
+    trials = parse_manifest(manifest_text)
 
     noises = NoiseLibrary(noise_dir)
     for name in LOADABLE_NOISES:
         noises.get(name)
-    backend = _resolve_backend(cfg)
+    backend = _resolve_backend(args)
 
-    selected = select_subset(trials, cfg.fraction, cfg.seed)
-    jobs = plan_attacks(selected, cfg.seed)
-    report = execute_plan(jobs, audio_root, cfg.out_dir, noises=noises,
-                          backend=backend, parallelism=cfg.parallelism)
+    selected = select_subset(trials, args.fraction, args.seed)
+    jobs = plan_attacks(selected, args.seed)
+    report = execute_plan(jobs, audio_root, out_dir, noises=noises,
+                          backend=backend, parallelism=args.jobs)
 
     failed = {job for job, _ in report.failures}
     succeeded = [j for j in jobs if j not in failed]
     identity = backend.identity if backend is not None else None
-    out_dir = Path(cfg.out_dir)
     (out_dir / "augmented.manifest").write_text(
         emit_augmented_manifest(trials, succeeded, backend_identity=identity))
 
     stats = manifest_stats(trials)
-    summary = [
+    _write_summary(out_dir / "run_summary.txt", [
         ("command", "launder"),
-        ("seed", cfg.seed),
-        ("fraction", cfg.fraction),
-        ("parallelism", cfg.parallelism),
-        ("manifest", manifest_file),
+        ("seed", args.seed),
+        ("fraction", args.fraction),
+        ("parallelism", args.jobs),
+        ("manifest", Path(args.manifest)),
         ("audio_root", audio_root),
         ("noise_dir", noise_dir),
         ("out_dir", out_dir),
@@ -227,8 +120,7 @@ def cmd_launder(cfg: RunConfig, manifest_path) -> int:
         ("jobs_succeeded", report.jobs_succeeded),
         ("jobs_failed", report.jobs_failed),
         ("clip_events", report.clip_events),
-    ]
-    _write_summary(out_dir / "run_summary.txt", summary)
+    ])
 
     for job, error in report.failures:
         print(f"failed {job.output_utterance_id}: {error}", file=sys.stderr)
@@ -238,9 +130,9 @@ def cmd_launder(cfg: RunConfig, manifest_path) -> int:
     return 0 if report.jobs_failed == 0 else 2
 
 
-def cmd_evaluate(cfg: RunConfig, trials_path, scores_path) -> int:
-    scored = _read_scored(cfg, trials_path, scores_path)
-    table = compute_breakdown(scored, cfg.metrics, axes=())
+def cmd_evaluate(args) -> int:
+    metrics, scored = _read_scored(args)
+    table = compute_breakdown(scored, metrics, axes=())
     cell = table.cells.get(GroupKey(POOLED, POOLED))
     if cell is None:
         raise EmptyClass("need at least one bonafide and one spoof score")
@@ -251,13 +143,13 @@ def cmd_evaluate(cfg: RunConfig, trials_path, scores_path) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig, trials_path, scores_path) -> int:
-    scored = _read_scored(cfg, trials_path, scores_path)
-    out_dir = Path(_require(cfg.out_dir, "--out"))
-    table = compute_breakdown(scored, cfg.metrics)
+def cmd_report(args) -> int:
+    metrics, scored = _read_scored(args)
+    out_dir = _require(args.out, "--out")
+    table = compute_breakdown(scored, metrics)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = cfg.table_format
+    fmt = args.format
     prefix = out_dir / "report"
     files = {
         f"{prefix}_pooled.{fmt}": render(table, "pooled", fmt),
@@ -272,17 +164,17 @@ def cmd_report(cfg: RunConfig, trials_path, scores_path) -> int:
         Path(path).write_text(text)
     _write_summary(out_dir / "report_summary.txt", [
         ("command", "report"),
-        ("manifest", trials_path),
-        ("scores", scores_path),
+        ("manifest", args.manifest),
+        ("scores", args.scores),
         ("trials_kept", len(scored.scores)),
         ("unscored_trials", scored.unscored),
         ("orphan_scores", scored.orphans),
         ("skipped_cells", len(table.skipped)),
-        ("join", cfg.join_policy),
-        ("invert_scores", cfg.invert_scores),
-        ("c_miss", cfg.metrics.c_miss),
-        ("c_fa", cfg.metrics.c_fa),
-        ("pi_spoof", cfg.metrics.pi_spoof),
+        ("join", args.join),
+        ("invert_scores", args.invert_scores),
+        ("c_miss", metrics.c_miss),
+        ("c_fa", metrics.c_fa),
+        ("pi_spoof", metrics.pi_spoof),
     ])
 
     for metric in METRIC_NAMES:
@@ -296,8 +188,8 @@ def cmd_report(cfg: RunConfig, trials_path, scores_path) -> int:
     return 0
 
 
-def cmd_noise_check(cfg: RunConfig) -> int:
-    noise_dir = _require(cfg.noise_dir, "--noise-dir", "dir")
+def cmd_noise_check(args) -> int:
+    noise_dir = _require(args.noise_dir, "--noise-dir", "dir")
     library = NoiseLibrary(noise_dir)
     problems = 0
     for name in LOADABLE_NOISES:
@@ -313,8 +205,16 @@ def cmd_noise_check(cfg: RunConfig) -> int:
     return 0 if problems == 0 else 1
 
 
+_COMMANDS = {"launder": cmd_launder, "evaluate": cmd_evaluate,
+             "report": cmd_report, "noise-check": cmd_noise_check}
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse front end with usage errors mapped to exit code 1."""
+    """argparse front end: usage errors exit 1, --help shows defaults."""
+
+    def __init__(self, **kwargs):
+        super().__init__(
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -322,12 +222,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_metric_flags(p):
-    p.add_argument("--c-miss", type=float, dest="c_miss")
-    p.add_argument("--c-fa", type=float, dest="c_fa")
-    p.add_argument("--pi-spoof", type=float, dest="pi_spoof")
-    p.add_argument("--invert-scores", action="store_true", default=None,
-                   dest="invert_scores")
-    p.add_argument("--join", choices=JOIN_POLICIES)
+    p.add_argument("--c-miss", type=float, default=1.0,
+                   help="cost of rejecting a bonafide trial")
+    p.add_argument("--c-fa", type=float, default=10.0,
+                   help="cost of accepting a spoof trial")
+    p.add_argument("--pi-spoof", type=float, default=0.05,
+                   help="prior probability of a spoof")
+    p.add_argument("--invert-scores", action="store_true",
+                   help="negate scores where higher means spoof")
+    p.add_argument("--join", choices=JOIN_POLICIES, default="strict",
+                   help="how trials and scores are matched")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,15 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("launder", help="build attacked copies of a corpus")
     p.add_argument("--manifest")
-    p.add_argument("--audio-root", dest="audio_root")
+    p.add_argument("--audio-root")
     p.add_argument("--out")
-    p.add_argument("--noise-dir", dest="noise_dir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--jobs", type=int,
-                   help="number of sources processed at once (default 4)")
-    p.add_argument("--encode-cmd", dest="encode_cmd")
-    p.add_argument("--decode-cmd", dest="decode_cmd")
+    p.add_argument("--noise-dir")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of subset selection and attack draws")
+    p.add_argument("--fraction", type=float, default=0.1,
+                   help="share of the manifest laundered, in (0, 1]")
+    p.add_argument("--jobs", type=int, default=4,
+                   help="number of sources processed at once")
+    p.add_argument("--encode-cmd")
+    p.add_argument("--decode-cmd")
 
     p = sub.add_parser("evaluate", help="pooled metrics from trial scores")
     p.add_argument("--manifest")
@@ -358,11 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--scores")
     p.add_argument("--out")
-    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("--format", choices=FORMATS, default="tsv",
+                   help="table format")
     _add_metric_flags(p)
 
     p = sub.add_parser("noise-check", help="validate noise assets")
-    p.add_argument("--noise-dir", dest="noise_dir")
+    p.add_argument("--noise-dir")
     return parser
 
 
@@ -373,14 +280,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = resolve_config(args)
-        if args.command == "launder":
-            return cmd_launder(cfg, args.manifest)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.manifest, args.scores)
-        if args.command == "report":
-            return cmd_report(cfg, args.manifest, args.scores)
-        return cmd_noise_check(cfg)
+        return _COMMANDS[args.command](args)
     except (LaunderbenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

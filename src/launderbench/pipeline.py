@@ -16,6 +16,7 @@ fails only its own job.
 
 from __future__ import annotations
 
+import posixpath
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,7 +110,11 @@ def _attack_specs(seed, utt):
 
 
 def plan_attacks(selected, seed: int) -> list:
-    """Expand each selected record into its nine attack jobs."""
+    """Expand each selected record into its nine attack jobs.
+
+    The whole plan is refused, before anything runs, when an id's output
+    path would be absolute or climb out of the output directory.
+    """
     selected = list(selected)
     if not selected:
         raise EmptyInput("cannot plan attacks for an empty selection")
@@ -119,12 +124,18 @@ def plan_attacks(selected, seed: int) -> list:
         for spec in _attack_specs(seed, utt):
             tag = attack_tag(spec)
             out_id = f"{utt}_{tag}"
+            path = f"{utt[:2]}/{out_id}.flac"
+            if posixpath.isabs(path) or \
+                    posixpath.normpath(path).split("/")[0] == "..":
+                raise InvalidParameter(
+                    f"utterance id {utt!r} would write outside the output "
+                    f"directory: {path}")
             jobs.append(AugmentationJob(
                 source=t,
                 spec=spec,
                 job_seed=derive_seed(seed, utt, tag),
                 output_utterance_id=out_id,
-                output_path=f"{utt[:2]}/{out_id}.flac"))
+                output_path=path))
     return jobs
 
 

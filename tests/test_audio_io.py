@@ -1,6 +1,7 @@
 """AudioBuffer, WAV/FLAC reading and writing, and signal statistics."""
 
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ class TestRoundTrips:
         assert back.sample_rate_hz == 16000
         assert len(back) == len(buf)
         assert np.max(np.abs(back.samples - buf.samples)) <= 2.0 ** -15
+
+    @pytest.mark.parametrize("n", [0, 999, 1000])
+    @pytest.mark.parametrize("rate", [16000, 44100])
+    def test_wav16_bytes_match_stdlib_wave(self, tmp_path, n, rate):
+        x = np.random.default_rng(n).uniform(-1.2, 1.2, n)
+        write_audio(AudioBuffer(x, rate), tmp_path / "a.wav", "wav16")
+        q = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
+        with wave.open(str(tmp_path / "ref.wav"), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(rate)
+            w.writeframes(q.tobytes())
+        assert (tmp_path / "a.wav").read_bytes() == \
+            (tmp_path / "ref.wav").read_bytes()
 
     def test_flac_is_lossless_over_quantized_pcm(self, tmp_path):
         rng = np.random.default_rng(5)

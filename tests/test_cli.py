@@ -1,4 +1,4 @@
-"""CLI behavior: config precedence, subcommands, exit codes."""
+"""CLI behavior: flag defaults, subcommands, exit codes."""
 
 import os
 import subprocess
@@ -10,18 +10,12 @@ import pytest
 
 from launderbench import cli, flacio, mp3tool
 from launderbench.audio import AudioBuffer, write_audio
-from launderbench.cli import (CONFIG_ENV_VAR, build_parser, main,
-                              resolve_config)
+from launderbench.cli import build_parser, main
 from launderbench.errors import InvalidParameter
 from launderbench.metrics import gaussian_scores
 from launderbench.protocol import parse_manifest
 
 COPY_BODY = "import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n"
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_config(monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
 
 
 def parse_args(argv):
@@ -81,65 +75,43 @@ def read_summary(out_dir):
 
 
 class TestConfigResolution:
+    """Every setting is a flag; argparse holds the defaults and no
+    environment variable or config file is read."""
+
     def test_defaults(self):
-        cfg = resolve_config(parse_args(["evaluate"]))
-        assert cfg.seed == 0
-        assert cfg.fraction == 0.1
-        assert cfg.parallelism == 4
-        assert cfg.join_policy == "strict"
-        assert cfg.table_format == "tsv"
-        assert cfg.invert_scores is False
-        assert (cfg.metrics.c_miss, cfg.metrics.c_fa,
-                cfg.metrics.pi_spoof) == (1.0, 10.0, 0.05)
-
-    def test_config_file_overrides_defaults(self, tmp_path, monkeypatch):
-        config = tmp_path / "cfg.txt"
-        config.write_text("seed=99\nfraction=0.5\n# comment\n"
-                          "join=intersect\ninvert_scores=yes\n")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
-        cfg = resolve_config(parse_args(["evaluate"]))
-        assert cfg.seed == 99
-        assert cfg.fraction == 0.5
-        assert cfg.join_policy == "intersect"
-        assert cfg.invert_scores is True
-
-    def test_cli_beats_config_file(self, tmp_path, monkeypatch):
-        config = tmp_path / "cfg.txt"
-        config.write_text("seed=99\npi_spoof=0.2\n")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
-        cfg = resolve_config(parse_args(
-            ["evaluate", "--pi-spoof", "0.3"]))
-        assert cfg.seed == 99
-        assert cfg.metrics.pi_spoof == 0.3
-
-    def test_absent_flag_keeps_file_value(self, tmp_path, monkeypatch):
-        config = tmp_path / "cfg.txt"
-        config.write_text("invert_scores=true\n")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
-        assert resolve_config(parse_args(["evaluate"])).invert_scores is True
-
-    @pytest.mark.parametrize("body", ["what is this",
-                                      "unknown_key=3",
-                                      "seed=abc",
-                                      "fraction=2.0"])
-    def test_bad_config_file(self, body, tmp_path, monkeypatch):
-        config = tmp_path / "cfg.txt"
-        config.write_text(body + "\n")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
-        with pytest.raises(InvalidParameter):
-            resolve_config(parse_args(["evaluate"]))
+        launder = parse_args(["launder"])
+        assert (launder.seed, launder.fraction, launder.jobs) == (0, 0.1, 4)
+        for command in ("evaluate", "report"):
+            args = parse_args([command])
+            assert (args.c_miss, args.c_fa, args.pi_spoof) == (1.0, 10.0,
+                                                               0.05)
+            assert args.join == "strict"
+            assert args.invert_scores is False
+        assert parse_args(["report"]).format == "tsv"
 
     def test_missing_config_file(self, tmp_path, monkeypatch, capsys):
         manifest, scores = write_eval_fixture(tmp_path, bon=(1.0,),
                                               spf=(-1.0,))
+        monkeypatch.setenv("LAUNDERBENCH_CONFIG", str(tmp_path / "absent"))
+        assert main(["evaluate", "--manifest", str(manifest),
+                     "--scores", str(scores)]) == 0
+
+    @pytest.mark.parametrize("body", ["what is this",
+                                      "unknown_key=3",
+                                      "seed=abc",
+                                      "fraction=2.0",
+                                      "invert_scores=true"])
+    def test_bad_config_file(self, body, tmp_path, monkeypatch, capsys):
+        manifest, scores = write_eval_fixture(tmp_path)
         argv = ["evaluate", "--manifest", str(manifest),
                 "--scores", str(scores)]
         assert main(argv) == 0
-        absent = tmp_path / "absent.txt"
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(absent))
-        capsys.readouterr()
-        assert main(argv) == 1
-        assert str(absent) in capsys.readouterr().err
+        expected = capsys.readouterr().out
+        config = tmp_path / "cfg.txt"
+        config.write_text(body + "\n")
+        monkeypatch.setenv("LAUNDERBENCH_CONFIG", str(config))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestLaunder:
@@ -262,6 +234,37 @@ class TestLaunder:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        corpus["manifest"].write_bytes(b"u\xff0 bonafide - C00 u0000.flac\n")
+        assert main(launder_argv(corpus, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --manifest ")
+        assert "UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--fraction", "2"]])
+    def test_refused_setting_writes_nothing(self, tmp_path, capsys, flag):
+        corpus = write_corpus(tmp_path)
+        sources = sorted(tmp_path.rglob("*.flac"))
+        out = tmp_path / "out"
+        assert main(launder_argv(corpus, out, flag)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+        assert sorted(tmp_path.rglob("*.flac")) == sources
+
+    def test_escaping_id_writes_nothing(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        sources = sorted(tmp_path.rglob("*.flac"))
+        corpus["manifest"].write_text(
+            "../../evil bonafide - C00 u0000.flac\n")
+        # deep enough that an escape would still land under tmp_path
+        out = tmp_path / "a" / "b" / "out"
+        assert main(launder_argv(corpus, out, ["--fraction", "1.0"])) == 1
+        assert "outside the output directory" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert sorted(tmp_path.rglob("*.flac")) == sources
+
 
 def write_eval_fixture(root, bon=(1.0, 2.0), spf=(-2.0, -1.0)):
     lines, scores = [], []
@@ -368,6 +371,28 @@ class TestEvaluate:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", [["--c-fa", "-inf"], ["--c-fa=-inf"]])
+    def test_negative_cost_is_an_input_error(self, tmp_path, capsys, flag):
+        # argparse reads "-inf" after a space as a flag, so that form
+        # fails as a usage error; a leading "-" is never a valid cost
+        manifest, scores = write_eval_fixture(tmp_path)
+        rc = main(["evaluate", "--manifest", str(manifest),
+                   "--scores", str(scores), *flag])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_scores(self, tmp_path, capsys):
+        manifest, scores = write_eval_fixture(tmp_path)
+        scores.write_bytes(b"b000 1.0\nb001 \xff\n")
+        rc = main(["evaluate", "--manifest", str(manifest),
+                   "--scores", str(scores)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --scores {scores} is not UTF-8")
+        assert "Traceback" not in err
+
     def test_empty_intersection(self, tmp_path, capsys):
         manifest, scores = write_eval_fixture(tmp_path)
         scores.write_text("zzz 0.5\n")
@@ -463,6 +488,17 @@ class TestReport:
         assert len(lines) == 4
         assert all(len(ln.split(",")) == 3 for ln in lines)
 
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        manifest, scores = self.fixture(tmp_path)
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+        rc = main(["report", "--manifest", str(manifest),
+                   "--scores", str(scores), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --manifest {manifest} is not UTF-8")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_parse_failure(self, tmp_path, capsys):
         manifest, scores = self.fixture(tmp_path)
         scores.write_text("oops\n")
@@ -486,7 +522,6 @@ class TestImports:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(cli.__file__).parents[1]),
              env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        env.pop(CONFIG_ENV_VAR, None)
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr

@@ -220,6 +220,17 @@ class TestPlanAttacks:
         with pytest.raises(EmptyInput):
             plan_attacks([], seed=0)
 
+    @pytest.mark.parametrize("utt", ["../../evil", "/tmp/x", "..x"])
+    def test_refuses_ids_that_leave_the_output_dir(self, utt):
+        t = TrialRecord(utt, "bonafide", "-", "C00", "p.flac")
+        with pytest.raises(InvalidParameter, match="outside the output"):
+            plan_attacks(make_trials(2) + [t], seed=0)
+
+    def test_dotted_id_stays_inside(self):
+        t = TrialRecord("a.b", "bonafide", "-", "C00", "p.flac")
+        assert {j.output_path.split("/")[0]
+                for j in plan_attacks([t], seed=0)} == {"a."}
+
     # recorded from the hand-written plan that dsp.ATTACK_GRID replaced; a
     # renamed draw slot, a reordered grid or a changed tag changes them
     @pytest.mark.parametrize("seed,digest", [
