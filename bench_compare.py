@@ -7,7 +7,9 @@ end-to-end metric, the ratio of medians, pairs won, whether every change
 run reads better than every base run (separated), failures and digests.
 A run that exits non-zero stops the comparison: the tail of its stderr is
 printed, and the json keeps the workloads already done plus a failed_run
-entry; the exit status is then 1.
+entry; the exit status is then 1.  It is 1 as well when a workload breaks
+a protocol gate: its digests differ between the sides, or a run of either
+side counts a failed operation.
 """
 
 import argparse
@@ -109,6 +111,14 @@ def compare(report, base_tree, spec, seeds):
         report["workloads"][w] = out
 
 
+def broken_gates(report):
+    """One line per workload whose digests differ or whose runs failed."""
+    return [f"{w}: protocol gate broken: digests_equal="
+            f"{out['digests_equal']}, failed={out['failed']}"
+            for w, out in report["workloads"].items()
+            if not out["digests_equal"] or any(out["failed"].values())]
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
@@ -132,7 +142,10 @@ def main():
         compare(report, tmp, spec, args.seeds)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
-    if "failed_run" in report:
+    broken = broken_gates(report)
+    for line in broken:
+        print(line, file=sys.stderr)
+    if "failed_run" in report or broken:
         sys.exit(1)
 
 

@@ -123,6 +123,8 @@ def read_audio(path) -> AudioBuffer:
         if data.ndim != 1:
             raise MultichannelInput(
                 f"{path}: {data.shape[1]} channels, only mono is supported")
+        if data.dtype.kind == "f" and not np.isfinite(data).all():
+            raise CorruptFile(f"{path}: float samples include NaN or infinity")
         return AudioBuffer(_scale_to_float(data), rate)
 
     if blob[:4] == b"fLaC" or blob[:3] == b"ID3":

@@ -18,8 +18,8 @@ from pathlib import Path
 from . import mp3tool
 from .audio import CodecBackend
 from .dsp import LOADABLE_NOISES, NoiseLibrary
-from .errors import (CorruptFile, EmptyClass, InvalidParameter,
-                     LaunderbenchError)
+from .errors import (CorruptFile, DuplicateId, EmptyClass,
+                     InvalidParameter, LaunderbenchError)
 from .metrics import MetricConfig
 from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
                        select_subset)
@@ -79,6 +79,8 @@ def _write_summary(path, items):
 
 
 def cmd_launder(args) -> int:
+    if args.jobs < 1:
+        raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
     manifest_text = _read_text(args.manifest, "--manifest")
     audio_root = _require(args.audio_root, "--audio-root", "dir")
     noise_dir = _require(args.noise_dir, "--noise-dir", "dir")
@@ -92,6 +94,14 @@ def cmd_launder(args) -> int:
 
     selected = select_subset(trials, args.fraction, args.seed)
     jobs = plan_attacks(selected, args.seed)
+    # every output id joins the manifest's ids in augmented.manifest
+    taken = {t.utterance_id for t in trials}
+    for job in jobs:
+        if job.output_utterance_id in taken:
+            raise DuplicateId(
+                f"output id {job.output_utterance_id!r} would appear more "
+                f"than once in augmented.manifest")
+        taken.add(job.output_utterance_id)
     report = execute_plan(jobs, audio_root, out_dir, noises=noises,
                           backend=backend, parallelism=args.jobs)
 

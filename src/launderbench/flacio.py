@@ -496,6 +496,9 @@ def encode_flac(samples, sample_rate, blocksize=BLOCKSIZE):
         raise ValueError("samples must be one-dimensional")
     n = len(s)
     _check_streaminfo(n, sample_rate, blocksize)
+    if n and not -32768 <= s.min() <= s.max() <= 32767:
+        raise InvalidParameter(
+            f"samples must lie in -32768..32767, got {s.min()}..{s.max()}")
     md5 = hashlib.md5(s.astype("<i2").tobytes()).digest()
 
     frames = []

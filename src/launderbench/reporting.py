@@ -63,28 +63,15 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
         raise InvalidParameter(
             f"axes must be a subset of {{'attack', 'codec'}}, got {set(axes)}")
 
-    # one sort puts every (class, codec, attack) group in a run of its
-    # own, bonafide first, with the group's scores ascending; an axis not
-    # asked for stays out of the sort and is one run named POOLED
+    # an attack cell holds every bonafide row, since bonafide rows carry
+    # no attack; ids come from the kept rows, which an intersect join may
+    # have emptied of some attack or codec
     spoof = ~scored.bonafide
-    pooled = np.zeros_like(scored.codec)
-    codec, codec_names = ((scored.codec, scored.codecs) if "codec" in axes
-                          else (pooled, (POOLED,)))
-    attack, attack_names = ((scored.attack, scored.attacks)
-                            if "attack" in axes else (pooled, (POOLED,)))
-    order = np.lexsort([k for k in (scored.scores, attack, codec)
-                        if k is not pooled] + [spoof])
-    values = scored.scores[order]
-    group_of = np.stack((spoof[order], codec[order], attack[order]))
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (group_of[:, 1:] != group_of[:, :-1]).any(axis=0))))
-    ends = np.append(starts[1:], len(values))
-    groups = [(bool(is_spoof), codec_names[c], attack_names[a], lo, hi)
-              for (is_spoof, c, a), lo, hi in zip(
-                  group_of[:, starts].T.tolist(), starts.tolist(),
-                  ends.tolist())]
-    attacks = sorted({a for spf, _, a, _, _ in groups if spf})
-    codecs = sorted({c for _, c, _, _, _ in groups})
+    attack_rows = {scored.attacks[a]: scored.bonafide | (scored.attack == a)
+                   for a in np.unique(scored.attack[spoof]).tolist()}
+    codec_rows = {scored.codecs[c]: scored.codec == c
+                  for c in np.unique(scored.codec).tolist()}
+    attacks, codecs = sorted(attack_rows), sorted(codec_rows)
 
     keys = [GroupKey(POOLED, POOLED)]
     if "attack" in axes:
@@ -94,21 +81,17 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
     if axes == {"attack", "codec"}:
         keys.extend(GroupKey(a, c) for a in attacks for c in codecs)
 
-    def gather(key, bonafide):
-        # bonafide groups match any attack key, since they carry no attack
-        runs = [values[lo:hi] for spf, c, a, lo, hi in groups
-                if spf != bonafide
-                and (bonafide or key.attack_id in (POOLED, a))
-                and key.codec_id in (POOLED, c)]
-        if len(runs) == 1:
-            return runs[0]
-        return np.sort(np.concatenate(runs)) if runs else None
-
     cells = {}
     skipped = []
     for key in keys:
-        bon, spf = gather(key, True), gather(key, False)
-        if bon is None or spf is None:
+        rows = True   # the pooled cell keeps every row
+        if key.attack_id != POOLED:
+            rows = attack_rows[key.attack_id]
+        if key.codec_id != POOLED:
+            rows = rows & codec_rows[key.codec_id]
+        bon = np.sort(scored.scores[rows & scored.bonafide])
+        spf = np.sort(scored.scores[rows & spoof])
+        if len(bon) == 0 or len(spf) == 0:
             skipped.append(key)
             continue
         s = ScoreSet(bon, spf)

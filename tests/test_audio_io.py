@@ -197,6 +197,13 @@ class TestErrors:
         with pytest.raises(CorruptFile):
             read_audio(tmp_path / "b.flac")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_wav(self, tmp_path, bad):
+        path = tmp_path / "w.wav"
+        make_wav(path, struct.pack("<fff", 0.25, bad, -0.5), bits=32, fmt=3)
+        with pytest.raises(CorruptFile, match=str(path)):
+            read_audio(path)
+
     def test_compressed_wav_subformat(self, tmp_path):
         make_wav(tmp_path / "w.wav", b"\x00" * 8, fmt=0x11)  # IMA ADPCM
         with pytest.raises((UnsupportedFormat, CorruptFile)):

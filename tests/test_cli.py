@@ -249,7 +249,10 @@ class TestLaunder:
         sources = sorted(tmp_path.rglob("*.flac"))
         out = tmp_path / "out"
         assert main(launder_argv(corpus, out, flag)) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if flag[0] == "--jobs":
+            assert err == "error: --jobs must be at least 1, got 0\n"
         assert not out.exists()
         assert sorted(tmp_path.rglob("*.flac")) == sources
 
@@ -264,6 +267,26 @@ class TestLaunder:
         assert "outside the output directory" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
         assert sorted(tmp_path.rglob("*.flac")) == sources
+
+    def test_relaunder_clash_writes_nothing(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        first = tmp_path / "first"
+        argv = ["--fraction", "1.0", "--seed", "3"]
+        assert main(launder_argv(corpus, first, argv)) == 0
+        outputs = sorted(first.rglob("*.flac"))
+        augmented = first / "augmented.manifest"
+        capsys.readouterr()
+        # the same seed plans every output id of the first run again
+        again = dict(corpus, manifest=augmented)
+        second = tmp_path / "second"
+        assert main(launder_argv(again, second, argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output id ")
+        named = err.split("'")[1]
+        records = parse_manifest(augmented.read_text())
+        assert named in [r.utterance_id for r in records[10:]]
+        assert not second.exists()
+        assert sorted(first.rglob("*.flac")) == outputs
 
 
 def write_eval_fixture(root, bon=(1.0, 2.0), spf=(-2.0, -1.0)):

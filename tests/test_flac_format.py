@@ -594,6 +594,14 @@ def test_encoder_rejects_36_bit_total():
     flacio._check_streaminfo((1 << 36) - 1, 16000, 4096)
 
 
+@pytest.mark.parametrize("bad", [32768, -32769, 40000])
+def test_encoder_rejects_samples_beyond_16_bits(bad):
+    x = np.zeros(100, dtype=np.int64)
+    x[37] = bad
+    with pytest.raises(InvalidParameter, match="-32768..32767"):
+        flacio.encode_flac(x, 16000)
+
+
 # ---------------------------------------------------------- corrupt streams
 
 def prediction_overflow_stream(n=4800):

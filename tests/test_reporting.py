@@ -2,6 +2,7 @@
 
 import csv
 import io
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -194,16 +195,35 @@ def random_trials(n, seed):
                                   ("attack", "codec")])
 def test_breakdown_matches_mask_reference(axes):
     bonafide, attack, codec, scores = random_trials(20_000, 5)
-    manifest = "".join(
+    manifest = manifest_columns("".join(
         f"t{i:05d} {'bonafide' if b else 'spoof'} {a} {c} p\n"
-        for i, (b, a, c) in enumerate(zip(bonafide, attack, codec)))
-    score_text = "".join(f"t{i:05d} {v!r}\n"
-                         for i, v in enumerate(scores.tolist()))
+        for i, (b, a, c) in enumerate(zip(bonafide, attack, codec))))
     cfg = MetricConfig()
-    table = compute_breakdown(
-        join_scores(manifest_columns(manifest), parse_scores(score_text)),
-        cfg, axes=axes)
+    # the second score file omits every trial of codec C2 and of attack
+    # A03: the intersect join keeps both in its vocabularies but in no row,
+    # so cell ids must come from the kept rows
+    dropped = (codec == "C2") | (attack == "A03")
+    for kept, policy in ((np.ones_like(dropped), "strict"),
+                         (~dropped, "intersect")):
+        score_text = "".join(f"t{i:05d} {v!r}\n" for i, v in enumerate(
+            scores.tolist()) if kept[i])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            joined = join_scores(manifest, parse_scores(score_text), policy)
+        table = compute_breakdown(joined, cfg, axes=axes)
+        reference = mask_reference(bonafide[kept], attack[kept],
+                                   codec[kept], scores[kept], cfg, axes)
+        assert list(table.cells) == list(reference.cells)
+        assert table == reference
+        if "codec" in axes:
+            assert GroupKey("*", "C9") in table.skipped
+    assert all("C2" != k.codec_id and "A03" != k.attack_id
+               for k in list(table.cells) + list(table.skipped))
 
+
+def mask_reference(bonafide, attack, codec, scores, cfg, axes):
+    """The table compute_breakdown should give, one boolean mask per cell;
+    attack and codec ids come from the rows given."""
     attack_ids = sorted(set(attack.tolist()) - {"-"})
     codec_ids = sorted(set(codec.tolist()))
     keys = [GroupKey("*", "*")]
@@ -227,12 +247,7 @@ def test_breakdown_matches_mask_reference(axes):
         s = ScoreSet(np.sort(scores[bon]), np.sort(scores[spf]))
         cells[key] = CellMetrics(min_dcf(s, cfg), act_dcf(s, cfg), cllr(s),
                                  eer(s), int(bon.sum()), int(spf.sum()))
-
-    assert list(table.cells) == list(cells)
-    assert table.cells == cells
-    assert table.skipped == tuple(skipped)
-    if "codec" in axes:
-        assert GroupKey("*", "C9") in table.skipped
+    return BreakdownTable(cells, cfg, tuple(skipped))
 
 
 class TestRankWorst:
