@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.1,
                    help="share of the manifest laundered, in (0, 1]")
     p.add_argument("--jobs", type=int, default=4,
-                   help="number of sources processed at once")
+                   help="sources processed at once, each in a forked "
+                        "worker process that holds its own decoded source; "
+                        "1 runs inline")
     p.add_argument("--encode-cmd")
     p.add_argument("--decode-cmd")
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every error survives a pickle round trip with its message and attributes,
+since results cross from worker processes to the parent.
+"""
 
 
 class LaunderbenchError(Exception):
@@ -67,6 +71,9 @@ class MalformedLine(LaunderbenchError):
         self.line_no = line_no
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.line_no, self.reason)
+
 
 class DuplicateId(LaunderbenchError):
     """The same utterance id appears more than once in a manifest."""
@@ -83,6 +90,9 @@ class MissingScore(LaunderbenchError):
         super().__init__(f"{len(ids)} trial(s) without a score, e.g. {sorted(ids)[:5]}")
         self.ids = ids
 
+    def __reduce__(self):
+        return type(self), (self.ids,)
+
 
 class OrphanScore(LaunderbenchError):
     """Strict join: scores without a matching trial."""
@@ -90,6 +100,9 @@ class OrphanScore(LaunderbenchError):
     def __init__(self, ids):
         super().__init__(f"{len(ids)} score(s) without a trial, e.g. {sorted(ids)[:5]}")
         self.ids = ids
+
+    def __reduce__(self):
+        return type(self), (self.ids,)
 
 
 # --- metrics / reporting ---
@@ -110,3 +123,7 @@ class EmptyInput(LaunderbenchError):
 
 class ZeroSelection(LaunderbenchError):
     """fraction * N floors to zero; nothing would be selected."""
+
+
+class WorkerDied(LaunderbenchError):
+    """A worker process ended before returning its sources' results."""

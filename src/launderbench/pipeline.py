@@ -11,13 +11,17 @@ worker scheduling.
 Execution runs one task per source: the source is read once, and its
 attacks and writes run in plan order on that one decoded buffer.  A
 failed read fails exactly that source's jobs; a failed attack or write
-fails only its own job.
+fails only its own job.  With more than one source and parallelism
+above 1, sources run in forked worker processes; otherwise they run
+inline, in the calling process, on the same code path.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import posixpath
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +29,7 @@ from pathlib import Path
 from .audio import read_audio, write_audio
 from .dsp import ATTACK_GRID, AttackSpec, apply_attack
 from .errors import (EmptyInput, InvalidParameter, IoFailure,
-                     LaunderbenchError, ZeroSelection)
+                     LaunderbenchError, WorkerDied, ZeroSelection)
 from .protocol import emit_manifest
 from .rng import derive_seed, make_rng
 
@@ -139,6 +143,43 @@ def plan_attacks(selected, seed: int) -> list:
     return jobs
 
 
+def _run_source(state, task):
+    """One source's jobs: one read, then each attack and write in plan
+    order; (clips, error) per job."""
+    jobs, audio_root, out_dir, noises, backend = state
+    source_path, indices = task
+    try:
+        buf = read_audio(audio_root / source_path)
+    except (LaunderbenchError, OSError) as e:
+        return [(0, e)] * len(indices)
+    # an attack that wrote into its input would corrupt the others
+    buf.samples.flags.writeable = False
+    results = []
+    for i in indices:
+        job = jobs[i]
+        try:
+            out = apply_attack(buf, job.spec, job.job_seed, noises=noises,
+                               backend=backend)
+            dest = out_dir / job.output_path
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            results.append((write_audio(out, dest, format="flac"), None))
+        except (LaunderbenchError, OSError) as e:
+            results.append((0, e))
+    return results
+
+
+_worker_state = None   # set only inside a worker process, by _bind_worker
+
+
+def _bind_worker(*state):
+    global _worker_state
+    _worker_state = state
+
+
+def _run_in_worker(task):
+    return _run_source(_worker_state, task)
+
+
 def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
                  parallelism: int = 4) -> AugmentReport:
     """Run jobs against audio under audio_root, writing FLAC to out_dir.
@@ -146,10 +187,18 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
     Jobs are grouped by source path in first-seen order, and each group
     is one task: one read, then its attacks and writes in plan order on
     the shared, read-only decoded buffer.  Up to `parallelism` sources
-    run at once.  Failures are collected in the report, in job order,
-    instead of aborting the batch: an unreadable source fails exactly
-    its own jobs with the read's error, and a failed attack or write
-    fails only its job.  Only an unusable out_dir is fatal.
+    run at once, each in a forked worker process that inherits the jobs,
+    noises and codec backend; only (source path, job indices) and the
+    results cross the pipe.  Each worker holds its own decoded source, so
+    memory grows with `parallelism`, and a warning raised in a worker is
+    printed by that worker.  With parallelism 1 or a single source the
+    sources run inline.
+
+    Failures are collected in the report, in job order, instead of
+    aborting the batch: an unreadable source fails exactly its own jobs
+    with the read's error, and a failed attack or write fails only its
+    job.  Only an unusable out_dir or a worker process that dies is
+    fatal.
     """
     jobs = list(jobs)
     if parallelism < 1:
@@ -169,32 +218,19 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
         groups.setdefault(job.source.source_path, []).append(i)
     groups = list(groups.items())
 
-    def run_one(buf, job):
-        try:
-            out = apply_attack(buf, job.spec, job.job_seed, noises=noises,
-                               backend=backend)
-            dest = out_dir / job.output_path
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            return write_audio(out, dest, format="flac"), None
-        except (LaunderbenchError, OSError) as e:
-            return 0, e
-
-    def run_source(group):
-        source_path, indices = group
-        try:
-            buf = read_audio(audio_root / source_path)
-        except (LaunderbenchError, OSError) as e:
-            return [(0, e)] * len(indices)
-        # an attack that wrote into its input would corrupt the others
-        buf.samples.flags.writeable = False
-        return [run_one(buf, jobs[i]) for i in indices]
-
+    state = (jobs, audio_root, out_dir, noises, backend)
     workers = min(parallelism, len(groups))
     if workers <= 1:
-        outcomes = [run_source(g) for g in groups]
+        outcomes = [_run_source(state, g) for g in groups]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_source, groups))
+        try:
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_bind_worker, initargs=state) as pool:
+                outcomes = list(pool.map(_run_in_worker, groups))
+        except BrokenProcessPool:
+            raise WorkerDied("a worker process died before finishing its "
+                             "sources") from None
     results = [None] * len(jobs)
     for (_, indices), outcome in zip(groups, outcomes):
         for i, result in zip(indices, outcome):

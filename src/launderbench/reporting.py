@@ -67,10 +67,14 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
     # no attack; ids come from the kept rows, which an intersect join may
     # have emptied of some attack or codec
     spoof = ~scored.bonafide
-    attack_rows = {scored.attacks[a]: scored.bonafide | (scored.attack == a)
-                   for a in np.unique(scored.attack[spoof]).tolist()}
-    codec_rows = {scored.codecs[c]: scored.codec == c
-                  for c in np.unique(scored.codec).tolist()}
+    attack_rows = codec_rows = {}
+    if "attack" in axes:
+        attack_rows = {
+            scored.attacks[a]: scored.bonafide | (scored.attack == a)
+            for a in np.unique(scored.attack[spoof]).tolist()}
+    if "codec" in axes:
+        codec_rows = {scored.codecs[c]: scored.codec == c
+                      for c in np.unique(scored.codec).tolist()}
     attacks, codecs = sorted(attack_rows), sorted(codec_rows)
 
     keys = [GroupKey(POOLED, POOLED)]

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from launderbench import cli, flacio, mp3tool
+from launderbench import cli, flacio, mp3tool, pipeline
 from launderbench.audio import AudioBuffer, write_audio
 from launderbench.cli import build_parser, main
 from launderbench.errors import InvalidParameter
 from launderbench.metrics import gaussian_scores
+from launderbench.pipeline import plan_attacks
 from launderbench.protocol import parse_manifest
 
 COPY_BODY = "import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n"
@@ -287,6 +288,60 @@ class TestLaunder:
         assert named in [r.utterance_id for r in records[10:]]
         assert not second.exists()
         assert sorted(first.rglob("*.flac")) == outputs
+
+    def test_jobs_do_not_change_outputs(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n_files=3)
+        manifest = corpus["manifest"]
+        manifest.write_text(manifest.read_text()
+                            + "u9999 spoof A17 C00 missing.flac\n")
+        out = tmp_path / "out"
+        runs = {}
+        for jobs in ("1", "2"):
+            argv = ["--fraction", "1.0", "--seed", "9", "--jobs", jobs]
+            assert main(launder_argv(corpus, out, argv)) == 2
+            err = capsys.readouterr().err
+            failed = [line for line in err.splitlines()
+                      if line.startswith("failed ")]
+            summary = read_summary(out)
+            runs[jobs] = (out.rename(tmp_path / f"j{jobs}"), failed, summary)
+        (j1, failed1, summary1), (j2, failed2, summary2) = runs.values()
+        assert len(failed1) == 9
+        assert failed1 == failed2
+        assert summary1.pop("parallelism") == "1"
+        assert summary2.pop("parallelism") == "2"
+        assert summary1 == summary2
+        names = sorted(p.relative_to(j1) for p in j1.rglob("*")
+                       if p.is_file())
+        assert sorted(p.relative_to(j2) for p in j2.rglob("*")
+                      if p.is_file()) == names
+        assert sum(1 for n in names if "_recompression_" in n.name) == 3
+        for name in names:
+            if name.name != "run_summary.txt":
+                assert (j1 / name).read_bytes() == (j2 / name).read_bytes()
+
+    def test_dead_worker_writes_no_manifest(self, tmp_path, capsys,
+                                            monkeypatch):
+        corpus = write_corpus(tmp_path, n_files=3)
+        doomed = plan_attacks(parse_manifest(corpus["manifest"].read_text()),
+                              seed=0)[13].job_seed
+        parent = os.getpid()
+        apply_attack = pipeline.apply_attack
+
+        def dying_attack(buf, spec, job_seed, **kwargs):
+            if job_seed == doomed:
+                assert os.getpid() != parent, "job ran inline"
+                os._exit(7)
+            return apply_attack(buf, spec, job_seed, **kwargs)
+
+        monkeypatch.setattr(pipeline, "apply_attack", dying_attack)
+        out = tmp_path / "out"
+        argv = ["--fraction", "1.0", "--seed", "0", "--jobs", "2"]
+        assert main(launder_argv(corpus, out, argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "augmented.manifest").exists()
+        assert not (out / "run_summary.txt").exists()
 
 
 def write_eval_fixture(root, bon=(1.0, 2.0), spf=(-2.0, -1.0)):

@@ -347,10 +347,12 @@ class TestExecutePlan:
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_each_source_read_once(self, corpus, tmp_path, monkeypatch,
                                    parallelism):
-        reads = []
+        # forked workers share the file, not the test's memory
+        log = tmp_path / "reads.log"
 
         def counting_read(path):
-            reads.append(path.name)
+            with open(log, "a") as fh:
+                fh.write(path.name + "\n")
             return read_audio(path)
 
         monkeypatch.setattr(pipeline, "read_audio", counting_read)
@@ -359,16 +361,18 @@ class TestExecutePlan:
                               noises=corpus["noises"], backend=fake_codec,
                               parallelism=parallelism)
         assert report.jobs_failed == 0
+        reads = log.read_text().splitlines()
         assert Counter(reads) == {t.source_path: 1
                                   for t in corpus["trials"][:2]}
 
         # alternate a healthy and a missing source, without a codec
-        reads.clear()
+        log.unlink()
         broken = TrialRecord("zz999", "spoof", "A01", "C00", "zz999.flac")
         pair = plan_attacks([corpus["trials"][0], broken], seed=8)
         jobs = [j for both in zip(pair[:9], pair[9:]) for j in both]
         report = execute_plan(jobs, corpus["audio_root"], tmp_path / "mixed",
                               noises=corpus["noises"], parallelism=parallelism)
+        reads = log.read_text().splitlines()
         assert Counter(reads) == {corpus["trials"][0].source_path: 1,
                                   "zz999.flac": 1}
         assert [j for j, _ in report.failures] == [
