@@ -1,11 +1,11 @@
 """Detection metrics over bonafide/spoof score sets.
 
 Scores follow the higher-is-more-bonafide convention and, for act_dcf and
-cllr, are interpreted as natural-log likelihood ratios.  The threshold
-sweep places candidate thresholds at midpoints between consecutive
-distinct pooled scores plus -inf/+inf sentinels; a miss is a bonafide
-score strictly below the threshold, a false accept is a spoof score at
-or above it.
+cllr, are interpreted as natural-log likelihood ratios.  The sweep cuts
+between consecutive distinct pooled scores, and below and above them all;
+a miss is a bonafide score below a cut, a false accept a spoof score
+above it.  Counts are cumulative class counts over the ascending scores,
+so no threshold, and no float midpoint, is ever computed.
 """
 
 from __future__ import annotations
@@ -63,33 +63,36 @@ class ScoreSet:
         return arr
 
 
-def _require(s: ScoreSet):
-    if len(s.bonafide) == 0 or len(s.spoof) == 0:
+def _require(n_bon: int, n_spf: int):
+    if n_bon == 0 or n_spf == 0:
         raise EmptyClass("need at least one bonafide and one spoof score")
 
 
-def _sweep(s: ScoreSet):
-    """Candidate thresholds with miss / false-accept counts at each."""
-    bon = np.sort(s.bonafide)
-    spf = np.sort(s.spoof)
-    pooled = np.unique(np.concatenate((bon, spf)))
-    thresholds = np.concatenate((
-        [-np.inf], (pooled[:-1] + pooled[1:]) / 2.0, [np.inf]))
-    n_miss = np.searchsorted(bon, thresholds, side="left")
-    n_fa = len(spf) - np.searchsorted(spf, thresholds, side="left")
-    return thresholds, n_miss, n_fa, len(bon), len(spf)
+def error_counts(scores: np.ndarray, is_bon: np.ndarray) -> tuple:
+    """Miss and false-accept counts at each cut, then the class sizes.
 
-
-def min_dcf_and_eer(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> tuple:
-    """minDCF and EER (percent) from one threshold sweep.
-
-    The EER is taken at the nearest crossing; its |p_miss - p_fa|
-    comparison runs on exact integer cross products so that rational ties
-    resolve to the smaller threshold instead of whichever side float
-    rounding happens to favor.
+    scores are ascending, in any order within a run of equal scores, and
+    is_bon flags the bonafide ones.  Cut k lies above the k smallest
+    distinct scores.
     """
-    _require(s)
-    _, n_miss, n_fa, nb, ns = _sweep(s)
+    nb = int(np.count_nonzero(is_bon))
+    ns = len(is_bon) - nb
+    _require(nb, ns)
+    # rows below each cut: none, those before each later run, then all
+    below = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1], True])
+    n_miss = np.append(0, np.cumsum(is_bon))[below]
+    return n_miss, ns - (below - n_miss), nb, ns
+
+
+def min_dcf_and_eer(scores: np.ndarray, is_bon: np.ndarray,
+                    cfg: MetricConfig = MetricConfig()) -> tuple:
+    """minDCF and EER (percent) of ascending scores with class flags.
+
+    The EER is taken at the nearest crossing, found on exact integer
+    cross products so that rational ties resolve to the lower cut, not to
+    whichever side float rounding happens to favor.
+    """
+    n_miss, n_fa, nb, ns = error_counts(scores, is_bon)
     w_miss = cfg.c_miss * (1.0 - cfg.pi_spoof)
     w_fa = cfg.c_fa * cfg.pi_spoof
     costs = w_miss * (n_miss / nb) + w_fa * (n_fa / ns)
@@ -98,14 +101,21 @@ def min_dcf_and_eer(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> tuple:
     return dcf, 100.0 * (n_miss[i] / nb + n_fa[i] / ns) / 2.0
 
 
+def _ascending(s: ScoreSet) -> tuple:
+    """Both classes merged in ascending order, and the bonafide flags."""
+    scores = np.concatenate((s.bonafide, s.spoof))
+    order = np.argsort(scores)
+    return scores[order], order < len(s.bonafide)
+
+
 def eer(s: ScoreSet) -> float:
-    """Equal error rate in percent at the nearest-crossing threshold."""
-    return min_dcf_and_eer(s)[1]
+    """Equal error rate in percent at the nearest-crossing cut."""
+    return min_dcf_and_eer(*_ascending(s))[1]
 
 
 def min_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
-    """Minimum normalized detection cost over the threshold sweep."""
-    return min_dcf_and_eer(s, cfg)[0]
+    """Minimum normalized detection cost over the sweep."""
+    return min_dcf_and_eer(*_ascending(s), cfg)[0]
 
 
 def bayes_threshold(cfg: MetricConfig = MetricConfig()) -> float:
@@ -116,7 +126,7 @@ def bayes_threshold(cfg: MetricConfig = MetricConfig()) -> float:
 
 def act_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
     """Normalized detection cost at the fixed Bayes threshold."""
-    _require(s)
+    _require(len(s.bonafide), len(s.spoof))
     tau = bayes_threshold(cfg)
     p_miss = int(np.count_nonzero(s.bonafide < tau)) / len(s.bonafide)
     p_fa = int(np.count_nonzero(s.spoof >= tau)) / len(s.spoof)
@@ -131,7 +141,7 @@ def cllr(s: ScoreSet) -> float:
     Each term is converted to bits before averaging, which keeps the
     all-zero-scores case at exactly 1.0 for every class size.
     """
-    _require(s)
+    _require(len(s.bonafide), len(s.spoof))
     bon_bits = np.logaddexp(0.0, -s.bonafide) / _LN2
     spf_bits = np.logaddexp(0.0, s.spoof) / _LN2
     return float(0.5 * (bon_bits.mean() + spf_bits.mean()))

@@ -107,13 +107,6 @@ class ScoredTrials:
     orphans: int
 
 
-@dataclass(frozen=True)
-class ManifestStats:
-    total: int
-    bonafide: int
-    spoof: int
-
-
 def _content_lines(text):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -292,11 +285,6 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
     return ScoredTrials(ids, trials.bonafide[keep], trials.attack[keep],
                         trials.attacks, trials.codec[keep], trials.codecs,
                         by_row[keep], len(missing), len(orphans))
-
-
-def manifest_stats(trials) -> ManifestStats:
-    bonafide = sum(1 for t in trials if t.label == "bonafide")
-    return ManifestStats(len(trials), bonafide, len(trials) - bonafide)
 
 
 def emit_manifest(trials) -> str:

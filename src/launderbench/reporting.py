@@ -53,8 +53,8 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
 
     scored is a protocol.ScoredTrials.  axes = {} gives only the pooled
     cell; {"attack"} adds per-attack cells; {"codec"} adds per-codec;
-    both add the full attack x codec grid.  Scores are sorted within each
-    cell so results do not depend on trial input order.
+    both add the full attack x codec grid.  Scores are sorted once, so
+    every cell is ascending and results do not depend on input order.
     """
     if len(scored.scores) == 0:
         raise EmptyInput("no scored trials to break down")
@@ -63,45 +63,47 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
         raise InvalidParameter(
             f"axes must be a subset of {{'attack', 'codec'}}, got {set(axes)}")
 
+    order = np.argsort(scored.scores)
+    scores, bonafide = scored.scores[order], scored.bonafide[order]
     # an attack cell holds every bonafide row, since bonafide rows carry
     # no attack; ids come from the kept rows, which an intersect join may
     # have emptied of some attack or codec
-    spoof = ~scored.bonafide
     attack_rows = codec_rows = {}
     if "attack" in axes:
+        attack = scored.attack[order]
         attack_rows = {
-            scored.attacks[a]: scored.bonafide | (scored.attack == a)
-            for a in np.unique(scored.attack[spoof]).tolist()}
+            scored.attacks[a]: bonafide | (attack == a)
+            for a in np.unique(attack[~bonafide]).tolist()}
     if "codec" in axes:
-        codec_rows = {scored.codecs[c]: scored.codec == c
-                      for c in np.unique(scored.codec).tolist()}
+        codec = scored.codec[order]
+        codec_rows = {scored.codecs[c]: codec == c
+                      for c in np.unique(codec).tolist()}
     attacks, codecs = sorted(attack_rows), sorted(codec_rows)
 
+    # an axis that was not asked for has no ids, so it adds no cells
     keys = [GroupKey(POOLED, POOLED)]
-    if "attack" in axes:
-        keys.extend(GroupKey(a, POOLED) for a in attacks)
-    if "codec" in axes:
-        keys.extend(GroupKey(POOLED, c) for c in codecs)
-    if axes == {"attack", "codec"}:
-        keys.extend(GroupKey(a, c) for a in attacks for c in codecs)
+    keys.extend(GroupKey(a, POOLED) for a in attacks)
+    keys.extend(GroupKey(POOLED, c) for c in codecs)
+    keys.extend(GroupKey(a, c) for a in attacks for c in codecs)
 
     cells = {}
     skipped = []
     for key in keys:
-        rows = True   # the pooled cell keeps every row
+        mask = True   # the pooled cell keeps every row
         if key.attack_id != POOLED:
-            rows = attack_rows[key.attack_id]
+            mask = attack_rows[key.attack_id]
         if key.codec_id != POOLED:
-            rows = rows & codec_rows[key.codec_id]
-        bon = np.sort(scored.scores[rows & scored.bonafide])
-        spf = np.sort(scored.scores[rows & spoof])
-        if len(bon) == 0 or len(spf) == 0:
+            mask = mask & codec_rows[key.codec_id]
+        # one pass over the mask serves both gathers
+        rows = slice(None) if mask is True else np.flatnonzero(mask)
+        cell, is_bon = scores[rows], bonafide[rows]
+        s = ScoreSet(cell[is_bon], cell[~is_bon])
+        if len(s.bonafide) == 0 or len(s.spoof) == 0:
             skipped.append(key)
             continue
-        s = ScoreSet(bon, spf)
-        dcf, equal_error = min_dcf_and_eer(s, cfg)
+        dcf, equal_error = min_dcf_and_eer(cell, is_bon, cfg)
         cells[key] = CellMetrics(dcf, act_dcf(s, cfg), cllr(s), equal_error,
-                                 len(bon), len(spf))
+                                 len(s.bonafide), len(s.spoof))
     return BreakdownTable(cells, cfg, tuple(skipped))
 
 

@@ -135,6 +135,8 @@ class TestLaunder:
             assert scoring_key not in summary
         assert summary["backend"] == "external"
         assert summary["manifest_total"] == "10"
+        assert summary["manifest_bonafide"] == "5"
+        assert summary["manifest_spoof"] == "5"
         assert "laundered 9/9" in capsys.readouterr().err
 
     def test_no_codec_backend_fails_recompression_only(

@@ -1,6 +1,7 @@
 """Detection metric correctness against a brute-force oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from launderbench.errors import EmptyClass, InvalidParameter, NonFiniteScore
-from launderbench.metrics import (MetricConfig, ScoreSet, _sweep, act_dcf,
-                                  bayes_threshold, cllr, eer, gaussian_scores,
-                                  min_dcf)
+from launderbench.metrics import (MetricConfig, ScoreSet, act_dcf,
+                                  bayes_threshold, cllr, eer, error_counts,
+                                  gaussian_scores, min_dcf)
 
 # --- reference implementation: plain-Python threshold sweep ---
 
@@ -122,10 +123,19 @@ class TestScoreSet:
 
 
 def det_points(s):
-    """(threshold, p_miss, p_fa) at each threshold of metrics._sweep."""
-    thresholds, n_miss, n_fa, nb, ns = _sweep(s)
+    """(threshold, p_miss, p_fa) at each cut of metrics.error_counts.
+
+    The kernel computes no thresholds; each cut is paired with the
+    reference midpoint that lies in it.
+    """
+    scores = np.concatenate((s.bonafide, s.spoof))
+    order = np.argsort(scores)
+    n_miss, n_fa, nb, ns = error_counts(scores[order],
+                                        order < len(s.bonafide))
+    thresholds = ref_thresholds(s.bonafide.tolist(), s.spoof.tolist())
+    assert len(thresholds) == len(n_miss) == len(n_fa)
     return [(t, nm / nb, nf / ns)
-            for t, nm, nf in zip(thresholds.tolist(), n_miss, n_fa)]
+            for t, nm, nf in zip(thresholds, n_miss, n_fa)]
 
 
 class TestDetPoints:
@@ -195,6 +205,21 @@ class TestEer:
         base = eer(ScoreSet(bon, spf))
         assert eer(ScoreSet(rng.permutation(bon),
                             rng.permutation(spf))) == base
+
+
+# perfectly separated pairs whose float midpoint rounds onto the lower
+# score or overflows to infinity
+EDGE_PAIRS = [(math.nextafter(1.0, 2.0), 1.0), (1.7e308, 1e308),
+              (-1e308, -1.7e308)]
+
+
+@pytest.mark.parametrize("bon, spf", EDGE_PAIRS)
+def test_separated_edge_pairs(bon, spf):
+    s = ScoreSet([bon], [spf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert eer(s) == 0.0
+        assert min_dcf(s) == 0.0
 
 
 class TestMinDcf:

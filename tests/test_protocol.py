@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from launderbench import protocol
 from launderbench.errors import (DuplicateId, InvalidParameter, MalformedLine,
                                  MissingScore, NonFiniteScore, OrphanScore)
-from launderbench.protocol import (ManifestStats, ScoreColumns, TrialRecord,
-                                   emit_manifest, emit_scores, join_scores,
-                                   manifest_columns, manifest_stats,
+from launderbench.protocol import (ScoreColumns, TrialRecord, emit_manifest,
+                                   emit_scores, join_scores, manifest_columns,
                                    parse_manifest, parse_scores)
 
 MANIFEST = """\
@@ -255,16 +254,6 @@ class TestJoinScores:
         assert joined.attacks[joined.attack[1]] == "A17"
         assert joined.codecs[joined.codec[1]] == "C03"
         assert joined.bonafide.tolist() == [True, False, False]
-
-
-class TestManifestStats:
-    def test_counts(self):
-        stats = manifest_stats(parse_manifest(MANIFEST))
-        assert stats == ManifestStats(total=3, bonafide=1, spoof=2)
-        assert stats.total == stats.bonafide + stats.spoof
-
-    def test_empty(self):
-        assert manifest_stats([]) == ManifestStats(0, 0, 0)
 
 
 class TestEmitManifest:

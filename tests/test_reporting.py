@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import warnings
 from collections import namedtuple
 
@@ -92,6 +93,19 @@ class TestComputeBreakdown:
         table = compute_breakdown(columns(rows))
         assert table.cells[GroupKey("A9", "C00")].eer == 0.0
         assert table.cells[GroupKey("A9", "C00")].min_dcf == 0.0
+
+    @pytest.mark.parametrize("bon, spf", [
+        (math.nextafter(1.0, 2.0), 1.0), (1.7e308, 1e308),
+        (-1e308, -1.7e308)])
+    def test_separated_edge_pair_cell(self, bon, spf):
+        # the float midpoint of each pair rounds onto a score or overflows
+        rows = [scored("b1", "bonafide", "-", "C00", bon),
+                scored("s1", "spoof", "A1", "C00", spf)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = compute_breakdown(columns(rows))
+        cell = table.cells[GroupKey("A1", "C00")]
+        assert (cell.eer, cell.min_dcf) == (0.0, 0.0)
 
     def test_pooled_matches_metadata_free_metrics(self):
         rows = fixture_scored()
