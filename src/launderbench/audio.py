@@ -107,7 +107,7 @@ def read_audio(path) -> AudioBuffer:
     path = Path(path)
     try:
         blob = path.read_bytes()
-    except OSError as e:
+    except (OSError, ValueError) as e:   # ValueError: a NUL in the path
         raise IoFailure(f"cannot read {path}: {e}") from e
 
     if blob[:4] == b"RIFF" and blob[8:12] == b"WAVE":

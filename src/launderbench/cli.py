@@ -231,11 +231,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_metric_flags(p):
-    p.add_argument("--c-miss", type=float, default=1.0,
+    p.add_argument("--c-miss", type=float, default=MetricConfig.c_miss,
                    help="cost of rejecting a bonafide trial")
-    p.add_argument("--c-fa", type=float, default=10.0,
+    p.add_argument("--c-fa", type=float, default=MetricConfig.c_fa,
                    help="cost of accepting a spoof trial")
-    p.add_argument("--pi-spoof", type=float, default=0.05,
+    p.add_argument("--pi-spoof", type=float, default=MetricConfig.pi_spoof,
                    help="prior probability of a spoof")
     p.add_argument("--invert-scores", action="store_true",
                    help="negate scores where higher means spoof")

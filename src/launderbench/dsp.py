@@ -233,6 +233,8 @@ def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
     sos = np.array([[b0, b1, b2, 1.0, a1, a2]
                     for b0, b1, b2, a1, a2 in c.sections])
     sos[0, :3] *= c.gain
+    if len(x) == 0:
+        return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
     from scipy.signal import sosfilt
     y = sosfilt(sos, x.samples)
     return AudioBuffer(y, x.sample_rate_hz)

@@ -1,11 +1,11 @@
 """Detection metrics over bonafide/spoof score sets.
 
 Scores follow the higher-is-more-bonafide convention and, for act_dcf and
-cllr, are interpreted as natural-log likelihood ratios.  The sweep cuts
-between consecutive distinct pooled scores, and below and above them all;
-a miss is a bonafide score below a cut, a false accept a spoof score
-above it.  Counts are cumulative class counts over the ascending scores,
-so no threshold, and no float midpoint, is ever computed.
+cllr, are interpreted as natural-log likelihood ratios.  cell_metrics
+scores one cell; its minDCF, actDCF and EER come from one count curve:
+cumulative counts of misses (bonafide scores below a cut) and false
+accepts (spoof scores above it) over the ascending scores, cut between
+consecutive distinct scores, so no float midpoint is ever computed.
 """
 
 from __future__ import annotations
@@ -84,67 +84,62 @@ def error_counts(scores: np.ndarray, is_bon: np.ndarray) -> tuple:
     return n_miss, ns - (below - n_miss), nb, ns
 
 
-def min_dcf_and_eer(scores: np.ndarray, is_bon: np.ndarray,
-                    cfg: MetricConfig = MetricConfig()) -> tuple:
-    """minDCF and EER (percent) of ascending scores with class flags.
-
-    The EER is taken at the nearest crossing, found on exact integer
-    cross products so that rational ties resolve to the lower cut, not to
-    whichever side float rounding happens to favor.
-    """
-    n_miss, n_fa, nb, ns = error_counts(scores, is_bon)
-    w_miss = cfg.c_miss * (1.0 - cfg.pi_spoof)
-    w_fa = cfg.c_fa * cfg.pi_spoof
-    costs = w_miss * (n_miss / nb) + w_fa * (n_fa / ns)
-    dcf = float(costs.min() / min(w_miss, w_fa))
-    i = int(np.argmin(np.abs(n_miss * ns - n_fa * nb)))
-    return dcf, 100.0 * (n_miss[i] / nb + n_fa[i] / ns) / 2.0
-
-
-def _ascending(s: ScoreSet) -> tuple:
-    """Both classes merged in ascending order, and the bonafide flags."""
-    scores = np.concatenate((s.bonafide, s.spoof))
-    order = np.argsort(scores)
-    return scores[order], order < len(s.bonafide)
-
-
-def eer(s: ScoreSet) -> float:
-    """Equal error rate in percent at the nearest-crossing cut."""
-    return min_dcf_and_eer(*_ascending(s))[1]
-
-
-def min_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
-    """Minimum normalized detection cost over the sweep."""
-    return min_dcf_and_eer(*_ascending(s), cfg)[0]
-
-
 def bayes_threshold(cfg: MetricConfig = MetricConfig()) -> float:
     """Score threshold of the Bayes decision rule for cfg."""
     return math.log(
         (cfg.c_fa * cfg.pi_spoof) / (cfg.c_miss * (1.0 - cfg.pi_spoof)))
 
 
-def act_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
-    """Normalized detection cost at the fixed Bayes threshold."""
-    _require(len(s.bonafide), len(s.spoof))
-    tau = bayes_threshold(cfg)
-    p_miss = int(np.count_nonzero(s.bonafide < tau)) / len(s.bonafide)
-    p_fa = int(np.count_nonzero(s.spoof >= tau)) / len(s.spoof)
+def cell_metrics(scores: np.ndarray, is_bon: np.ndarray,
+                 cfg: MetricConfig = MetricConfig()) -> tuple:
+    """minDCF, actDCF, Cllr and EER (percent) of ascending flagged scores.
+
+    The EER is taken at the nearest crossing, found on exact integer
+    cross products so that rational ties resolve to the lower cut, not to
+    whichever side float rounding happens to favor.  A score equal to the
+    Bayes threshold is accepted.  Cllr terms are in bits before averaging,
+    which keeps all-zero scores at exactly 1.0 for every class size.
+    """
+    n_miss, n_fa, nb, ns = error_counts(scores, is_bon)
     w_miss = cfg.c_miss * (1.0 - cfg.pi_spoof)
     w_fa = cfg.c_fa * cfg.pi_spoof
-    return (w_miss * p_miss + w_fa * p_fa) / min(w_miss, w_fa)
+    costs = w_miss * (n_miss / nb) + w_fa * (n_fa / ns)
+    i = int(np.argmin(np.abs(n_miss * ns - n_fa * nb)))
+    below = int(np.searchsorted(scores, bayes_threshold(cfg)))
+    miss = int(np.count_nonzero(is_bon[:below]))
+    act = w_miss * (miss / nb) + w_fa * ((ns - (below - miss)) / ns)
+    bon_bits = np.logaddexp(0.0, -scores[is_bon]) / _LN2
+    spf_bits = np.logaddexp(0.0, scores[~is_bon]) / _LN2
+    return (float(costs.min() / min(w_miss, w_fa)), act / min(w_miss, w_fa),
+            float(0.5 * (bon_bits.mean() + spf_bits.mean())),
+            100.0 * (n_miss[i] / nb + n_fa[i] / ns) / 2.0)
+
+
+def _scored(s: ScoreSet, cfg: MetricConfig) -> tuple:
+    """cell_metrics of both classes merged in ascending order."""
+    scores = np.concatenate((s.bonafide, s.spoof))
+    order = np.argsort(scores)
+    return cell_metrics(scores[order], order < len(s.bonafide), cfg)
+
+
+def min_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
+    """Minimum normalized detection cost over the sweep."""
+    return _scored(s, cfg)[0]
+
+
+def act_dcf(s: ScoreSet, cfg: MetricConfig = MetricConfig()) -> float:
+    """Normalized detection cost at the fixed Bayes threshold."""
+    return _scored(s, cfg)[1]
 
 
 def cllr(s: ScoreSet) -> float:
-    """Cost of log-likelihood ratios in bits.
+    """Cost of log-likelihood ratios in bits."""
+    return _scored(s, MetricConfig())[2]
 
-    Each term is converted to bits before averaging, which keeps the
-    all-zero-scores case at exactly 1.0 for every class size.
-    """
-    _require(len(s.bonafide), len(s.spoof))
-    bon_bits = np.logaddexp(0.0, -s.bonafide) / _LN2
-    spf_bits = np.logaddexp(0.0, s.spoof) / _LN2
-    return float(0.5 * (bon_bits.mean() + spf_bits.mean()))
+
+def eer(s: ScoreSet) -> float:
+    """Equal error rate in percent at the nearest-crossing cut."""
+    return _scored(s, MetricConfig())[3]
 
 
 def gaussian_scores(n_bon: int, n_spf: int, mu_bon: float, mu_spf: float,

@@ -117,7 +117,8 @@ def plan_attacks(selected, seed: int) -> list:
     """Expand each selected record into its nine attack jobs.
 
     The whole plan is refused, before anything runs, when an id's output
-    path would be absolute or climb out of the output directory.
+    path would be absolute, climb out of the output directory, or hold a
+    NUL byte, which no file name can.
     """
     selected = list(selected)
     if not selected:
@@ -129,6 +130,10 @@ def plan_attacks(selected, seed: int) -> list:
             tag = attack_tag(spec)
             out_id = f"{utt}_{tag}"
             path = f"{utt[:2]}/{out_id}.flac"
+            if "\0" in path:
+                raise InvalidParameter(
+                    f"utterance id {utt!r} holds a NUL byte, which no "
+                    f"output file name can")
             if posixpath.isabs(path) or \
                     posixpath.normpath(path).split("/")[0] == "..":
                 raise InvalidParameter(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InsufficientCells, InvalidParameter
-from .metrics import MetricConfig, ScoreSet, act_dcf, cllr, min_dcf_and_eer
+from .metrics import MetricConfig, cell_metrics
 
 POOLED = "*"
 METRIC_NAMES = ("min_dcf", "act_dcf", "cllr", "eer")
@@ -96,14 +96,13 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
             mask = mask & codec_rows[key.codec_id]
         # one pass over the mask serves both gathers
         rows = slice(None) if mask is True else np.flatnonzero(mask)
-        cell, is_bon = scores[rows], bonafide[rows]
-        s = ScoreSet(cell[is_bon], cell[~is_bon])
-        if len(s.bonafide) == 0 or len(s.spoof) == 0:
+        is_bon = bonafide[rows]
+        n_bon = int(np.count_nonzero(is_bon))
+        if n_bon in (0, len(is_bon)):
             skipped.append(key)
             continue
-        dcf, equal_error = min_dcf_and_eer(cell, is_bon, cfg)
-        cells[key] = CellMetrics(dcf, act_dcf(s, cfg), cllr(s), equal_error,
-                                 len(s.bonafide), len(s.spoof))
+        cells[key] = CellMetrics(*cell_metrics(scores[rows], is_bon, cfg),
+                                 n_bon, len(is_bon) - n_bon)
     return BreakdownTable(cells, cfg, tuple(skipped))
 
 

@@ -345,6 +345,66 @@ class TestLaunder:
         assert not (out / "augmented.manifest").exists()
         assert not (out / "run_summary.txt").exists()
 
+    @pytest.mark.parametrize("fmt", ["flac", "wav16"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_source_fails_only_its_noise_jobs(self, tmp_path, capsys,
+                                                    jobs, fmt):
+        corpus = write_corpus(tmp_path, n_files=2)
+        write_audio(AudioBuffer(np.zeros(0), 16000),
+                    corpus["audio_root"] / "empty.audio", format=fmt)
+        manifest = corpus["manifest"]
+        manifest.write_text(manifest.read_text()
+                            + "u9999 spoof A17 C00 empty.audio\n")
+        out = tmp_path / "out"
+        argv = ["--fraction", "1.0", "--jobs", jobs]
+        assert main(launder_argv(corpus, out, argv)) == 2
+        summary = read_summary(out)
+        assert summary["jobs_failed"] == "5"
+        assert summary["jobs_succeeded"] == "22"
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failed = [line for line in err.splitlines()
+                  if line.startswith("failed ")]
+        assert len(failed) == 5
+        assert all(line.startswith("failed u9999_") for line in failed)
+        kept = [r.utterance_id for r in parse_manifest(
+            (out / "augmented.manifest").read_text())]
+        assert sorted(i.split("_")[1] for i in kept if "u9999_" in i) == [
+            "lowpass", "recompression", "resampling", "reverberation"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_nul_in_source_path_fails_its_jobs(self, tmp_path, capsys,
+                                               jobs):
+        corpus = write_corpus(tmp_path, n_files=2)
+        manifest = corpus["manifest"]
+        manifest.write_text(manifest.read_text()
+                            + "u9999 spoof A17 C00 u0000\x00.flac\n")
+        out = tmp_path / "out"
+        argv = ["--fraction", "1.0", "--jobs", jobs]
+        assert main(launder_argv(corpus, out, argv)) == 2
+        summary = read_summary(out)
+        assert summary["jobs_failed"] == "9"
+        assert summary["jobs_succeeded"] == "18"
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failed = [line for line in err.splitlines()
+                  if line.startswith("failed ")]
+        assert len(failed) == 9
+        assert all(line.startswith("failed u9999_") and "cannot read" in line
+                   for line in failed)
+
+    def test_nul_in_id_writes_nothing(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        sources = sorted(tmp_path.rglob("*.flac"))
+        corpus["manifest"].write_text("u\x001 bonafide - C00 u0000.flac\n")
+        out = tmp_path / "out"
+        assert main(launder_argv(corpus, out, ["--fraction", "1.0"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: utterance id 'u\\x001' holds a NUL")
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert sorted(tmp_path.rglob("*.flac")) == sources
+
 
 def write_eval_fixture(root, bon=(1.0, 2.0), spf=(-2.0, -1.0)):
     lines, scores = [], []

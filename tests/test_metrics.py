@@ -274,6 +274,15 @@ class TestActDcf:
     def test_calibrated_separable(self):
         assert act_dcf(ScoreSet([5.0, 6.0], [-7.0, -8.0])) == 0.0
 
+    @pytest.mark.parametrize("bon, spf, expected", [
+        ([0.0], [0.0], 1.0), ([0.0], [-1.0], 0.0), ([1.0], [0.0], 1.0)])
+    def test_tie_at_threshold(self, bon, spf, expected):
+        # a score equal to the threshold is accepted: a bonafide one is
+        # no miss, a spoof one is a false accept
+        cfg = MetricConfig(1.0, 1.0, 0.5)
+        assert bayes_threshold(cfg) == 0.0
+        assert act_dcf(ScoreSet(bon, spf), cfg) == expected
+
     def test_oracle_equality(self):
         cfgs = [MetricConfig(), MetricConfig(2.0, 1.0, 0.3)]
         for i, (bon, spf) in enumerate(random_score_sets(150, seed=10)):
@@ -360,7 +369,8 @@ def test_sweep_metrics_match_reference(bon_i, spf_i):
     bon = [v / 2.0 for v in bon_i]
     spf = [v / 2.0 for v in spf_i]
     s = ScoreSet(bon, spf)
-    cfg = MetricConfig()
     assert eer(s) == ref_eer(bon, spf)
-    assert min_dcf(s, cfg) == ref_min_dcf(bon, spf, cfg)
-    assert act_dcf(s, cfg) == ref_act_dcf(bon, spf, cfg)
+    # the second config's Bayes threshold, 0.0, lies on the score grid
+    for cfg in (MetricConfig(), MetricConfig(1.0, 1.0, 0.5)):
+        assert min_dcf(s, cfg) == ref_min_dcf(bon, spf, cfg)
+        assert act_dcf(s, cfg) == ref_act_dcf(bon, spf, cfg)
