@@ -4,7 +4,8 @@ Runs bench/run.py --trace 0 per workload and seed in a git archive export
 of --base and in the working tree, alternating which goes first, and
 writes BENCH_NAME.json: each side's median, q1, q3 and spread per
 end-to-end metric, the ratio of medians, pairs won, whether every change
-run reads better than every base run (separated), failures and digests.
+run reads better than every base run (separated), a verdict (see
+verdict()), failures and digests; the verdicts are printed as well.
 A run that exits non-zero stops the comparison: the tail of its stderr is
 printed, and the json keeps the workloads already done plus a failed_run
 entry; the exit status is then 1.  It is 1 as well when a workload breaks
@@ -69,12 +70,43 @@ def seed_range(text):
     return text
 
 
+def pairs_won(base, change, sign):
+    """Seeds on which the change run reads better than the base run."""
+    return sum(sign * (c - b) > 0 for b, c in zip(base, change))
+
+
+def separated(base, change, sign):
+    """Every change run better than every base run."""
+    return min(sign * c for c in change) > max(sign * b for b in base)
+
+
+def verdict(base, change, sign, bound):
+    """One metric's verdict from its base and change values, paired by
+    seed; sign is 1 where higher is better and -1 where lower is.
+    improved: the ratio of medians is beyond the bound, the change wins at
+    least 9 pairs in 10, and the medians differ by more than the base's
+    q3 - q1.  worse: the ratio is beyond the bound the wrong way.
+    unresolved: the base's spread is above the bound and the runs are not
+    separated.  Anything else is within bound."""
+    b, c = summary(base), summary(change)
+    gain = sign * (c["median"] / b["median"] - 1)
+    if (gain > bound and pairs_won(base, change, sign) >= 0.9 * len(base)
+            and sign * (c["median"] - b["median"]) > b["q3"] - b["q1"]):
+        return "improved"
+    if gain < -bound:
+        return "worse"
+    if b["spread"] > bound and not separated(base, change, sign):
+        return "unresolved"
+    return "within bound"
+
+
 def compare(report, base_tree, spec, seeds):
     """Fill report["workloads"]; on the first failed run, record it under
     report["failed_run"] and stop, keeping the workloads already done."""
     first, last = map(int, seeds.split("-"))
     sign = {m["name"]: 1 if m["better"] == "higher" else -1
             for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     for w in (w["name"] for w in spec["workloads"]):
         runs = {"base": [], "change": []}
         for seed in range(first, last + 1):
@@ -97,17 +129,24 @@ def compare(report, base_tree, spec, seeds):
         out = {"seeds": seeds, "runs": len(pairs),
                "failed": {s: sum(r[1] for r in runs[s]) for s in runs},
                "digests_equal": all(b[2] == c[2] for b, c in pairs)}
+        values = {s: {m: [r[0][m] for r in runs[s]] for m in sign}
+                  for s in runs}
         for s in runs:
-            out[s] = {m: summary([r[0][m] for r in runs[s]]) for m in sign}
+            out[s] = {m: summary(values[s][m]) for m in sign}
         out["change_over_base"] = {
             m: out["change"][m]["median"] / out["base"][m]["median"]
             for m in sign}
-        out["pairs_won"] = {m: sum(sign[m] * (c[0][m] - b[0][m]) > 0
-                                   for b, c in pairs) for m in sign}
-        # every change run better than every base run
-        out["separated"] = {
-            m: min(sign[m] * r[0][m] for r in runs["change"])
-            > max(sign[m] * r[0][m] for r in runs["base"]) for m in sign}
+        base, change = values["base"], values["change"]
+        out["pairs_won"] = {m: pairs_won(base[m], change[m], sign[m])
+                            for m in sign}
+        out["separated"] = {m: separated(base[m], change[m], sign[m])
+                            for m in sign}
+        out["verdict"] = {m: verdict(base[m], change[m], sign[m], bound[m])
+                          for m in sign}
+        for m in sign:
+            print(f"{w} {m}: {out['verdict'][m]}, change/base "
+                  f"{out['change_over_base'][m]:.3f}, won "
+                  f"{out['pairs_won'][m]}/{len(pairs)}", flush=True)
         report["workloads"][w] = out
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import os
+import secrets
 import subprocess
 import tempfile
 import warnings
@@ -145,23 +147,29 @@ def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
     """Write 16-bit audio; returns the count of saturated samples.
 
     Samples outside [-1, 1] are clamped to full scale rather than raising;
-    the returned count lets callers report clipping totals.
+    the returned count lets callers report clipping totals.  The file is
+    written under a temporary name in the destination directory and
+    renamed onto the destination once complete, so a writer that fails or
+    is killed never leaves a truncated file under the final name.
     """
     if format not in FORMATS:
         raise UnsupportedFormat(
             f"unknown output format {format!r}; expected one of {FORMATS}")
     q, clipped = _quantize16(buf.samples)
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.part")
     try:
-        if format == "wav16":
-            from scipy.io import wavfile
-            wavfile.write(path, buf.sample_rate_hz, q.astype("<i2"))
-        else:
-            blob = flacio.encode_flac(q, buf.sample_rate_hz)
-            with open(path, "wb") as fh:
-                fh.write(blob)
+        with open(tmp, "xb") as fh:
+            if format == "wav16":
+                from scipy.io import wavfile
+                wavfile.write(fh, buf.sample_rate_hz, q.astype("<i2"))
+            else:
+                fh.write(flacio.encode_flac(q, buf.sample_rate_hz))
+        os.replace(tmp, path)
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once renamed
     return clipped
 
 

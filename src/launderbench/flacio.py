@@ -9,7 +9,12 @@ int(..., 2) of a slice, and a Rice partition of n codes is the first n
 consecutive matches of the pattern 0*1[01]{k}, decoded together with
 numpy.  Each frame's CRC-16 is checked before prediction is undone.  The
 encoder emits mono 16-bit streams using fixed predictors (orders 0-4) with
-single-partition Rice residuals, which every compliant decoder reads.
+single-partition Rice residuals, which every compliant decoder reads; it
+packs each frame's (value, width) fields into 64-bit words, each field
+touching at most two.  Both CRCs, read and write, are computed without a
+per-byte loop: a position table gives each byte's share of the CRC by its
+offset in a 512-byte chunk, and the chunk CRCs are chained through the
+table of what the register becomes over a chunk of zero bytes.
 
 Only mono streams are accepted; multichannel decorrelation modes are
 rejected up front rather than silently downmixed.
@@ -54,24 +59,49 @@ def _make_crc_table(poly, width):
     return table
 
 
-_CRC8_TABLE = _make_crc_table(0x07, 8)
-_CRC16_TABLE = _make_crc_table(0x8005, 16)
+_CRC_POLY = {8: 0x07, 16: 0x8005}
+_CRC_CHUNK = 512  # bytes per gather; each width's table is 512 x 256 uint16
+_CRC_ROWS = np.arange(_CRC_CHUNK) * 256  # flat offset of each position row
 
 
-def _crc8(data):
-    c = 0
-    t = _CRC8_TABLE
-    for b in data:
-        c = t[c ^ b]
-    return c
+@lru_cache(maxsize=None)
+def _crc_kernel(width):
+    """The position table and chunk advance of FLAC's CRC-8 or CRC-16,
+    built on first use (a few ms).  positions[256 * i + b] is the CRC of
+    byte b followed by _CRC_CHUNK - 1 - i zero bytes.  advance holds one
+    (shift, table) per register byte, most significant first; XOR-ed, the
+    looked-up entries are the register after _CRC_CHUNK more zero bytes.
+    Register byte k carried over a chunk weighs what a byte at chunk
+    offset k does, so those tables are the first rows of positions."""
+    table = np.array(_make_crc_table(_CRC_POLY[width], width), np.uint16)
+    rows = [table]
+    for _ in range(_CRC_CHUNK - 1):  # each row one zero byte further on
+        c = rows[-1]
+        rows.append(((c << 8) & ((1 << width) - 1)) ^ table[c >> (width - 8)])
+    rows.reverse()
+    advance = [(width - 8 - 8 * k, rows[k].tolist())
+               for k in range(width // 8)]
+    return np.concatenate(rows), advance
 
 
-def _crc16(data):
-    c = 0
-    t = _CRC16_TABLE
-    for b in data:
-        c = ((c << 8) & 0xFF00) ^ t[(c >> 8) ^ b]
-    return c
+def _crc(data, width):
+    """FLAC's zero-init CRC-8 or CRC-16 of data.  The CRC is linear over
+    GF(2) and leading zero bytes leave it zero, so the data is left-padded
+    to whole chunks; each chunk's CRC is one gather from the position
+    table and one XOR reduction, and the chunk CRCs are folded through the
+    advance over a chunk."""
+    positions, advance = _crc_kernel(width)
+    n = len(data)
+    m = -(-n // _CRC_CHUNK)
+    index = np.zeros((m, _CRC_CHUNK), np.intp)
+    index.ravel()[m * _CRC_CHUNK - n:] = np.frombuffer(data, np.uint8)
+    index += _CRC_ROWS
+    crc = 0
+    for c in np.bitwise_xor.reduce(positions.take(index), axis=1).tolist():
+        for shift, table in advance:
+            c ^= table[crc >> shift & 0xFF]
+        crc = c
+    return crc
 
 
 def _encode_utf8_number(value):
@@ -155,11 +185,20 @@ def _rice_patterns(n, k):
 def _pack(values, widths):
     """MSB-first bits of unsigned (value, width) int64 fields, zero-padded
     to whole bytes.  A field wider than 63 bits holds its value in the low
-    63 bits and leading zeros above, as long Rice quotients do."""
-    field = np.repeat(np.arange(len(widths)), widths)
-    shift = np.cumsum(widths)[field] - 1 - np.arange(len(field))
-    bits = (values[field] >> np.minimum(shift, 63)) & 1
-    return np.packbits(bits.astype(np.uint8)).tobytes()
+    63 bits and leading zeros above, as long Rice quotients do.  A field's
+    set bits end at bit cumsum(widths) - 1, so they touch that 64-bit word
+    and at most the one before; fields never overlap, so adding the parts
+    into the words ORs them."""
+    last = np.cumsum(widths) - 1
+    total = int(last[-1]) + 1 if len(last) else 0
+    shift = (63 - (last & 63)).astype(np.uint64)
+    v = values.astype(np.uint64)
+    # words[0] lies before the first bit: it takes the empty parts of
+    # fields that start in the first word, and of zero-width leading fields
+    words = np.zeros(1 - (-total // 64), np.uint64)
+    np.add.at(words, (last >> 6) + 1, v << shift)
+    np.add.at(words, last >> 6, (v >> np.uint64(1)) >> (np.uint64(63) - shift))
+    return words[1:].astype(">u8").tobytes()[:-(-total // 8)]
 
 
 def _restore_fixed(order, warmup, resid):
@@ -305,13 +344,13 @@ def _decode_frame(br, data, info):
     else:
         raise CorruptFile("reserved sample size code")
 
-    crc = _crc8(data[start:br.pos // 8])
+    crc = _crc(data[start:br.pos // 8], 8)
     if br.read(8) != crc:
         raise CorruptFile("frame header CRC-8 mismatch")
 
     restore, resid, wasted = _read_subframe(br, blocksize, bps)
     br.pos += -br.pos % 8  # zero padding to the byte boundary
-    crc = _crc16(data[start:br.pos // 8])
+    crc = _crc(data[start:br.pos // 8], 16)
     if br.read(16) != crc:
         raise CorruptFile("frame CRC-16 mismatch")
     return restore(resid) << wasted, rate, bps
@@ -447,7 +486,7 @@ def _encode_frame(block, index, rate):
     header += _encode_utf8_number(index)
     header += bs_extra
     header += rate_extra
-    header.append(_crc8(header))
+    header.append(_crc(header, 8))
 
     # subframe: zero pad bit, 6-bit type, no wasted bits; then 16-bit
     # samples (the constant, the warm-up or the whole block) and Rice codes
@@ -473,7 +512,7 @@ def _encode_frame(block, index, rate):
         widths += [[10], (u >> k) + 1 + k]
     frame = bytes(header) + _pack(np.concatenate(values),
                                   np.concatenate(widths))
-    return frame + _crc16(frame).to_bytes(2, "big")
+    return frame + _crc(frame, 16).to_bytes(2, "big")
 
 
 def _check_streaminfo(n, sample_rate, blocksize):

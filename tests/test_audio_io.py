@@ -1,5 +1,6 @@
 """AudioBuffer, WAV/FLAC reading and writing, and signal statistics."""
 
+import os
 import struct
 import wave
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from launderbench import flacio
 from launderbench.audio import (AudioBuffer, read_audio, rms_power,
                                 write_audio)
 from launderbench.errors import (CorruptFile, EmptyBuffer, InvalidParameter,
@@ -218,3 +220,56 @@ class TestErrors:
         with pytest.raises(IoFailure):
             write_audio(AudioBuffer(np.zeros(10), 16000),
                         tmp_path / "missing" / "x.wav", "wav16")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("fmt,name", [("flac", "a.flac"),
+                                          ("wav16", "a.wav")])
+    def test_success_leaves_only_the_destination(self, tmp_path, fmt, name):
+        write_audio(AudioBuffer(np.zeros(100), 16000), tmp_path / name, fmt)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_failed_encode_leaves_earlier_file_and_no_temp(self, tmp_path,
+                                                           monkeypatch):
+        dest = tmp_path / "a.flac"
+        write_audio(AudioBuffer(np.zeros(100), 16000), dest)
+        before = dest.read_bytes()
+
+        def fail(samples, rate):
+            raise InvalidParameter("encode failed")
+
+        monkeypatch.setattr(flacio, "encode_flac", fail)
+        with pytest.raises(InvalidParameter):
+            write_audio(AudioBuffer(np.ones(100) / 2, 16000), dest)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.flac"]
+        assert dest.read_bytes() == before
+
+    def test_write_failing_mid_file_leaves_earlier_file(self, tmp_path,
+                                                        monkeypatch):
+        from scipy.io import wavfile
+        dest = tmp_path / "a.wav"
+        write_audio(AudioBuffer(np.zeros(100), 16000), dest, "wav16")
+        before = dest.read_bytes()
+
+        def half_then_fail(fh, rate, data):
+            fh.write(b"RIFF\x00\x00")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(wavfile, "write", half_then_fail)
+        with pytest.raises(IoFailure, match="disk full"):
+            write_audio(AudioBuffer(np.ones(100) / 2, 16000), dest, "wav16")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.wav"]
+        assert dest.read_bytes() == before
+
+    def test_failed_rename_leaves_no_temp(self, tmp_path,
+                                                  monkeypatch):
+        # the bytes are all written, then the rename fails
+        dest = tmp_path / "a.flac"
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoFailure, match="rename failed"):
+            write_audio(AudioBuffer(np.zeros(100), 16000), dest)
+        assert list(tmp_path.iterdir()) == []

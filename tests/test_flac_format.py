@@ -17,23 +17,48 @@ from hypothesis import strategies as st
 from launderbench import flacio
 from launderbench.errors import (CorruptFile, InvalidParameter,
                                  LaunderbenchError, MultichannelInput)
-from launderbench.flacio import (_blocksize_code_for, _crc8, _crc16,
-                                 _encode_utf8_number)
+from launderbench.flacio import _blocksize_code_for, _encode_utf8_number
+
+# ------------------------------------------------------- independent oracles
+# The hand-made streams below are built with a bit-serial CRC and writer,
+# not with flacio's table CRC and word packer, which are pinned to them.
+
+
+def crc_prefixes(data, poly, width):
+    """The zero-init, unreflected CRC of every prefix of data, shifted
+    through the register one bit at a time: element n is CRC(data[:n])."""
+    top, mask = 1 << (width - 1), (1 << width) - 1
+    c, out = 0, [0]
+    for b in data:
+        c ^= b << (width - 8)
+        for _ in range(8):
+            c = ((c << 1) ^ poly if c & top else c << 1) & mask
+        out.append(c)
+    return out
+
+
+def crc8(data):
+    return crc_prefixes(data, 0x07, 8)[-1]
+
+
+def crc16(data):
+    return crc_prefixes(data, 0x8005, 16)[-1]
 
 
 class BitWriter:
-    """Collects write(value, width) fields, masked to width, for _pack."""
+    """MSB-first writer: write(value, width) appends the low width bits of
+    value one at a time; getvalue() zero-pads to whole bytes."""
 
     def __init__(self):
-        self.values, self.widths = [], []
+        self.bits = []
 
     def write(self, value, width):
-        self.values.append(value & ((1 << width) - 1))
-        self.widths.append(width)
+        self.bits += [(value >> i) & 1 for i in range(width - 1, -1, -1)]
 
     def getvalue(self):
-        return flacio._pack(np.array(self.values, dtype=np.int64),
-                            np.array(self.widths, dtype=np.int64))
+        bits = self.bits + [0] * (-len(self.bits) % 8)
+        return bytes(int("".join(map(str, bits[i:i + 8])), 2)
+                     for i in range(0, len(bits), 8))
 
 
 def build_streaminfo(rate, channels, bps, total, md5=b"\x00" * 16,
@@ -64,11 +89,11 @@ def build_frame(blocksize, fill_subframe, number=0, variable=False,
     hdr += _encode_utf8_number(number)
     hdr += bs_extra
     hdr += rate_extra
-    hdr.append(_crc8(hdr))
+    hdr.append(crc8(hdr))
     bw = BitWriter()
     fill_subframe(bw)
     body = hdr + bw.getvalue()
-    body += _crc16(body).to_bytes(2, "big")
+    body += crc16(body).to_bytes(2, "big")
     return bytes(body)
 
 
@@ -162,7 +187,9 @@ def spike():
 
 
 # name -> (signal, rate, blocksize, first subframe type, SHA-256 of the
-# stream); the digests were recorded from the bit-serial encoder
+# stream); the digests were recorded from earlier encoders: the bit-serial
+# one, and for the last two the one with per-byte CRC loops and a packer
+# that expanded every field into single bits
 GOLDEN = {
     "empty": (lambda: np.zeros(0, dtype=np.int64), 16000, 4096, None,
               "ca3fe60a2134ea52c26b94a721f78a462e092f97af3564b3c3c3ce3275d76ee6"),
@@ -189,6 +216,14 @@ GOLDEN = {
                                  "ba5da94343d505c56e1494736ea7d832bdfba11268e360b6244bf595a02e7611"),
     "rice_spike": (spike, 16000, 4096, 0b001000,
                    "761a9d4615bb1c224ed1a373a7816696cc54cdbff21842df6b28ce16233719ac"),
+    # ~8 KB frames: CRC-16 over more than one 512-byte chunk
+    "verbatim_3x4096": (lambda: hash_noise(3 * 4096, 32767, 8), 16000, 4096,
+                        0b000001,
+                        "36d7da740d632dc0b86243e31a65691143b8bed3885fb7f300b63dd9be81f754"),
+    # frame numbers 128-199 take the 2-byte coded form
+    "blocksize16_200_frames": (lambda: integrated_noise(16 * 200, 1, 3, 9),
+                               16000, 16, 0b001001,
+                               "86cfbfb3fa3631b2dc09ad902f87a00781e2b5c8a0cf7468fa1f545ebd8451a0"),
 }
 
 
@@ -228,8 +263,56 @@ def test_stream_layout_and_streaminfo():
 def test_crc_check_values():
     # published check values for poly 0x07 (init 0) and poly 0x8005 (init 0,
     # unreflected) over the standard "123456789" vector
-    assert _crc8(b"123456789") == 0xF4
-    assert _crc16(b"123456789") == 0xFEE8
+    for crc in (crc8, lambda d: flacio._crc(d, 8)):
+        assert crc(b"123456789") == 0xF4
+    for crc in (crc16, lambda d: flacio._crc(d, 16)):
+        assert crc(b"123456789") == 0xFEE8
+
+
+@pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("width", [8, 16])
+def test_table_crc_matches_bit_serial_at_every_length(fill, width):
+    # lengths 0-8191: empty input, part-filled first chunks and up to 16
+    # chunks folded through the advance map
+    n = 8191
+    data = {"random": np.random.default_rng(width).integers(
+                0, 256, n, dtype=np.uint8).tobytes(),
+            "zeros": bytes(n), "ones": b"\xff" * n}[fill]
+    want = crc_prefixes(data, {8: 0x07, 16: 0x8005}[width], width)
+    assert [flacio._crc(data[:k], width) for k in range(n + 1)] == want
+
+
+def pack_both(values, widths):
+    """flacio._pack's bytes and the bit-serial writer's for the same
+    fields."""
+    bw = BitWriter()
+    for v, w in zip(values.tolist(), widths.tolist()):
+        bw.write(v, w)
+    return flacio._pack(values, widths), bw.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_word_packer_matches_bit_serial_writer(seed):
+    # fields up to 120 bits; one wider than 63 bits holds its value in the
+    # low 63 and leading zeros above, as long Rice quotients do
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    widths = rng.integers(0, 121, n)
+    values = rng.integers(0, 1 << 63, n, dtype=np.uint64).astype(np.int64)
+    values &= (1 << np.minimum(widths, 63)) - 1
+    got, want = pack_both(values, widths)
+    assert got == want
+
+
+@pytest.mark.parametrize("widths", [[], [0], [1], [7], [13, 2], [64], [65],
+                                    [120, 3], [63, 1, 63, 5], [0, 64, 0]])
+def test_word_packer_edges(widths):
+    # empty input, zero-width fields, totals that are not whole bytes, and
+    # fields ending on, just past and across 64-bit word boundaries
+    widths = np.array(widths, dtype=np.int64)
+    values = (1 << np.minimum(widths, 63)) - 1
+    got, want = pack_both(values, widths)
+    assert got == want
 
 
 def test_coded_number_matches_utf8():
@@ -515,7 +598,7 @@ def test_rejects_stereo_frame_even_if_streaminfo_lies():
     hdr = bytearray([0xFF, 0xF8, (0b1100 << 4) | 0b0101,
                      (0b0001 << 4) | (0b100 << 1)])
     hdr += _encode_utf8_number(0)
-    hdr.append(_crc8(hdr))
+    hdr.append(crc8(hdr))
     blob = build_streaminfo(16000, 1, 16, 4096) + bytes(hdr)
     with pytest.raises(MultichannelInput):
         flacio.decode_flac(blob)
@@ -524,7 +607,7 @@ def test_rejects_stereo_frame_even_if_streaminfo_lies():
 def test_rejects_reserved_blocksize_code():
     hdr = bytearray([0xFF, 0xF8, (0b0000 << 4) | 0b0101, 0b100 << 1])
     hdr += _encode_utf8_number(0)
-    hdr.append(_crc8(hdr))
+    hdr.append(crc8(hdr))
     blob = build_streaminfo(16000, 1, 16, 4096) + bytes(hdr)
     with pytest.raises(CorruptFile, match="reserved block size code"):
         flacio.decode_flac(blob)
