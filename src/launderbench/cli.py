@@ -40,10 +40,10 @@ def _require(value, flag, kind="path"):
 
 
 def _read_text(value, flag) -> str:
-    """The UTF-8 text of the file a flag names."""
+    """The UTF-8 text of the file a flag names, without a byte-order mark."""
     path = _require(value, flag, "file")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise CorruptFile(f"{flag} {path} is not UTF-8 text: {e}") from None
 

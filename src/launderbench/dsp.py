@@ -77,10 +77,9 @@ class AttackSpec:
 
 @dataclass
 class FilterCoefficients:
-    """Cascade of second-order sections (b0, b1, b2, a1, a2) with a gain."""
+    """Cascade of second-order sections (b0, b1, b2, a1, a2)."""
 
     sections: tuple
-    gain: float = 1.0
 
     def is_stable(self) -> bool:
         # stability triangle for z^2 + a1 z + a2
@@ -224,7 +223,7 @@ def design_butterworth_lowpass(order: int, cutoff_hz: float,
         a1 = -p
         g = (1.0 + a1) / 2.0
         sections.append((g, g, 0.0, a1, 0.0))
-    return FilterCoefficients(tuple(sections), 1.0)
+    return FilterCoefficients(tuple(sections))
 
 
 def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
@@ -232,7 +231,6 @@ def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
         raise UnstableFilter("filter has poles on or outside the unit circle")
     sos = np.array([[b0, b1, b2, 1.0, a1, a2]
                     for b0, b1, b2, a1, a2 in c.sections])
-    sos[0, :3] *= c.gain
     if len(x) == 0:
         return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
     from scipy.signal import sosfilt

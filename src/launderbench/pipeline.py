@@ -48,14 +48,16 @@ class AugmentationJob:
 @dataclass(frozen=True)
 class AugmentReport:
     jobs_total: int
-    jobs_succeeded: int
-    jobs_failed: int
     clip_events: int
     failures: tuple
 
-    def __post_init__(self):
-        if self.jobs_total != self.jobs_succeeded + self.jobs_failed:
-            raise InvalidParameter("job counts do not add up")
+    @property
+    def jobs_failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def jobs_succeeded(self) -> int:
+        return self.jobs_total - self.jobs_failed
 
 
 def attack_tag(spec: AttackSpec) -> str:
@@ -241,17 +243,14 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
         for i, result in zip(indices, outcome):
             results[i] = result
 
-    succeeded = failed = clip_events = 0
+    clip_events = 0
     failures = []
     for job, (clips, err) in zip(jobs, results):
         if err is None:
-            succeeded += 1
             clip_events += clips
         else:
-            failed += 1
             failures.append((job, err))
-    return AugmentReport(len(jobs), succeeded, failed, clip_events,
-                         tuple(failures))
+    return AugmentReport(len(jobs), clip_events, tuple(failures))
 
 
 def emit_augmented_manifest(original, jobs, backend_identity=None) -> str:
@@ -262,9 +261,9 @@ def emit_augmented_manifest(original, jobs, backend_identity=None) -> str:
     """
     parts = [emit_manifest(original)]
     for job in jobs:
-        t = job.source
-        line = " ".join((job.output_utterance_id, t.label, t.attack_id,
-                         t.codec_id, job.output_path))
+        line = " ".join(job.source._replace(
+            utterance_id=job.output_utterance_id,
+            source_path=job.output_path))
         comment = f"  # attack={attack_tag(job.spec)}"
         if job.spec.kind == "recompression" and backend_identity:
             comment += f" backend={backend_identity}"

@@ -9,9 +9,10 @@ with '#' starting a comment (full-line or trailing).  Score files carry
 bonafide-like.  Attack and codec vocabularies are open; the bonafide
 attack placeholder is the literal "-".
 
-Scoring reads both files as columns (manifest_columns, parse_scores) and
-joins them by row index; parse_manifest is the per-line record parser
-launder uses.  The column readers share one tokenizer whose fast path
+A manifest has one reader: manifest_columns (scoring's columns) and
+parse_manifest (launder's TrialRecords) both return what it read.
+parse_scores reads score files as columns, and scoring joins trials and
+scores by row index.  Both files share one tokenizer whose fast path
 covers plain ASCII text.  Other text, and text failing a bulk check, is
 parsed line by line, so every error names the line it comes from.
 """
@@ -22,6 +23,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,34 +35,14 @@ BONAFIDE_ATTACK = "-"
 JOIN_POLICIES = ("strict", "intersect")
 
 
-def _check_field(name, value):
-    if not value:
-        raise InvalidParameter(f"{name} must be a non-empty string")
-    if any(c.isspace() for c in value) or "#" in value:
-        raise InvalidParameter(
-            f"{name} {value!r} may not contain whitespace or '#'")
+class TrialRecord(NamedTuple):
+    """One manifest line's fields; " ".join(record) is the line."""
 
-
-@dataclass(frozen=True)
-class TrialRecord:
     utterance_id: str
     label: str
     attack_id: str
     codec_id: str
     source_path: str
-
-    def __post_init__(self):
-        for name in ("utterance_id", "label", "attack_id", "codec_id",
-                     "source_path"):
-            _check_field(name, getattr(self, name))
-        if self.label not in LABELS:
-            raise InvalidParameter(
-                f"label must be one of {LABELS}, got {self.label!r}")
-        if (self.label == "bonafide") != (self.attack_id == BONAFIDE_ATTACK):
-            raise InvalidParameter(
-                f"label {self.label!r} is inconsistent with attack_id "
-                f"{self.attack_id!r}: bonafide trials use \"-\" and spoof "
-                f"trials name their attack")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,26 +126,32 @@ def _columns(text, n_fields):
     return [tokens[i::n_fields] for i in range(n_fields)]
 
 
-def parse_manifest(text: str) -> list:
-    """Parse manifest text into TrialRecords, preserving line order."""
-    records = []
+def _manifest_lines(text):
+    """Per-line manifest parse into five field lists; raises at the first
+    bad line."""
+    columns = [[] for _ in TrialRecord._fields]
     seen = set()
     for line_no, line in _content_lines(text):
         fields = line.split()
         if len(fields) != 5:
             raise MalformedLine(
                 line_no, f"expected 5 fields, found {len(fields)}")
-        try:
-            record = TrialRecord(*fields)
-        except (InvalidParameter, NonFiniteScore) as e:
-            raise MalformedLine(line_no, str(e)) from e
-        if record.utterance_id in seen:
-            raise DuplicateId(
-                f"utterance {record.utterance_id!r} appears more than once "
-                f"(line {line_no})")
-        seen.add(record.utterance_id)
-        records.append(record)
-    return records
+        utt, label, attack_id = fields[:3]
+        if label not in LABELS:
+            raise MalformedLine(
+                line_no, f"label must be one of {LABELS}, got {label!r}")
+        if (label == "bonafide") != (attack_id == BONAFIDE_ATTACK):
+            raise MalformedLine(
+                line_no, f"label {label!r} is inconsistent with attack_id "
+                f"{attack_id!r}: bonafide trials use \"-\" and spoof "
+                f"trials name their attack")
+        if utt in seen:
+            raise DuplicateId(f"utterance {utt!r} appears more than once "
+                              f"(line {line_no})")
+        seen.add(utt)
+        for column, field in zip(columns, fields):
+            column.append(field)
+    return columns
 
 
 def _codes(values):
@@ -190,20 +178,29 @@ def _trial_columns(ids, labels, attack_ids, codec_ids):
     return TrialColumns(ids, bonafide, attack, attacks, codec, codecs, index)
 
 
-def manifest_columns(text: str) -> TrialColumns:
-    """Parse manifest text into columns.
+def _read_manifest(text):
+    """The five field lists of manifest text, and its TrialColumns.
 
-    Text the tokenizer or its bulk checks reject goes through
-    parse_manifest, which raises the error for the first bad line.
+    Text the tokenizer or the bulk check of _trial_columns rejects is
+    read by _manifest_lines, which raises the error for the first bad
+    line.
     """
     fields = _columns(text, 5)
     trials = None if fields is None else _trial_columns(*fields[:4])
     if trials is None:
-        records = parse_manifest(text)
-        trials = _trial_columns(*([getattr(r, name) for r in records]
-                                  for name in ("utterance_id", "label",
-                                               "attack_id", "codec_id")))
-    return trials
+        fields = _manifest_lines(text)
+        trials = _trial_columns(*fields[:4])
+    return fields, trials
+
+
+def manifest_columns(text: str) -> TrialColumns:
+    """Parse manifest text into columns."""
+    return _read_manifest(text)[1]
+
+
+def parse_manifest(text: str) -> list:
+    """Parse manifest text into TrialRecords, preserving line order."""
+    return list(map(TrialRecord._make, zip(*_read_manifest(text)[0])))
 
 
 def _score_lines(text):
@@ -289,10 +286,7 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
 
 def emit_manifest(trials) -> str:
     """Render trials back to manifest text; inverse of parse_manifest."""
-    lines = [" ".join((t.utterance_id, t.label, t.attack_id, t.codec_id,
-                       t.source_path))
-             for t in trials]
-    return "".join(line + "\n" for line in lines)
+    return "".join(" ".join(t) + "\n" for t in trials)
 
 
 def emit_scores(scores: ScoreColumns) -> str:

@@ -264,7 +264,7 @@ def test_dsp_analytics(capsys):
 
         def magnitude(freq_hz):
             z1 = np.exp(-2j * np.pi * freq_hz / 16000.0)
-            h = complex(coeffs.gain)
+            h = 1.0
             for b0, b1, b2, a1, a2 in coeffs.sections:
                 h *= (b0 + b1 * z1 + b2 * z1 * z1) \
                     / (1.0 + a1 * z1 + a2 * z1 * z1)

@@ -1,5 +1,6 @@
 """CLI behavior: flag defaults, subcommands, exit codes."""
 
+import codecs
 import os
 import subprocess
 import sys
@@ -646,6 +647,33 @@ class TestReport:
                    "--scores", str(scores), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert not (tmp_path / "x").exists()
+
+
+class TestByteOrderMark:
+    def test_bom_is_not_read_into_the_first_id(self, tmp_path, capsys):
+        manifest, scores = write_eval_fixture(tmp_path)
+        # the two files start with different ids, so a BOM read into
+        # either first id leaves a trial without a score
+        lines = scores.read_text().splitlines(keepends=True)
+        scores.write_text("".join(reversed(lines)))
+        argv = ["evaluate", "--manifest", str(manifest),
+                "--scores", str(scores)]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        for path in (manifest, scores):
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+        corpus = write_corpus(tmp_path, n_files=2)
+        source = corpus["manifest"]
+        source.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        out = tmp_path / "out"
+        assert main(launder_argv(corpus, out, ["--fraction", "1.0"])) == 0
+        records = parse_manifest((out / "augmented.manifest").read_text())
+        assert len(records) == 20
+        assert not any("\ufeff" in r.utterance_id for r in records)
+        assert not any("\ufeff" in str(p) for p in out.rglob("*"))
 
 
 class TestImports:

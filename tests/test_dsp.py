@@ -348,7 +348,7 @@ class TestApplyFilter:
         assert y.sample_rate_hz == 16000
 
     def test_unstable_rejected(self):
-        c = FilterCoefficients(((1.0, 0.0, 0.0, -2.0, 1.5),), 1.0)
+        c = FilterCoefficients(((1.0, 0.0, 0.0, -2.0, 1.5),))
         with pytest.raises(UnstableFilter):
             apply_filter(AudioBuffer(np.zeros(10), 16000), c)
 

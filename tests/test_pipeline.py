@@ -15,9 +15,8 @@ from launderbench.dsp import (BITRATE_CHOICES, NOISE_NAMES, RT60_CHOICES,
                               NoiseLibrary, apply_attack)
 from launderbench.errors import (CorruptFile, EmptyInput, InvalidParameter,
                                  IoFailure, ZeroSelection)
-from launderbench.pipeline import (AugmentationJob, AugmentReport, attack_tag,
-                                   emit_augmented_manifest, execute_plan,
-                                   plan_attacks, select_subset)
+from launderbench.pipeline import (attack_tag, emit_augmented_manifest,
+                                   execute_plan, plan_attacks, select_subset)
 from launderbench.protocol import TrialRecord, parse_manifest
 from launderbench.rng import derive_seed
 
@@ -468,10 +467,6 @@ class TestExecutePlan:
         jobs = plan_attacks(corpus["trials"][:1], seed=0)
         with pytest.raises(InvalidParameter):
             execute_plan(jobs, corpus["audio_root"], tmp_path, parallelism=0)
-
-    def test_report_invariant_enforced(self):
-        with pytest.raises(InvalidParameter):
-            AugmentReport(5, 3, 1, 0, ())
 
 
 class TestEmitAugmentedManifest:
