@@ -5,16 +5,20 @@ constant, verbatim, fixed-predictor, and LPC subframes, both Rice coding
 methods with escaped partitions, wasted bits, fixed and variable blocking,
 and verifies the header CRC-8, per-frame CRC-16, and the stream MD5.  It
 reads the frames as one string of '0'/'1' characters: a field is one
-int(..., 2) of a slice, and a Rice partition of n codes is the first n
-consecutive matches of the pattern 0*1[01]{k}, decoded together with
-numpy.  Each frame's CRC-16 is checked before prediction is undone.  The
-encoder emits mono 16-bit streams using fixed predictors (orders 0-4) with
-single-partition Rice residuals, which every compliant decoder reads; it
-packs each frame's (value, width) fields into 64-bit words, each field
-touching at most two.  Both CRCs, read and write, are computed without a
-per-byte loop: a position table gives each byte's share of the CRC by its
-offset in a 512-byte chunk, and the chunk CRCs are chained through the
-table of what the register becomes over a chunk of zero bytes.
+int(..., 2) of a slice, and a Rice partition of n codes is walked with one
+bytes.find of the next terminating 1 per code, the k low bits of all n
+codes then taken by one numpy gather.  Each frame's CRC-16 is checked
+before prediction is undone; LPC prediction runs in a loop compiled once
+per predictor order, with the history in locals, which fails a sample
+outside int64 as soon as it is predicted.  The encoder emits mono 16-bit
+streams using fixed predictors (orders 0-4) with single-partition Rice
+residuals, which every compliant decoder reads; it picks the Rice
+parameter by walking the convex coded size from an estimate, and packs
+each frame's (value, width) fields into 64-bit words, each field touching
+at most two.  Both CRCs, read and write, are computed without a per-byte
+loop: a position table gives each byte's share of the CRC by its offset in
+a 512-byte chunk, and the chunk CRCs are chained through the table of what
+the register becomes over a chunk of zero bytes.
 
 Only mono streams are accepted; multichannel decorrelation modes are
 rejected up front rather than silently downmixed.
@@ -23,8 +27,6 @@ rejected up front rather than silently downmixed.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import re
 from functools import lru_cache, partial
 
 import numpy as np
@@ -128,6 +130,7 @@ class _BitReader:
     def __init__(self, data, pos):
         self.bits = format(int.from_bytes(data, "big"),
                            f"0{8 * len(data)}b").encode()
+        self.digits = np.frombuffer(self.bits, np.uint8)
         self.pos = 8 * pos
 
     def _advance(self, n):
@@ -155,31 +158,29 @@ class _BitReader:
     def read_signed_block(self, n, w):
         """n signed w-bit fields as an int64 array."""
         p = self._advance(n * w)
-        digits = np.frombuffer(self.bits, np.uint8, n * w, p).reshape(n, w)
+        digits = self.digits[p:p + n * w].reshape(n, w)
         v = (digits & 1).astype(np.int64) @ (1 << np.arange(w - 1, -1, -1))
         return v - (v >> (w - 1) << w)
 
     def read_rice_block(self, n, k):
-        """n Rice(k)-coded signed residuals as an int64 array: the first n
-        consecutive matches of 0*1[01]{k}, i.e. quotient zeros, a
-        terminating 1 and k low bits."""
-        run, code = _rice_patterns(n, k)
-        m = run.match(self.bits, self.pos)
-        if m is None:
+        """n Rice(k)-coded signed residuals as an int64 array.  A code is
+        quotient zeros, a terminating 1 and k low bits, so the walk finds
+        each terminator and steps over its low bits; a find that fails
+        returns -1, which reads as a negative quotient."""
+        find = self.bits.find
+        start = p = self.pos
+        step = k + 1
+        ends = np.array([p := find(b"1", p) + step for _ in range(n)],
+                        np.int64)
+        q = np.diff(ends, prepend=start) - step
+        if n and (ends[-1] > len(self.bits) or q.min() < 0):
             raise CorruptFile("unexpected end of FLAC stream")
-        codes = code.findall(self.bits, self.pos, m.end())
-        self.pos = m.end()
-        # a code of length q + 1 + k reads as the integer 2**k + low bits
-        size = np.fromiter(map(len, codes), np.int64, n)
-        value = np.fromiter(map(int, codes, itertools.repeat(2)), np.int64, n)
-        u = (size - (k + 2) << k) + value
+        self.pos = p
+        u = q << k
+        if k:
+            low = self.digits[ends[:, None] - np.arange(k, 0, -1)] & 1
+            u += low.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1))
         return (u >> 1) ^ -(u & 1)
-
-
-@lru_cache(maxsize=256)
-def _rice_patterns(n, k):
-    code = rb"0*1[01]{%d}" % k
-    return re.compile(rb"(?:%s){%d}" % (code, n)), re.compile(code)
 
 
 def _pack(values, widths):
@@ -213,18 +214,38 @@ def _restore_fixed(order, warmup, resid):
     return series
 
 
+@lru_cache(maxsize=None)
+def _lpc_kernel(order):
+    """The restore loop of one LPC order, compiled on first use.  The
+    coefficients c0.. and the last order samples h0 (newest).. are
+    locals, the prediction is written out term by term, the history
+    shifts by one tuple assignment per sample, and a sample outside int64
+    is refused as soon as it is predicted, so a diverging predictor fails
+    in a few samples instead of growing ever longer ints."""
+    c = [f"c{j}" for j in range(order)]
+    h = [f"h{j}" for j in range(order)]
+    dot = " + ".join(f"{a} * {b}" for a, b in zip(c, h))
+    src = f"""def restore(warmup, coefs, shift, resid):
+    {", ".join(c)}, = coefs
+    {", ".join(reversed(h))}, = warmup
+    out = list(warmup)
+    keep = out.append
+    for e in resid:
+        x = e + (({dot}) >> shift)
+        if not {-1 << 63} <= x <= {(1 << 63) - 1}:
+            raise CorruptFile("LPC prediction overflows 64 bits")
+        keep(x)
+        {", ".join(h)} = {", ".join(["x"] + h[:-1])}
+    return out
+"""
+    namespace = {"CorruptFile": CorruptFile}
+    exec(src, namespace)
+    return namespace["restore"]
+
+
 def _restore_lpc(order, warmup, coefs, shift, resid):
-    s = list(warmup) + [0] * len(resid)
-    rev = list(range(order))
-    for i, e in enumerate(resid.tolist(), start=order):
-        acc = 0
-        for j in rev:
-            acc += coefs[j] * s[i - 1 - j]
-        s[i] = e + (acc >> shift)
-    try:
-        return np.asarray(s, dtype=np.int64)
-    except OverflowError:
-        raise CorruptFile("LPC prediction overflows 64 bits") from None
+    return np.array(_lpc_kernel(order)(warmup, coefs, shift, resid.tolist()),
+                    np.int64)
 
 
 def _read_residual(br, blocksize, order):
@@ -466,15 +487,27 @@ def _best_fixed_order(block):
 
 
 def _rice_plan(resid):
-    """Pick the Rice parameter minimizing the exact coded size in bits."""
+    """Pick the Rice parameter in 0..14 minimizing the exact coded size in
+    bits, the smallest on a tie.  size(k) = sum(u >> k) + n(k + 1) is
+    convex in k: size(k + 1) - size(k) = n - sum(ceil((u >> k) / 2)) never
+    decreases.  So the walk from the estimate bit_length(mean u) - 1 to
+    the first minimum finds what a scan of all 15 would."""
     u = (resid << 1) ^ (resid >> 63)  # zigzag fold
     n = len(u)
-    best_k, best_bits = 0, int(u.sum()) + n
-    for k in range(1, 15):
-        bits = int((u >> k).sum()) + n * (k + 1)
-        if bits < best_bits:
-            best_k, best_bits = k, bits
-    return u, best_k, best_bits
+
+    def size(k):
+        return int((u >> k).sum()) + n * (k + 1)
+
+    k = min(14, max(0, (int(u.sum()) // n).bit_length() - 1))
+    bits = size(k)
+    if k and (below := size(k - 1)) <= bits:  # the first minimum is below
+        k, bits = k - 1, below
+        while k and (below := size(k - 1)) <= bits:
+            k, bits = k - 1, below
+    else:
+        while k < 14 and (above := size(k + 1)) < bits:
+            k, bits = k + 1, above
+    return u, k, bits
 
 
 def _encode_frame(block, index, rate):

@@ -8,6 +8,7 @@ vouch for each other.
 """
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +242,46 @@ def test_encoder_bytes_match_golden(name):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+# ------------------------------------------------------------------ Rice plan
+
+def scanned_rice_plan(resid):
+    """The Rice parameter by scanning k = 0..14: the first exact minimum
+    of the coded size."""
+    u = (resid << 1) ^ (resid >> 63)
+    sizes = [int((u >> k).sum()) + len(u) * (k + 1) for k in range(15)]
+    best = min(sizes)
+    return sizes.index(best), best
+
+
+RICE_PLAN_EDGES = {
+    "all-zero": [0] * 50,
+    "one-element": [7],
+    "max": [1 << 20] * 3,
+    "min": [-(1 << 20)] * 3,
+    "both": [1 << 20, -(1 << 20), 0],
+    "tie-k0-k1": [1],            # size 3 at k = 0 and k = 1
+    "tie-k3-k4": [-8, 7] * 4,    # u = 15, 14: size 40 at k = 3 and k = 4
+}
+
+
+@pytest.mark.parametrize("name", sorted(RICE_PLAN_EDGES))
+def test_rice_plan_edges_match_scan(name):
+    resid = np.array(RICE_PLAN_EDGES[name], dtype=np.int64)
+    u, k, bits = flacio._rice_plan(resid)
+    assert (k, bits) == scanned_rice_plan(resid)
+    assert np.array_equal(u, (resid << 1) ^ (resid >> 63))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=4).flatmap(
+    lambda scales: st.lists(st.one_of(
+        [st.integers(-(1 << s), 1 << s) for s in scales]),
+        min_size=1, max_size=300)))
+def test_rice_plan_matches_scan(resid):
+    resid = np.array(resid, dtype=np.int64)
+    assert flacio._rice_plan(resid)[1:] == scanned_rice_plan(resid)
+
+
 # ------------------------------------------------------------- container shape
 
 def test_stream_layout_and_streaminfo():
@@ -359,6 +400,74 @@ def test_lpc_subframe():
     assert y.tolist() == expect
 
 
+def plain_lpc_restore(warmup, coefs, shift, resid):
+    """The LPC restore loop as the format states it."""
+    s = list(warmup)
+    for e in resid:
+        acc = sum(c * s[-1 - j] for j, c in enumerate(coefs))
+        s.append(e + (acc >> shift))
+    return s
+
+
+def lpc_subframe(warmup, coefs, shift, prec, porder, parts, ks):
+    """fill_subframe for an LPC subframe: the 16-bit warm-up, prec-bit
+    coefficients, then 2**porder Rice partitions with parameters ks."""
+    def fill(bw):
+        bw.write(0, 1)
+        bw.write(32 + len(coefs) - 1, 6)
+        bw.write(0, 1)
+        for w in warmup:
+            bw.write(w, 16)
+        bw.write(prec - 1, 4)
+        bw.write(shift, 5)
+        for c in coefs:
+            bw.write(c, prec)
+        bw.write(0b00, 2)
+        bw.write(porder, 4)
+        for part, k in zip(parts, ks):
+            bw.write(k, 4)
+            write_rice(bw, part, k)
+    return fill
+
+
+@pytest.mark.parametrize("order", range(1, 33))
+def test_lpc_restore_at_every_order(order):
+    """Each order's restore against the plain loop, with precision, shift,
+    partition order and Rice parameters varied: a 256-sample frame, a
+    short frame of order + 3 samples and one of order samples, which is
+    all warm-up."""
+    rng = np.random.default_rng(order)
+    frames, expect = [], []
+    for number, (n, porder) in enumerate(
+            [(256, order % 4), (order + 3, 0), (order, 0)]):
+        prec = int(rng.integers(1, 16))
+        # |coefficients| sum to at most 2**shift, so the samples stay small
+        lim = min((1 << (prec - 1)) - 1, (1 << 15) // order)
+        coefs = rng.integers(-lim, lim + 1, order).tolist()
+        least = (sum(map(abs, coefs)) - 1).bit_length()
+        shift = int(rng.integers(least, 16))
+        warmup = rng.integers(-32768, 32768, order).tolist()
+        bounds = [0] + [(n >> porder) * (p + 1) - order
+                        for p in range(1 << porder)]
+        ks = rng.integers(0, 12, 1 << porder).tolist()
+        parts = [rng.integers(-(2 << k), 2 << k, b - a).tolist()
+                 for a, b, k in zip(bounds, bounds[1:], ks)]
+        resid = sum(parts, [])
+        expect += plain_lpc_restore(warmup, coefs, shift, resid)
+        frames.append(build_frame(n, lpc_subframe(
+            warmup, coefs, shift, prec, porder, parts, ks), number=number))
+    blob = build_streaminfo(16000, 1, 16, len(expect)) + b"".join(frames)
+    y, _, _ = flacio.decode_flac(blob)
+    assert y.tolist() == expect
+
+
+def test_lpc_order_beyond_block_size_is_refused():
+    fill = lpc_subframe([1, 2, 3, 4, 5], [1, 0, 0, 0, 0], 0, 15, 0, [[]], [0])
+    blob = build_streaminfo(16000, 1, 16, 4) + build_frame(4, fill)
+    with pytest.raises(CorruptFile, match="predictor order exceeds block size"):
+        flacio.decode_flac(blob)
+
+
 def test_wasted_bits_shift_restored():
     def subframe(bw):
         bw.write(0, 1)
@@ -443,6 +552,69 @@ def test_five_bit_rice_method():
     blob = build_streaminfo(16000, 1, 16, 5) + build_frame(5, subframe)
     y, _, _ = flacio.decode_flac(blob)
     assert y.tolist() == resid
+
+
+def rice_stream(resid, k, method=0b00):
+    """One fixed order-0 frame holding resid as a single Rice(k)
+    partition, and the bit offset in the stream where each code starts."""
+    starts = []
+
+    def subframe(bw):
+        bw.write(0, 1)
+        bw.write(0b001000, 6)
+        bw.write(0, 1)
+        bw.write(method, 2)
+        bw.write(0, 4)
+        bw.write(k, 4 + method)
+        for r in resid:
+            starts.append(len(bw.bits))
+            write_rice(bw, [r], k)
+        starts.append(len(bw.bits))
+
+    info = build_streaminfo(16000, 1, 16, len(resid))
+    frame = build_frame(len(resid), subframe)
+    *starts, end = starts
+    # the subframe's padded bytes end where the 2-byte CRC-16 begins
+    head = 8 * (len(info) + len(frame) - 2 - (end + 7) // 8)
+    return info + frame, [head + b for b in starts]
+
+
+@pytest.mark.parametrize("resid, k, method", [
+    ([0, -1, 1, 0, 3, -2], 0, 0b00),            # k = 0: quotient alone
+    ([150, -3, 0, -150, 2], 0, 0b00),           # 300-zero quotients
+    ([1 << 16, -(1 << 16), 7, 0], 2, 0b00),     # ~2**15-zero quotients
+    ([0, 1, -1, 40000, -40000, 1 << 28], 15, 0b01),
+    ([5, -5, (1 << 30) - 1, -(1 << 30)], 29, 0b01),
+    ([3, -3, 1 << 31, -(1 << 31) + 1], 30, 0b01),
+])
+def test_rice_reader_edges(resid, k, method):
+    blob, _ = rice_stream(resid, k, method)
+    y, _, _ = flacio.decode_flac(blob)
+    assert y.tolist() == resid
+
+
+@pytest.mark.parametrize("k, last, cut_at", [(0, 150, 150), (20, 5 << 20, 21)],
+                         ids=["in-quotient", "in-low-bits"])
+def test_rice_reader_refuses_a_cut_code(k, last, cut_at):
+    """The stream ends cut_at bits into its last code: inside a 300-zero
+    quotient, or inside the 20 low bits that follow 10 zeros and a 1."""
+    blob, starts = rice_stream([1, -2, last], k, 0b01)
+    assert flacio.decode_flac(blob)[0].tolist() == [1, -2, last]
+    with pytest.raises(CorruptFile, match="unexpected end"):
+        flacio.decode_flac(blob[:(starts[-1] + cut_at) // 8])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.integers(-(1 << (k + 6)), 1 << (k + 6)), max_size=40))))
+def test_rice_block_reads_what_was_written(case):
+    k, resid = case
+    bw = BitWriter()
+    write_rice(bw, resid, k)
+    bw.write(0b10110, 5)  # trailing bits the read must leave in place
+    br = flacio._BitReader(bw.getvalue(), 0)
+    assert br.read_rice_block(len(resid), k).tolist() == resid
+    assert br.read(5) == 0b10110
 
 
 def test_variable_blocking_frames():
@@ -721,6 +893,21 @@ def test_overflowing_prediction_with_valid_crc_is_corrupt_file():
     blob = build_streaminfo(16000, 1, 16, 40) + build_frame(40, subframe)
     with pytest.raises(CorruptFile, match="overflow"):
         flacio.decode_flac(blob)
+
+
+def test_diverging_lpc_frame_fails_fast():
+    """One 65,535-sample order-32 frame whose coefficients are all
+    2**14 - 1 with no shift: each sample is ~2**19 times the last, so the
+    prediction leaves int64 within a few samples.  The restore must stop
+    there, not carry ever longer ints through the frame."""
+    order, n = 32, 65535
+    fill = lpc_subframe([30000] * order, [16383] * order, 0, 15, 0,
+                        [[0] * (n - order)], [0])
+    blob = build_streaminfo(16000, 1, 16, n) + build_frame(n, fill)
+    t0 = time.perf_counter()
+    with pytest.raises(CorruptFile, match="LPC prediction overflows 64 bits"):
+        flacio.decode_flac(blob)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def lpc_stream():
