@@ -23,8 +23,8 @@ from .errors import (CorruptFile, DuplicateId, EmptyClass,
 from .metrics import MetricConfig
 from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
                        select_subset)
-from .protocol import (JOIN_POLICIES, ScoreColumns, join_scores,
-                       manifest_columns, parse_manifest, parse_scores)
+from .protocol import (JOIN_POLICIES, ScoreColumns, TrialRecord,
+                       join_scores, parse_manifest, parse_scores)
 from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey, axis_keys,
                         compute_breakdown, rank_worst, render, render_skipped)
 
@@ -66,7 +66,7 @@ def _resolve_backend(args):
 def _read_scored(args):
     """The metric settings, checked first, and the joined scores."""
     metrics = MetricConfig(args.c_miss, args.c_fa, args.pi_spoof)
-    trials = manifest_columns(_read_text(args.manifest, "--manifest"))
+    trials = parse_manifest(_read_text(args.manifest, "--manifest"))[1]
     scores = parse_scores(_read_text(args.scores, "--scores"))
     if args.invert_scores:
         scores = ScoreColumns(scores.ids, -scores.scores)
@@ -84,33 +84,34 @@ def cmd_launder(args) -> int:
     audio_root = _require(args.audio_root, "--audio-root", "dir")
     noise_dir = _require(args.noise_dir, "--noise-dir", "dir")
     out_dir = _require(args.out, "--out")
-    trials = parse_manifest(manifest_text)
+    fields, trials = parse_manifest(manifest_text)
 
     noises = NoiseLibrary(noise_dir)
     for name in LOADABLE_NOISES:
         noises.get(name)
     backend = _resolve_backend(args)
 
-    selected = select_subset(trials, args.fraction, args.seed)
+    rows = select_subset(trials.ids, args.fraction, args.seed)
+    selected = [TrialRecord._make(col[r] for col in fields) for r in rows]
     jobs = plan_attacks(selected, args.seed)
     # every output id joins the manifest's ids in augmented.manifest
-    taken = {t.utterance_id for t in trials}
+    added = set()
     for job in jobs:
-        if job.output_utterance_id in taken:
-            raise DuplicateId(
-                f"output id {job.output_utterance_id!r} would appear more "
-                f"than once in augmented.manifest")
-        taken.add(job.output_utterance_id)
+        out_id = job.output_utterance_id
+        if out_id in trials.index or out_id in added:
+            raise DuplicateId(f"output id {out_id!r} would appear more "
+                              f"than once in augmented.manifest")
+        added.add(out_id)
     report = execute_plan(jobs, audio_root, out_dir, noises=noises,
                           backend=backend, parallelism=args.jobs)
 
     failed = {job for job, _ in report.failures}
     succeeded = [j for j in jobs if j not in failed]
     identity = backend.identity if backend is not None else None
-    (out_dir / "augmented.manifest").write_text(
-        emit_augmented_manifest(trials, succeeded, backend_identity=identity))
+    (out_dir / "augmented.manifest").write_text(emit_augmented_manifest(
+        zip(*fields), succeeded, backend_identity=identity))
 
-    bonafide = sum(1 for t in trials if t.label == "bonafide")
+    bonafide = int(trials.bonafide.sum())
     _write_summary(out_dir / "run_summary.txt", [
         ("command", "launder"),
         ("seed", args.seed),
@@ -121,9 +122,9 @@ def cmd_launder(args) -> int:
         ("noise_dir", noise_dir),
         ("out_dir", out_dir),
         ("backend", identity or "none"),
-        ("manifest_total", len(trials)),
+        ("manifest_total", len(trials.ids)),
         ("manifest_bonafide", bonafide),
-        ("manifest_spoof", len(trials) - bonafide),
+        ("manifest_spoof", len(trials.ids) - bonafide),
         ("selected", len(selected)),
         ("jobs_total", report.jobs_total),
         ("jobs_succeeded", report.jobs_succeeded),

@@ -73,29 +73,27 @@ def attack_tag(spec: AttackSpec) -> str:
     return f"lowpass_{int(spec.cutoff_hz)}_{spec.order}"
 
 
-def select_subset(trials, fraction: float, seed: int) -> list:
-    """Keep floor(fraction*N) records, chosen by seeded shuffle.
+def select_subset(ids, fraction: float, seed: int) -> list:
+    """Rows of floor(fraction*N) ids, chosen by seeded shuffle, in id order.
 
-    Ids are sorted before shuffling so the selection depends only on the
-    set of ids, not on manifest line order.  The fraction is read as a
-    decimal literal, so 0.7 of 10 files is exactly 7 even though
+    Rows are sorted by id before shuffling so the selection depends only
+    on the set of ids, not on manifest line order.  The fraction is read
+    as a decimal literal, so 0.7 of 10 files is exactly 7 even though
     0.7*10 < 7 in binary floats.
     """
-    trials = list(trials)
-    if not trials:
+    if not ids:
         raise EmptyInput("cannot select from an empty trial list")
     if not 0.0 < fraction <= 1.0:
         raise InvalidParameter(
             f"fraction must lie in (0, 1], got {fraction}")
-    count = int(Fraction(str(fraction)) * len(trials))
+    count = int(Fraction(str(fraction)) * len(ids))
     if count == 0:
         raise ZeroSelection(
-            f"fraction {fraction} of {len(trials)} trials floors to zero")
-    ordered = sorted(trials, key=lambda t: t.utterance_id)
-    perm = make_rng(seed, "select").permutation(len(ordered))
-    chosen = [ordered[i] for i in perm[:count]]
-    chosen.sort(key=lambda t: t.utterance_id)
-    return chosen
+            f"fraction {fraction} of {len(ids)} trials floors to zero")
+    ordered = sorted(range(len(ids)), key=ids.__getitem__)
+    perm = make_rng(seed, "select").permutation(len(ids))
+    return sorted((ordered[i] for i in perm[:count].tolist()),
+                  key=ids.__getitem__)
 
 
 def _draw(seed, utt, slot, choices):
@@ -119,13 +117,14 @@ def plan_attacks(selected, seed: int) -> list:
     """Expand each selected record into its nine attack jobs.
 
     The whole plan is refused, before anything runs, when an id's output
-    path would be absolute, climb out of the output directory, or hold a
-    NUL byte, which no file name can.
+    path would be absolute, climb out of the output directory, hold a
+    NUL byte, which no file name can, or normalize to another id's path.
     """
     selected = list(selected)
     if not selected:
         raise EmptyInput("cannot plan attacks for an empty selection")
     jobs = []
+    writers = {}    # normalized output path -> the id that writes it
     for t in selected:
         utt = t.utterance_id
         for spec in _attack_specs(seed, utt):
@@ -141,6 +140,11 @@ def plan_attacks(selected, seed: int) -> list:
                 raise InvalidParameter(
                     f"utterance id {utt!r} would write outside the output "
                     f"directory: {path}")
+            other = writers.setdefault(posixpath.normpath(path), utt)
+            if other != utt:
+                raise InvalidParameter(
+                    f"utterance ids {other!r} and {utt!r} would write the "
+                    f"same file: {path}")
             jobs.append(AugmentationJob(
                 source=t,
                 spec=spec,
@@ -254,7 +258,7 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
 
 
 def emit_augmented_manifest(original, jobs, backend_identity=None) -> str:
-    """Original manifest plus one inherited-label record per job.
+    """Manifest rows of five fields plus one inherited-label record per job.
 
     Each appended line carries a trailing comment with the attack tag;
     recompression lines also note the codec backend identity when given.

@@ -9,8 +9,9 @@ with '#' starting a comment (full-line or trailing).  Score files carry
 bonafide-like.  Attack and codec vocabularies are open; the bonafide
 attack placeholder is the literal "-".
 
-A manifest has one reader: manifest_columns (scoring's columns) and
-parse_manifest (launder's TrialRecords) both return what it read.
+A manifest has one reader, parse_manifest: it returns the five field
+lists and the TrialColumns.  launder selects rows from the columns and
+makes a TrialRecord of each kept row only; scoring keeps the columns.
 parse_scores reads score files as columns, and scoring joins trials and
 scores by row index.  Both files share one tokenizer whose fast path
 covers plain ASCII text.  Other text, and text failing a bulk check, is
@@ -178,8 +179,9 @@ def _trial_columns(ids, labels, attack_ids, codec_ids):
     return TrialColumns(ids, bonafide, attack, attacks, codec, codecs, index)
 
 
-def _read_manifest(text):
-    """The five field lists of manifest text, and its TrialColumns.
+def parse_manifest(text: str) -> tuple:
+    """The five field lists of manifest text, in line order, and its
+    TrialColumns.
 
     Text the tokenizer or the bulk check of _trial_columns rejects is
     read by _manifest_lines, which raises the error for the first bad
@@ -191,16 +193,6 @@ def _read_manifest(text):
         fields = _manifest_lines(text)
         trials = _trial_columns(*fields[:4])
     return fields, trials
-
-
-def manifest_columns(text: str) -> TrialColumns:
-    """Parse manifest text into columns."""
-    return _read_manifest(text)[1]
-
-
-def parse_manifest(text: str) -> list:
-    """Parse manifest text into TrialRecords, preserving line order."""
-    return list(map(TrialRecord._make, zip(*_read_manifest(text)[0])))
 
 
 def _score_lines(text):
@@ -284,9 +276,10 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
                         by_row[keep], len(missing), len(orphans))
 
 
-def emit_manifest(trials) -> str:
-    """Render trials back to manifest text; inverse of parse_manifest."""
-    return "".join(" ".join(t) + "\n" for t in trials)
+def emit_manifest(rows) -> str:
+    """Render rows of five fields back to manifest text; inverse of
+    parse_manifest, as emit_manifest(zip(*parse_manifest(text)[0]))."""
+    return "".join(" ".join(row) + "\n" for row in rows)
 
 
 def emit_scores(scores: ScoreColumns) -> str:

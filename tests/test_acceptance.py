@@ -27,6 +27,10 @@ from launderbench.reporting import (BreakdownTable, CellMetrics, GroupKey,
                                     rank_worst)
 
 
+def manifest_records(text):
+    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
+
+
 @contextmanager
 def criterion(capsys, name):
     try:
@@ -175,7 +179,8 @@ def test_pipeline_arithmetic(capsys):
                 f"utt{i:06d}", label,
                 "-" if label == "bonafide" else "A17",
                 "C00", f"utt{i:06d}.flac"))
-        selected = select_subset(trials, 0.1, seed=11)
+        rows = select_subset([t.utterance_id for t in trials], 0.1, seed=11)
+        selected = [trials[r] for r in rows]
         assert len(selected) == 18_235
         jobs = plan_attacks(selected, seed=11)
         assert len(jobs) == 164_115
@@ -331,7 +336,7 @@ def test_format_round_trips(tmp_path, capsys):
                 label, attack,
                 "".join(rng.choice(list(_ID_ALPHA), size=3)),
                 "".join(rng.choice(list(_ID_ALPHA + "/-"), size=12))))
-        assert parse_manifest(emit_manifest(trials)) == trials
+        assert manifest_records(emit_manifest(trials)) == trials
 
         values = list(rng.standard_normal(995)) + [
             0.1, -1 / 3, 1e300, 5e-324, -0.0]
@@ -357,7 +362,7 @@ def test_end_to_end_smoke(tmp_path, capsys):
         assert main(launder_argv(corpus, out)) == 0
 
         augmented = out / "augmented.manifest"
-        records = parse_manifest(augmented.read_text())
+        records = manifest_records(augmented.read_text())
         assert len(records) == 57
 
         rng = np.random.Generator(np.random.PCG64(123))

@@ -1,6 +1,7 @@
 """CLI behavior: flag defaults, subcommands, exit codes."""
 
 import codecs
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,9 +16,13 @@ from launderbench.cli import build_parser, main
 from launderbench.errors import InvalidParameter
 from launderbench.metrics import gaussian_scores
 from launderbench.pipeline import plan_attacks
-from launderbench.protocol import parse_manifest
+from launderbench.protocol import TrialRecord, parse_manifest
 
 COPY_BODY = "import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n"
+
+
+def manifest_records(text):
+    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
 
 
 def parse_args(argv):
@@ -122,7 +127,7 @@ class TestLaunder:
         out = tmp_path / "out"
         rc = main(launder_argv(corpus, out))
         assert rc == 0
-        records = parse_manifest((out / "augmented.manifest").read_text())
+        records = manifest_records((out / "augmented.manifest").read_text())
         assert len(records) == 19
         flacs = sorted(p for p in out.rglob("*.flac"))
         assert len(flacs) == 9
@@ -139,6 +144,24 @@ class TestLaunder:
         assert summary["manifest_bonafide"] == "5"
         assert summary["manifest_spoof"] == "5"
         assert "laundered 9/9" in capsys.readouterr().err
+
+    def test_augmented_manifest_is_pinned(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n_files=4)
+        corpus["manifest"].write_text(
+            "\ufeff# golden launder input\n"
+            "u0000\tbonafide\t-\tC00\tu0000.flac\n"
+            "\n"
+            "u0001 spoof  A18\tC01 u0001.flac   # trailing comment\n"
+            "   \n"
+            "\tu0002 bonafide - C02 u0002.flac#tight comment\n"
+            "u0003  spoof A20 C00  u0003.flac\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["--fraction", "0.5", "--seed", "3", "--jobs", "1"]
+        assert main(launder_argv(corpus, out, argv)) == 0
+        text = (out / "augmented.manifest").read_bytes()
+        # recorded from the per-record launder front end this replaced
+        assert hashlib.sha256(text).hexdigest() == (
+            "f5980e20c2dbd49b8861986c12b93a9289c5f43dcf60a0dd529bd4393396fb21")
 
     def test_no_codec_backend_fails_recompression_only(
             self, tmp_path, capsys, monkeypatch):
@@ -272,6 +295,21 @@ class TestLaunder:
         assert not (tmp_path / "a").exists()
         assert sorted(tmp_path.rglob("*.flac")) == sources
 
+    def test_ids_writing_one_file_write_nothing(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        sources = sorted(tmp_path.rglob("*.flac"))
+        corpus["manifest"].write_text(
+            "a/b bonafide - C00 u0000.flac\n"
+            "a/./b spoof A17 C00 u0001.flac\n"
+            "a//b bonafide - C00 u0002.flac\n")
+        out = tmp_path / "out"
+        assert main(launder_argv(corpus, out, ["--fraction", "1.0"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: utterance ids 'a/./b' and 'a//b' would "
+                              "write the same file")
+        assert not out.exists()
+        assert sorted(tmp_path.rglob("*.flac")) == sources
+
     def test_relaunder_clash_writes_nothing(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         first = tmp_path / "first"
@@ -287,7 +325,7 @@ class TestLaunder:
         err = capsys.readouterr().err
         assert err.startswith("error: output id ")
         named = err.split("'")[1]
-        records = parse_manifest(augmented.read_text())
+        records = manifest_records(augmented.read_text())
         assert named in [r.utterance_id for r in records[10:]]
         assert not second.exists()
         assert sorted(first.rglob("*.flac")) == outputs
@@ -325,7 +363,7 @@ class TestLaunder:
     def test_dead_worker_writes_no_manifest(self, tmp_path, capsys,
                                             monkeypatch):
         corpus = write_corpus(tmp_path, n_files=3)
-        doomed = plan_attacks(parse_manifest(corpus["manifest"].read_text()),
+        doomed = plan_attacks(manifest_records(corpus["manifest"].read_text()),
                               seed=0)[13].job_seed
         parent = os.getpid()
         apply_attack = pipeline.apply_attack
@@ -368,7 +406,7 @@ class TestLaunder:
                   if line.startswith("failed ")]
         assert len(failed) == 5
         assert all(line.startswith("failed u9999_") for line in failed)
-        kept = [r.utterance_id for r in parse_manifest(
+        kept = [r.utterance_id for r in manifest_records(
             (out / "augmented.manifest").read_text())]
         assert sorted(i.split("_")[1] for i in kept if "u9999_" in i) == [
             "lowpass", "recompression", "resampling", "reverberation"]
@@ -670,7 +708,7 @@ class TestByteOrderMark:
         source.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
         out = tmp_path / "out"
         assert main(launder_argv(corpus, out, ["--fraction", "1.0"])) == 0
-        records = parse_manifest((out / "augmented.manifest").read_text())
+        records = manifest_records((out / "augmented.manifest").read_text())
         assert len(records) == 20
         assert not any("\ufeff" in r.utterance_id for r in records)
         assert not any("\ufeff" in str(p) for p in out.rglob("*"))

@@ -43,6 +43,14 @@ def make_trials(n, prefix="u"):
     return out
 
 
+def make_ids(n):
+    return [t.utterance_id for t in make_trials(n)]
+
+
+def manifest_records(text):
+    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
+
+
 def grid_specs():
     specs = [AttackSpec(kind="reverberation", rt60_s=r) for r in RT60_CHOICES]
     specs += [AttackSpec(kind="additive_noise", noise_name=n, snr_db=s)
@@ -84,44 +92,81 @@ class TestAttackTag:
             assert all(c.isalnum() or c in "._" for c in tag)
 
 
+# recorded from the record-based selection this replaced: the numbers n
+# of the ids T_{n:04d} chosen from GOLDEN_IDS, in id order
+GOLDEN_IDS = [f"T_{(i * 73) % 200:04d}" for i in range(200)]
+GOLDEN_SELECTIONS = {
+    (0, 0.1): [4, 11, 17, 21, 28, 31, 34, 42, 47, 77, 78, 85, 93, 97, 107,
+               118, 128, 189, 192, 194],
+    (0, 0.35): [4, 7, 11, 17, 21, 23, 24, 25, 26, 27, 28, 29, 31, 33, 34, 41,
+                42, 47, 48, 49, 55, 57, 59, 68, 75, 76, 77, 78, 79, 85, 86,
+                88, 93, 95, 97, 98, 99, 106, 107, 109, 110, 115, 118, 122,
+                123, 124, 128, 129, 133, 138, 139, 141, 143, 151, 153, 155,
+                168, 172, 174, 177, 178, 180, 183, 186, 189, 190, 192, 193,
+                194, 198],
+    (11, 0.1): [3, 20, 26, 28, 65, 73, 78, 92, 97, 101, 110, 119, 122, 131,
+                137, 150, 152, 171, 174, 188],
+    (11, 0.35): [0, 3, 5, 8, 9, 10, 13, 18, 20, 21, 25, 26, 28, 30, 39, 44,
+                 47, 49, 50, 53, 64, 65, 66, 68, 72, 73, 75, 76, 77, 78, 81,
+                 84, 85, 87, 88, 89, 92, 95, 97, 99, 100, 101, 106, 109, 110,
+                 113, 119, 120, 121, 122, 123, 130, 131, 133, 137, 139, 150,
+                 152, 160, 167, 171, 174, 176, 180, 181, 182, 183, 188, 196,
+                 197],
+    (77, 0.1): [8, 14, 26, 31, 54, 62, 66, 73, 88, 97, 104, 112, 121, 134,
+                135, 142, 171, 186, 190, 194],
+    (77, 0.35): [0, 8, 10, 14, 16, 17, 19, 21, 23, 25, 26, 31, 35, 36, 53,
+                 54, 60, 61, 62, 65, 66, 73, 74, 76, 81, 82, 84, 87, 88, 91,
+                 92, 93, 95, 96, 97, 103, 104, 106, 112, 114, 118, 121, 127,
+                 134, 135, 137, 138, 142, 143, 146, 147, 148, 152, 153, 165,
+                 166, 167, 171, 174, 176, 177, 181, 184, 186, 187, 190, 191,
+                 194, 196, 199],
+    **{(seed, 1.0): list(range(200)) for seed in (0, 11, 77)},
+}
+
+
 class TestSelectSubset:
     def test_floor_count(self):
-        assert len(select_subset(make_trials(120), 0.1, seed=1)) == 12
-        assert len(select_subset(make_trials(37), 0.1, seed=1)) == 3
+        assert len(select_subset(make_ids(120), 0.1, seed=1)) == 12
+        assert len(select_subset(make_ids(37), 0.1, seed=1)) == 3
 
     def test_decimal_fraction_is_exact(self):
         # binary 0.7*10 = 6.999...; the decimal reading must keep 7
-        assert len(select_subset(make_trials(10), 0.7, seed=0)) == 7
+        assert len(select_subset(make_ids(10), 0.7, seed=0)) == 7
 
     def test_full_fraction(self):
-        trials = make_trials(9)
-        assert select_subset(trials, 1.0, seed=5) == sorted(
-            trials, key=lambda t: t.utterance_id)
+        ids = make_ids(9)[::-1]
+        assert select_subset(ids, 1.0, seed=5) == list(range(8, -1, -1))
 
     def test_deterministic(self):
-        trials = make_trials(200)
-        a = select_subset(trials, 0.1, seed=77)
-        b = select_subset(trials, 0.1, seed=77)
+        ids = make_ids(200)
+        a = select_subset(ids, 0.1, seed=77)
+        b = select_subset(ids, 0.1, seed=77)
         assert a == b
 
     def test_seed_changes_selection(self):
-        trials = make_trials(200)
-        a = select_subset(trials, 0.1, seed=1)
-        b = select_subset(trials, 0.1, seed=2)
+        ids = make_ids(200)
+        a = select_subset(ids, 0.1, seed=1)
+        b = select_subset(ids, 0.1, seed=2)
         assert a != b
 
     def test_independent_of_input_order(self):
-        trials = make_trials(150)
+        ids = make_ids(150)
         rng = np.random.Generator(np.random.PCG64(3))
-        shuffled = [trials[i] for i in rng.permutation(len(trials))]
-        assert select_subset(trials, 0.2, seed=9) == select_subset(
-            shuffled, 0.2, seed=9)
+        shuffled = [ids[i] for i in rng.permutation(len(ids))]
+        assert [ids[r] for r in select_subset(ids, 0.2, seed=9)] == [
+            shuffled[r] for r in select_subset(shuffled, 0.2, seed=9)]
 
     def test_output_sorted_by_id(self):
-        chosen = select_subset(make_trials(100), 0.3, seed=4)
-        ids = [t.utterance_id for t in chosen]
-        assert ids == sorted(ids)
-        assert len(set(ids)) == len(ids)
+        ids = make_ids(100)[::-1]
+        chosen = [ids[r] for r in select_subset(ids, 0.3, seed=4)]
+        assert chosen == sorted(chosen)
+        assert len(set(chosen)) == len(chosen)
+
+    @pytest.mark.parametrize("seed,fraction", sorted(GOLDEN_SELECTIONS))
+    def test_selection_matches_golden(self, seed, fraction):
+        rows = select_subset(GOLDEN_IDS, fraction, seed)
+        assert [GOLDEN_IDS[r] for r in rows] == [
+            f"T_{n:04d}" for n in GOLDEN_SELECTIONS[seed, fraction]]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -129,12 +174,12 @@ class TestSelectSubset:
 
     def test_zero_selection(self):
         with pytest.raises(ZeroSelection):
-            select_subset(make_trials(5), 0.1, seed=0)
+            select_subset(make_ids(5), 0.1, seed=0)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
     def test_invalid_fraction(self, fraction):
         with pytest.raises(InvalidParameter):
-            select_subset(make_trials(10), fraction, seed=0)
+            select_subset(make_ids(10), fraction, seed=0)
 
 
 class TestPlanAttacks:
@@ -224,6 +269,17 @@ class TestPlanAttacks:
         t = TrialRecord(utt, "bonafide", "-", "C00", "p.flac")
         with pytest.raises(InvalidParameter, match="outside the output"):
             plan_attacks(make_trials(2) + [t], seed=0)
+
+    @pytest.mark.parametrize("first,second", [("a/b", "a/./b"),
+                                              ("a/b", "a//b"),
+                                              ("a/./b", "a//b")])
+    def test_refuses_ids_that_write_one_file(self, first, second):
+        # distinct ids whose output paths normalize to one file
+        pair = [TrialRecord(u, "bonafide", "-", "C00", "p.flac")
+                for u in (first, second)]
+        with pytest.raises(InvalidParameter, match="the same file") as exc:
+            plan_attacks(make_trials(2) + pair, seed=0)
+        assert f"{first!r} and {second!r}" in str(exc.value)
 
     def test_dotted_id_stays_inside(self):
         t = TrialRecord("a.b", "bonafide", "-", "C00", "p.flac")
@@ -474,13 +530,13 @@ class TestEmitAugmentedManifest:
         original = make_trials(10)
         jobs = plan_attacks(original[:1], seed=6)
         text = emit_augmented_manifest(original, jobs)
-        assert len(parse_manifest(text)) == 19
+        assert len(manifest_records(text)) == 19
 
     def test_labels_and_conditions_inherited(self):
         original = make_trials(4)
         spoof = next(t for t in original if t.label == "spoof")
         jobs = plan_attacks([spoof], seed=2)
-        records = parse_manifest(emit_augmented_manifest(original, jobs))
+        records = manifest_records(emit_augmented_manifest(original, jobs))
         copies = [r for r in records
                   if r.utterance_id.startswith(spoof.utterance_id + "_")]
         assert len(copies) == 9
@@ -493,7 +549,7 @@ class TestEmitAugmentedManifest:
         original = make_trials(3)
         bona = [t for t in original if t.label == "bonafide"]
         jobs = plan_attacks(bona, seed=2)
-        records = parse_manifest(emit_augmented_manifest(original, jobs))
+        records = manifest_records(emit_augmented_manifest(original, jobs))
         for r in records:
             if r.label == "bonafide":
                 assert r.attack_id == "-"
@@ -518,7 +574,7 @@ class TestEmitAugmentedManifest:
     def test_paths_come_from_jobs(self):
         original = make_trials(1)
         jobs = plan_attacks(original, seed=9)
-        records = parse_manifest(emit_augmented_manifest(original, jobs))
+        records = manifest_records(emit_augmented_manifest(original, jobs))
         by_id = {r.utterance_id: r for r in records}
         for job in jobs:
             assert by_id[job.output_utterance_id].source_path == \

@@ -11,8 +11,8 @@ from launderbench import protocol
 from launderbench.errors import (DuplicateId, InvalidParameter, MalformedLine,
                                  MissingScore, NonFiniteScore, OrphanScore)
 from launderbench.protocol import (ScoreColumns, TrialRecord, emit_manifest,
-                                   emit_scores, join_scores, manifest_columns,
-                                   parse_manifest, parse_scores)
+                                   emit_scores, join_scores, parse_manifest,
+                                   parse_scores)
 
 MANIFEST = """\
 u001 bonafide - C00 audio/u001.flac
@@ -24,6 +24,10 @@ u003 spoof A30 C00 audio/u003.flac
 def score_columns(*pairs):
     return ScoreColumns([u for u, _ in pairs],
                         np.array([v for _, v in pairs], dtype=np.float64))
+
+
+def manifest_records(text):
+    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
 
 
 def trial(utt="u001", label="bonafide", attack="-", codec="C00",
@@ -46,11 +50,13 @@ class TestTrialRecord:
 
 class TestParseManifest:
     def test_basic(self):
-        records = parse_manifest(MANIFEST)
-        assert [t.utterance_id for t in records] == ["u001", "u002", "u003"]
-        assert records[0].label == "bonafide"
-        assert records[1].attack_id == "A17"
-        assert records[2].source_path == "audio/u003.flac"
+        fields, trials = parse_manifest(MANIFEST)
+        assert fields[0] == trials.ids == ["u001", "u002", "u003"]
+        assert fields[1][0] == "bonafide"
+        assert fields[2][1] == "A17"
+        assert fields[4][2] == "audio/u003.flac"
+        assert trials.bonafide.tolist() == [True, False, False]
+        assert trials.index == {"u001": 0, "u002": 1, "u003": 2}
 
     def test_comments_and_blanks(self):
         text = ("# header\n"
@@ -58,15 +64,15 @@ class TestParseManifest:
                 "u001 bonafide - C00 p1  # trailing note\n"
                 "   \n"
                 "u002 spoof A01 C01 p2\n")
-        records = parse_manifest(text)
-        assert [t.utterance_id for t in records] == ["u001", "u002"]
+        assert parse_manifest(text)[0][0] == ["u001", "u002"]
 
     def test_no_trailing_newline(self):
-        assert len(parse_manifest("u001 bonafide - C00 p")) == 1
+        assert parse_manifest("u001 bonafide - C00 p")[1].ids == ["u001"]
 
     def test_empty_text(self):
-        assert parse_manifest("") == []
-        assert parse_manifest("# only comments\n\n") == []
+        for text in ("", "# only comments\n\n"):
+            fields, trials = parse_manifest(text)
+            assert fields == [[]] * 5 and trials.ids == []
 
     @pytest.mark.parametrize("line", ["u001 bonafide - C00",
                                       "u001 bonafide - C00 p extra"])
@@ -103,10 +109,9 @@ class TestParseManifest:
         # rejects it and the per-line reader names the line
         text = f"u001 bonafide - C00 p\nu002 spoof A17 C00 p\n{line}\n"
         assert protocol._columns(text, 5) is not None
-        for parse in (parse_manifest, manifest_columns):
-            with pytest.raises(MalformedLine) as exc:
-                parse(text)
-            assert exc.value.line_no == 3
+        with pytest.raises(MalformedLine) as exc:
+            parse_manifest(text)
+        assert exc.value.line_no == 3
 
     def test_duplicate_id(self):
         text = "u001 bonafide - C00 p1\nu001 spoof A01 C00 p2\n"
@@ -115,12 +120,12 @@ class TestParseManifest:
 
     def test_open_vocabulary(self):
         text = "u001 spoof mystery-vocoder weird.codec p\n"
-        (t,) = parse_manifest(text)
+        (t,) = manifest_records(text)
         assert t.attack_id == "mystery-vocoder"
         assert t.codec_id == "weird.codec"
 
     def test_tabs_accepted(self):
-        (t,) = parse_manifest("u001\tbonafide\t-\tC00\tp\n")
+        (t,) = manifest_records("u001\tbonafide\t-\tC00\tp\n")
         assert t.utterance_id == "u001"
 
     @pytest.mark.parametrize("sep, error", [
@@ -132,10 +137,9 @@ class TestParseManifest:
         # whitespace other than space, tab and newline separates fields
         # or lines, though "p<sep>extra" holds no space
         text = f"u001 bonafide - C00 p{sep}extra\n"
-        for parse in (parse_manifest, manifest_columns):
-            with pytest.raises(MalformedLine) as exc:
-                parse(text)
-            assert str(exc.value) == error
+        with pytest.raises(MalformedLine) as exc:
+            parse_manifest(text)
+        assert str(exc.value) == error
 
 
 class TestParseScores:
@@ -173,7 +177,7 @@ class TestParseScores:
 
 class TestJoinScores:
     def setup_method(self):
-        self.trials = manifest_columns(MANIFEST)
+        self.trials = parse_manifest(MANIFEST)[1]
         self.pairs = [("u001", 2.0), ("u002", -1.0), ("u003", 0.5)]
 
     def join(self, pairs, policy="strict"):
@@ -242,15 +246,16 @@ class TestJoinScores:
 
 class TestEmitManifest:
     def test_exact_text(self):
-        records = parse_manifest(MANIFEST)
-        assert emit_manifest(records) == MANIFEST
+        assert emit_manifest(zip(*parse_manifest(MANIFEST)[0])) == MANIFEST
+        assert emit_manifest(manifest_records(MANIFEST)) == MANIFEST
 
     def test_empty(self):
         assert emit_manifest([]) == ""
 
     def test_round_trip_normalizes_whitespace(self):
         text = "u001\tbonafide\t-\tC00\tp\n"
-        assert emit_manifest(parse_manifest(text)) == "u001 bonafide - C00 p\n"
+        assert emit_manifest(zip(*parse_manifest(text)[0])) == \
+            "u001 bonafide - C00 p\n"
 
 
 _ID_ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789_."
@@ -278,7 +283,7 @@ def trial_lists(draw):
 
 @given(trial_lists())
 def test_emit_parse_identity(records):
-    assert parse_manifest(emit_manifest(records)) == records
+    assert manifest_records(emit_manifest(records)) == records
 
 
 def same_scores(a, b):
@@ -429,13 +434,14 @@ def _reference_join(records, scores, policy):
 @given(texts("manifest"))
 def test_manifest_fast_path_matches_per_line(text):
     per_line = _outcome(_per_line_records, text)
-    fast = _outcome(manifest_columns, text)
+    fast = _outcome(parse_manifest, text)
     if per_line[0] == "ok":
         assert fast[0] == "ok"
-        assert _trial_lists(fast[1]) == _record_lists(per_line[1])
+        fields, trials = fast[1]
+        assert _trial_lists(trials) == _record_lists(per_line[1])
+        assert [TrialRecord(*r) for r in zip(*fields)] == per_line[1]
     else:
         assert fast == per_line
-    assert _outcome(parse_manifest, text) == per_line
 
     fields = protocol._columns(text, 5)
     if fields is not None:
@@ -467,7 +473,7 @@ def test_join_matches_dict_reference(manifest, scores, policy):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = _outcome(_reference_join, records[1], parsed[1], policy)
-        got = _outcome(join_scores, manifest_columns(manifest),
+        got = _outcome(join_scores, parse_manifest(manifest)[1],
                        parse_scores(scores), policy)
     if want[0] == "ok":
         joined = got[1]

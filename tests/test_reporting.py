@@ -14,7 +14,7 @@ from launderbench.errors import (EmptyInput, InsufficientCells,
 from launderbench.metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
                                   min_dcf)
 from launderbench.protocol import (TrialRecord, emit_manifest, join_scores,
-                                   manifest_columns, parse_scores)
+                                   parse_manifest, parse_scores)
 from launderbench.reporting import (BreakdownTable, CellMetrics, GroupKey,
                                     compute_breakdown, rank_worst, render,
                                     render_skipped)
@@ -44,8 +44,8 @@ def scored(utt, label, attack, codec, score):
 def columns(rows):
     """ScoredTrials of rows, through manifest and score text."""
     scores = "".join(f"{r.trial.utterance_id} {r.score!r}\n" for r in rows)
-    return join_scores(manifest_columns(emit_manifest([r.trial for r in rows])),
-                       parse_scores(scores))
+    manifest = emit_manifest([r.trial for r in rows])
+    return join_scores(parse_manifest(manifest)[1], parse_scores(scores))
 
 
 def fixture_scored():
@@ -209,9 +209,9 @@ def random_trials(n, seed):
                                   ("attack", "codec")])
 def test_breakdown_matches_mask_reference(axes):
     bonafide, attack, codec, scores = random_trials(20_000, 5)
-    manifest = manifest_columns("".join(
+    manifest = parse_manifest("".join(
         f"t{i:05d} {'bonafide' if b else 'spoof'} {a} {c} p\n"
-        for i, (b, a, c) in enumerate(zip(bonafide, attack, codec))))
+        for i, (b, a, c) in enumerate(zip(bonafide, attack, codec))))[1]
     cfg = MetricConfig()
     # the second score file omits every trial of codec C2 and of attack
     # A03: the intersect join keeps both in its vocabularies but in no row,
