@@ -15,6 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import mp3tool
 from .audio import CodecBackend
 from .dsp import LOADABLE_NOISES, NoiseLibrary
@@ -23,7 +25,7 @@ from .errors import (CorruptFile, DuplicateId, EmptyClass,
 from .metrics import MetricConfig
 from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
                        select_subset)
-from .protocol import (JOIN_POLICIES, ScoreColumns, TrialRecord,
+from .protocol import (JOIN_POLICIES, ScoreColumns, decode_ids, encode_ids,
                        join_scores, parse_manifest, parse_scores)
 from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey, axis_keys,
                         compute_breakdown, rank_worst, render, render_skipped)
@@ -84,21 +86,22 @@ def cmd_launder(args) -> int:
     audio_root = _require(args.audio_root, "--audio-root", "dir")
     noise_dir = _require(args.noise_dir, "--noise-dir", "dir")
     out_dir = _require(args.out, "--out")
-    fields, trials = parse_manifest(manifest_text)
+    rows, trials = parse_manifest(manifest_text)
 
     noises = NoiseLibrary(noise_dir)
     for name in LOADABLE_NOISES:
         noises.get(name)
     backend = _resolve_backend(args)
 
-    rows = select_subset(trials.ids, args.fraction, args.seed)
-    selected = [TrialRecord._make(col[r] for col in fields) for r in rows]
+    chosen = select_subset(decode_ids(trials.ids), args.fraction, args.seed)
+    selected = [rows[r] for r in chosen]
     jobs = plan_attacks(selected, args.seed)
     # every output id joins the manifest's ids in augmented.manifest
+    out_ids = [job.output_utterance_id for job in jobs]
+    taken = np.isin(encode_ids(out_ids), trials.ids).tolist()
     added = set()
-    for job in jobs:
-        out_id = job.output_utterance_id
-        if out_id in trials.index or out_id in added:
+    for out_id, clash in zip(out_ids, taken):
+        if clash or out_id in added:
             raise DuplicateId(f"output id {out_id!r} would appear more "
                               f"than once in augmented.manifest")
         added.add(out_id)
@@ -109,7 +112,7 @@ def cmd_launder(args) -> int:
     succeeded = [j for j in jobs if j not in failed]
     identity = backend.identity if backend is not None else None
     (out_dir / "augmented.manifest").write_text(emit_augmented_manifest(
-        zip(*fields), succeeded, backend_identity=identity))
+        rows, succeeded, backend_identity=identity))
 
     bonafide = int(trials.bonafide.sum())
     _write_summary(out_dir / "run_summary.txt", [

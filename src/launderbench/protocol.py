@@ -9,24 +9,30 @@ with '#' starting a comment (full-line or trailing).  Score files carry
 bonafide-like.  Attack and codec vocabularies are open; the bonafide
 attack placeholder is the literal "-".
 
-A manifest has one reader, parse_manifest: it returns the five field
-lists and the TrialColumns.  launder selects rows from the columns and
-makes a TrialRecord of each kept row only; scoring keeps the columns.
-parse_scores reads score files as columns, and scoring joins trials and
-scores by row index.  Both files share one tokenizer whose fast path
-covers plain ASCII text.  Other text, and text failing a bulk check, is
-parsed line by line, so every error names the line it comes from.
+A manifest has one reader, parse_manifest: it returns the rows, which
+decode a TrialRecord only when read, and the TrialColumns.  launder
+selects rows by id and decodes the rows it keeps; scoring keeps the
+columns.  parse_scores reads score files as columns.  Columns hold no
+Python object per trial: ids, labels, attacks and codecs are gathered
+from the UTF-8 bytes into fixed-width bytes arrays (see TrialColumns),
+and join_scores matches ids by a stable sort of each side and a binary
+search of the score ids in the trial ids.  Both files share one
+tokenizer whose fast path covers plain ASCII text.  Other text, and text
+failing a bulk check, is parsed line by line, so every error names the
+line it comes from; the fields of a clean per-line parse are written
+back as plain text and read by the fast path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DuplicateId, InvalidParameter, MalformedLine,
                      MissingScore, NonFiniteScore, OrphanScore)
@@ -50,24 +56,25 @@ class TrialRecord(NamedTuple):
 class TrialColumns:
     """Manifest trials as columns, in line order.
 
-    attack and codec hold indexes into the sorted vocabularies attacks
-    and codecs; index maps each utterance id to its row.
+    ids holds each utterance id as a key (see encode_ids); order is the
+    stable argsort of ids.  attack and codec hold indexes into the sorted
+    vocabularies attacks and codecs.
     """
 
-    ids: list
+    ids: np.ndarray
+    order: np.ndarray
     bonafide: np.ndarray
     attack: np.ndarray
     attacks: tuple
     codec: np.ndarray
     codecs: tuple
-    index: dict
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreColumns:
-    """Score file entries as columns, in line order."""
+    """Score file entries as columns, in line order; ids are keys."""
 
-    ids: list
+    ids: np.ndarray
     scores: np.ndarray
 
 
@@ -75,11 +82,11 @@ class ScoreColumns:
 class ScoredTrials:
     """Joined trials as columns, in manifest order, with their scores.
 
-    unscored and orphans count the trials and scores an intersect join
-    dropped.
+    ids are keys.  unscored and orphans count the trials and scores an
+    intersect join dropped.
     """
 
-    ids: list
+    ids: np.ndarray
     bonafide: np.ndarray
     attack: np.ndarray
     attacks: tuple
@@ -88,6 +95,30 @@ class ScoredTrials:
     scores: np.ndarray
     unscored: int
     orphans: int
+
+
+# An id's key is its UTF-8 bytes, each plus one, in a bytes array.  numpy
+# drops trailing NULs from bytes, so "a" and "a\x00" would share a key;
+# the shift leaves no NUL in a key.  UTF-8 holds no byte above 0xF4, so
+# the shift keeps byte order, which is code-point order: keys sort as
+# Python sorts the ids.
+_SHIFT = bytes((b + 1) % 256 for b in range(256))
+_UNSHIFT = bytes((b - 1) % 256 for b in range(256))
+
+
+def _utf8(text):
+    return text.encode("utf-8", "surrogatepass")
+
+
+def encode_ids(ids) -> np.ndarray:
+    """Keys of the given id strings."""
+    return np.array([_utf8(u).translate(_SHIFT) for u in ids], dtype="S")
+
+
+def decode_ids(keys) -> list:
+    """The id strings of keys."""
+    return [k.translate(_UNSHIFT).decode("utf-8", "surrogatepass")
+            for k in keys.tolist()]
 
 
 def _content_lines(text):
@@ -103,28 +134,92 @@ _OTHER_SEPARATORS = np.zeros(256, dtype=bool)
 _OTHER_SEPARATORS[[0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F]] = True
 
 
-def _fits_fast_path(text, n_fields):
-    """Whether text is ASCII, holds no '#' and no separator but space, tab
-    and newline, and has n_fields fields on every non-blank line."""
-    if not text.isascii() or "#" in text:
-        return False
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if _OTHER_SEPARATORS[raw[raw < 0x20]].any():
-        return False
-    gap = (raw == 0x20) | (raw == 0x09) | (raw == 0x0A)
-    starts = np.flatnonzero(~gap & np.concatenate(([True], gap[:-1])))
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(raw == 0x0A),
-                                           starts))
-    return bool(np.all((per_line == 0) | (per_line == n_fields)))
+_GAPS = (0x20, 0x09, 0x0A)
+_SPAN = 1 << 22     # bytes the tokenizer scans at a time
 
 
-def _columns(text, n_fields):
-    """The fields of every content line as n_fields lists of strings, or
-    None when the text needs the per-line path."""
-    if not _fits_fast_path(text, n_fields):
+def _tokens(raw, n_fields):
+    """The starts and ends of the tokens of raw as (rows, n_fields)
+    arrays, or None unless raw holds no separator but space, tab and
+    newline and every non-blank line has n_fields tokens.
+
+    raw is scanned a span at a time, so its byte-sized masks stay small.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    position = np.int32 if len(buf) < 2 ** 31 else np.int64
+    starts, ends, newlines = ([np.empty(0, position)] for _ in range(3))
+    for lo in range(0, len(buf), _SPAN):
+        span = buf[lo:lo + _SPAN]
+        hi = lo + len(span)
+        if _OTHER_SEPARATORS[span[span < 0x20]].any():
+            return None
+        # gap[i] is whether byte lo - 1 + i separates tokens; the bytes
+        # beyond raw do
+        gap = np.ones(len(span) + 2, dtype=bool)
+        gap[1:-1] = (span == 0x20) | (span == 0x09) | (span == 0x0A)
+        gap[0] = lo == 0 or buf[lo - 1] in _GAPS
+        gap[-1] = hi == len(buf) or buf[hi] in _GAPS
+        for found, at, mask in ((starts, lo, gap[:-2] > gap[1:-1]),
+                                (ends, lo + 1, gap[1:-1] < gap[2:]),
+                                (newlines, lo, span == 0x0A)):
+            found.append((np.flatnonzero(mask) + at).astype(position))
+    starts, ends, newlines = map(np.concatenate, (starts, ends, newlines))
+    if len(starts) % n_fields:
         return None
-    tokens = text.split()
-    return [tokens[i::n_fields] for i in range(n_fields)]
+    starts = starts.reshape(-1, n_fields)
+    ends = ends.reshape(-1, n_fields)
+    # a row's first and last token lie on one line, after the line of
+    # the row before
+    first = np.searchsorted(newlines, starts[:, 0])
+    last = np.searchsorted(newlines, ends[:, -1])
+    if np.any(first != last) or np.any(first[1:] == last[:-1]):
+        return None
+    return starts, ends
+
+
+_CHUNK = 1 << 16    # rows gathered at a time
+
+
+def _gather(raw, starts, ends, shift=1):
+    """The tokens raw[start:end], each byte plus shift, as a bytes array.
+
+    Rows are copied a chunk at a time from a window view of raw, so no
+    index matrix is built; the few tokens whose window would run past the
+    end of raw are copied one by one.  A token so long that a fixed width
+    would outgrow the text makes an array of bytes objects instead.
+    """
+    lengths = ends - starts
+    n, width = len(lengths), max(int(lengths.max(initial=0)), 1)
+    if n * width > 2 * len(raw) + (1 << 16):
+        table = _SHIFT if shift else None
+        return np.array([raw[s:e].translate(table) for s, e in
+                         zip(starts.tolist(), ends.tolist())], dtype=object)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    out = np.zeros((n, width), dtype=np.uint8)
+    whole = int(np.searchsorted(starts, len(buf) - width, side="right"))
+    if whole:
+        windows = sliding_window_view(buf, width)
+        span = np.arange(width)
+        for lo in range(0, whole, _CHUNK):
+            hi = min(lo + _CHUNK, whole)
+            rows = windows[starts[lo:hi]]
+            rows += shift
+            rows *= span < lengths[lo:hi, None]
+            out[lo:hi] = rows
+    for r in range(whole, n):
+        token = buf[starts[r]:ends[r]]
+        out[r, :len(token)] = token + shift
+    return out.view(f"S{width}").ravel()
+
+
+def _read(text, n_fields, columns):
+    """columns(raw, starts, ends) of plain ASCII text without '#', or None
+    when the text or its columns need the per-line path."""
+    if not text.isascii() or "#" in text:
+        return None
+    raw = text.encode("ascii")
+    tokens = _tokens(raw, n_fields)
+    return None if tokens is None else columns(raw, *tokens)
 
 
 def _manifest_lines(text):
@@ -155,48 +250,67 @@ def _manifest_lines(text):
     return columns
 
 
-def _codes(values):
-    vocab = sorted(set(values))
-    code = {v: i for i, v in enumerate(vocab)}
-    return (np.fromiter(map(code.__getitem__, values), dtype=np.intp,
-                        count=len(values)), tuple(vocab))
+class ManifestRows(Sequence):
+    """A manifest's rows, each decoded to a TrialRecord when read."""
+
+    def __init__(self, raw, starts, ends):
+        self._raw, self._starts, self._ends = raw, starts, ends
+
+    def __len__(self):
+        return len(self._starts)
+
+    def __getitem__(self, row) -> TrialRecord:
+        line = self._raw[self._starts[row]:self._ends[row]]
+        return TrialRecord._make(
+            line.decode("utf-8", "surrogatepass").split())
 
 
-def _trial_columns(ids, labels, attack_ids, codec_ids):
-    """TrialColumns of tokenized fields, or None if an id repeats, a label
-    is not in LABELS or a label disagrees with its attack."""
-    index = dict(zip(ids, range(len(ids))))
-    if len(index) != len(ids) or not set(labels) <= set(LABELS):
+def _codes(keys):
+    vocab, code = np.unique(keys, return_inverse=True)
+    return code, tuple(decode_ids(vocab))
+
+
+def _manifest_columns(raw, starts, ends):
+    """ManifestRows and TrialColumns of tokenized manifest text, or None if
+    an id repeats, a label is not in LABELS or a label disagrees with its
+    attack."""
+    ids = _gather(raw, starts[:, 0], ends[:, 0])
+    order = np.argsort(ids, kind="stable")
+    by_key = ids[order]
+    label = _gather(raw, starts[:, 1], ends[:, 1])
+    bonafide_key, spoof_key = encode_ids(LABELS)
+    bonafide = label == bonafide_key
+    if np.any(by_key[1:] == by_key[:-1]) or not np.all(
+            bonafide | (label == spoof_key)):
         return None
-    bonafide = np.fromiter(map(LABELS[0].__eq__, labels), dtype=bool,
-                           count=len(labels))
-    attack, attacks = _codes(attack_ids)
+    attack, attacks = _codes(_gather(raw, starts[:, 2], ends[:, 2]))
     placeholder = (attacks.index(BONAFIDE_ATTACK)
                    if BONAFIDE_ATTACK in attacks else -1)
     if not np.array_equal(bonafide, attack == placeholder):
         return None
-    codec, codecs = _codes(codec_ids)
-    return TrialColumns(ids, bonafide, attack, attacks, codec, codecs, index)
+    codec, codecs = _codes(_gather(raw, starts[:, 3], ends[:, 3]))
+    rows = ManifestRows(raw, starts[:, 0].copy(), ends[:, -1].copy())
+    return rows, TrialColumns(ids, order, bonafide, attack, attacks, codec,
+                              codecs)
 
 
 def parse_manifest(text: str) -> tuple:
-    """The five field lists of manifest text, in line order, and its
-    TrialColumns.
+    """The ManifestRows and TrialColumns of manifest text, in line order.
 
-    Text the tokenizer or the bulk check of _trial_columns rejects is
+    Text the tokenizer or the bulk check of _manifest_columns rejects is
     read by _manifest_lines, which raises the error for the first bad
     line.
     """
-    fields = _columns(text, 5)
-    trials = None if fields is None else _trial_columns(*fields[:4])
-    if trials is None:
-        fields = _manifest_lines(text)
-        trials = _trial_columns(*fields[:4])
-    return fields, trials
+    read = _read(text, 5, _manifest_columns)
+    if read is None:
+        raw = _utf8(emit_manifest(zip(*_manifest_lines(text))))
+        read = _manifest_columns(raw, *_tokens(raw, 5))
+    return read
 
 
 def _score_lines(text):
-    """Per-line score parse; raises at the first bad line."""
+    """Per-line score parse into ids and scores; raises at the first bad
+    line."""
     ids, scores = [], []
     for line_no, line in _content_lines(text):
         fields = line.split()
@@ -214,22 +328,39 @@ def _score_lines(text):
                 f"score for {utt!r} on line {line_no} is {raw_score}")
         ids.append(utt)
         scores.append(score)
-    return ScoreColumns(ids, np.array(scores, dtype=np.float64))
+    return ids, scores
+
+
+def _score_columns(raw, starts, ends):
+    """ScoreColumns of tokenized score text, or None if a score is not a
+    finite number float() reads."""
+    # bytes arrays drop a trailing NUL, which float() refuses
+    if np.any(np.frombuffer(raw, dtype=np.uint8)[ends[:, 1] - 1] == 0):
+        return None
+    try:
+        # a score beyond the largest double reads as inf, as float() has it
+        with np.errstate(over="ignore"):
+            scores = _gather(raw, starts[:, 1], ends[:, 1], shift=0).astype(
+                np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(scores).all():
+        return None
+    return ScoreColumns(_gather(raw, starts[:, 0], ends[:, 0]), scores)
 
 
 def parse_scores(text: str) -> ScoreColumns:
-    """Parse score text into columns, preserving line order."""
-    fields = _columns(text, 2)
-    if fields is not None:
-        ids, raw = fields
-        try:
-            scores = np.fromiter(map(float, raw), dtype=np.float64,
-                                 count=len(raw))
-        except ValueError:
-            return _score_lines(text)
-        if np.isfinite(scores).all():
-            return ScoreColumns(ids, scores)
-    return _score_lines(text)
+    """Parse score text into columns, preserving line order.
+
+    Text the tokenizer or the bulk check of _score_columns rejects is read
+    by _score_lines, which raises the error for the first bad line.
+    """
+    read = _read(text, 2, _score_columns)
+    if read is None:
+        raw = _utf8("".join(f"{u} {v!r}\n"
+                            for u, v in zip(*_score_lines(text))))
+        read = _score_columns(raw, *_tokens(raw, 2))
+    return read
 
 
 def join_scores(trials: TrialColumns, scores: ScoreColumns,
@@ -242,51 +373,45 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
     if policy not in JOIN_POLICIES:
         raise InvalidParameter(
             f"policy must be 'strict' or 'intersect', got {policy!r}")
-    n = len(trials.ids)
-    rows = np.fromiter(map(trials.index.get, scores.ids,
-                           itertools.repeat(-1)),
-                       dtype=np.intp, count=len(scores.ids))
-    matched = rows >= 0
-    hits = np.bincount(rows[matched], minlength=n)
-    orphans = [scores.ids[j] for j in np.flatnonzero(~matched).tolist()]
-    if hits.max(initial=0) > 1 or len(set(orphans)) < len(orphans):
-        seen = set()   # set.add returns None, so this finds the first repeat
-        repeat = next(u for u in scores.ids if u in seen or seen.add(u))
-        raise DuplicateId(f"utterance {repeat!r} is scored more than once")
+    key = np.result_type(trials.ids.dtype, scores.ids.dtype)
+    order = np.argsort(scores.ids, kind="stable")
+    wanted = scores.ids[order].astype(key, copy=False)
+    repeat = wanted[1:] == wanted[:-1]
+    if repeat.any():
+        # a stable sort keeps repeats in file order: the first repeat is
+        # the earliest line that is not the first of its run
+        first = int(order[1:][repeat].min())
+        (utt,) = decode_ids(scores.ids[first:first + 1])
+        raise DuplicateId(f"utterance {utt!r} is scored more than once")
 
-    missing = [trials.ids[i] for i in np.flatnonzero(hits == 0).tolist()]
+    n = len(trials.ids)
+    at = np.searchsorted(trials.ids[trials.order].astype(key, copy=False),
+                         wanted)
+    found = at < n
+    found[found] = trials.ids[trials.order[at[found]]] == wanted[found]
+    rows = trials.order[at[found]]
+    keep = np.zeros(n, dtype=bool)
+    keep[rows] = True
+    unscored, orphans = n - len(rows), len(wanted) - len(rows)
     if policy == "strict":
-        if missing:
-            raise MissingScore(missing)
+        if unscored:
+            raise MissingScore(decode_ids(trials.ids[~keep]))
         if orphans:
-            raise OrphanScore(orphans)
-    elif missing or orphans:
+            raise OrphanScore(decode_ids(scores.ids[np.sort(order[~found])]))
+    elif unscored or orphans:
         warnings.warn(
-            f"dropped {len(missing) + len(orphans)} unmatched entries "
-            f"({len(missing)} unscored trials, {len(orphans)} orphan scores)",
+            f"dropped {unscored + orphans} unmatched entries "
+            f"({unscored} unscored trials, {orphans} orphan scores)",
             stacklevel=2)
     by_row = np.empty(n, dtype=np.float64)
-    by_row[rows[matched]] = scores.scores[matched]
-    keep = hits > 0
-    ids = trials.ids
-    if missing:
-        ids = [ids[i] for i in np.flatnonzero(keep).tolist()]
-    return ScoredTrials(ids, trials.bonafide[keep], trials.attack[keep],
-                        trials.attacks, trials.codec[keep], trials.codecs,
-                        by_row[keep], len(missing), len(orphans))
+    by_row[rows] = scores.scores[order[found]]
+    return ScoredTrials(trials.ids[keep], trials.bonafide[keep],
+                        trials.attack[keep], trials.attacks,
+                        trials.codec[keep], trials.codecs, by_row[keep],
+                        unscored, orphans)
 
 
 def emit_manifest(rows) -> str:
     """Render rows of five fields back to manifest text; inverse of
-    parse_manifest, as emit_manifest(zip(*parse_manifest(text)[0]))."""
+    parse_manifest, as emit_manifest(parse_manifest(text)[0])."""
     return "".join(" ".join(row) + "\n" for row in rows)
-
-
-def emit_scores(scores: ScoreColumns) -> str:
-    """Render score columns back to text; inverse of parse_scores.
-
-    repr() round-trips doubles exactly, so parse_scores(emit_scores(s))
-    reproduces every score bit for bit.
-    """
-    return "".join(f"{u} {v!r}\n"
-                   for u, v in zip(scores.ids, scores.scores.tolist()))

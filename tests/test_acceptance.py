@@ -21,14 +21,14 @@ from launderbench.dsp import (design_butterworth_lowpass, mix_noise, resample,
 from launderbench.metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
                                   gaussian_scores, min_dcf)
 from launderbench.pipeline import plan_attacks, select_subset
-from launderbench.protocol import (ScoreColumns, TrialRecord, emit_manifest,
-                                   emit_scores, parse_manifest, parse_scores)
+from launderbench.protocol import (TrialRecord, decode_ids, emit_manifest,
+                                   parse_manifest, parse_scores)
 from launderbench.reporting import (BreakdownTable, CellMetrics, GroupKey,
                                     rank_worst)
 
 
 def manifest_records(text):
-    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
+    return list(parse_manifest(text)[0])
 
 
 @contextmanager
@@ -340,12 +340,13 @@ def test_format_round_trips(tmp_path, capsys):
 
         values = list(rng.standard_normal(995)) + [
             0.1, -1 / 3, 1e300, 5e-324, -0.0]
-        scores = ScoreColumns([f"s{i:05d}" for i in range(len(values))],
-                              np.array(values, dtype=np.float64))
-        back = parse_scores(emit_scores(scores))
-        assert back.ids == scores.ids
+        values = np.array(values, dtype=np.float64)
+        ids = [f"s{i:05d}" for i in range(len(values))]
+        back = parse_scores(
+            "".join(f"{u} {v!r}\n" for u, v in zip(ids, values.tolist())))
+        assert decode_ids(back.ids) == ids
         assert np.array_equal(back.scores.view(np.int64),
-                              scores.scores.view(np.int64))
+                              values.view(np.int64))
 
         x = AudioBuffer(0.8 * rng.uniform(-1.0, 1.0, 3001), 16000)
         write_audio(x, tmp_path / "rt.wav", format="wav16")

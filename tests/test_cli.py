@@ -22,7 +22,7 @@ COPY_BODY = "import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n"
 
 
 def manifest_records(text):
-    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
+    return list(parse_manifest(text)[0])
 
 
 def parse_args(argv):
@@ -502,6 +502,24 @@ class TestEvaluate:
                    "--scores", str(scores)])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_ids_differing_in_trailing_nuls_stay_apart(self, tmp_path,
+                                                      capsys):
+        manifest = tmp_path / "nul.manifest"
+        manifest.write_text("a bonafide - C0 p\na\x00 spoof A1 C0 p\n"
+                            "a\x00\x00 bonafide - C0 p\nb spoof A1 C0 p\n")
+        scores = tmp_path / "nul.scores"
+        scores.write_text("a\x00 1.0\nb -1.0\na\x00\x00 0.5\na 2.0\n")
+        argv = ["evaluate", "--manifest", str(manifest),
+                "--scores", str(scores)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "min_dcf=0.500000\nact_dcf=0.500000\ncllr=0.803411\n"
+            "eer=50.000000\nn_bon=2\nn_spf=2\n")
+        scores.write_text("a 1.0\nb -1.0\na\x00\x00 0.5\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: 1 trial(s) without a score, e.g. ['a\\x00']\n")
 
     def test_invert_scores(self, tmp_path, capsys):
         manifest, scores = write_eval_fixture(tmp_path, bon=(-3.0, -2.0),

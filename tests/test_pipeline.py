@@ -48,7 +48,7 @@ def make_ids(n):
 
 
 def manifest_records(text):
-    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
+    return list(parse_manifest(text)[0])
 
 
 def grid_specs():

@@ -1,6 +1,8 @@
 """Manifest and score parsing, joining, and emission."""
 
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 from launderbench import protocol
 from launderbench.errors import (DuplicateId, InvalidParameter, MalformedLine,
                                  MissingScore, NonFiniteScore, OrphanScore)
-from launderbench.protocol import (ScoreColumns, TrialRecord, emit_manifest,
-                                   emit_scores, join_scores, parse_manifest,
-                                   parse_scores)
+from launderbench.protocol import (ScoreColumns, TrialRecord, decode_ids,
+                                   emit_manifest, encode_ids, join_scores,
+                                   parse_manifest, parse_scores)
 
 MANIFEST = """\
 u001 bonafide - C00 audio/u001.flac
@@ -22,12 +24,17 @@ u003 spoof A30 C00 audio/u003.flac
 
 
 def score_columns(*pairs):
-    return ScoreColumns([u for u, _ in pairs],
+    return ScoreColumns(encode_ids([u for u, _ in pairs]),
                         np.array([v for _, v in pairs], dtype=np.float64))
 
 
+def score_text(ids, values):
+    """Score file text of ids and values; repr() round-trips doubles."""
+    return "".join(f"{u} {v!r}\n" for u, v in zip(ids, values))
+
+
 def manifest_records(text):
-    return [TrialRecord(*r) for r in zip(*parse_manifest(text)[0])]
+    return list(parse_manifest(text)[0])
 
 
 def trial(utt="u001", label="bonafide", attack="-", codec="C00",
@@ -50,13 +57,14 @@ class TestTrialRecord:
 
 class TestParseManifest:
     def test_basic(self):
-        fields, trials = parse_manifest(MANIFEST)
-        assert fields[0] == trials.ids == ["u001", "u002", "u003"]
-        assert fields[1][0] == "bonafide"
-        assert fields[2][1] == "A17"
-        assert fields[4][2] == "audio/u003.flac"
+        rows, trials = parse_manifest(MANIFEST)
+        assert [r.utterance_id for r in rows] == decode_ids(trials.ids) == [
+            "u001", "u002", "u003"]
+        assert rows[0].label == "bonafide"
+        assert rows[1].attack_id == "A17"
+        assert rows[2].source_path == "audio/u003.flac"
         assert trials.bonafide.tolist() == [True, False, False]
-        assert trials.index == {"u001": 0, "u002": 1, "u003": 2}
+        assert trials.order.tolist() == [0, 1, 2]
 
     def test_comments_and_blanks(self):
         text = ("# header\n"
@@ -64,15 +72,17 @@ class TestParseManifest:
                 "u001 bonafide - C00 p1  # trailing note\n"
                 "   \n"
                 "u002 spoof A01 C01 p2\n")
-        assert parse_manifest(text)[0][0] == ["u001", "u002"]
+        assert [r.utterance_id for r in parse_manifest(text)[0]] == [
+            "u001", "u002"]
 
     def test_no_trailing_newline(self):
-        assert parse_manifest("u001 bonafide - C00 p")[1].ids == ["u001"]
+        trials = parse_manifest("u001 bonafide - C00 p")[1]
+        assert decode_ids(trials.ids) == ["u001"]
 
     def test_empty_text(self):
         for text in ("", "# only comments\n\n"):
-            fields, trials = parse_manifest(text)
-            assert fields == [[]] * 5 and trials.ids == []
+            rows, trials = parse_manifest(text)
+            assert list(rows) == [] and decode_ids(trials.ids) == []
 
     @pytest.mark.parametrize("line", ["u001 bonafide - C00",
                                       "u001 bonafide - C00 p extra"])
@@ -108,7 +118,7 @@ class TestParseManifest:
         # plain ASCII without '#' passes the tokenizer, so the bulk check
         # rejects it and the per-line reader names the line
         text = f"u001 bonafide - C00 p\nu002 spoof A17 C00 p\n{line}\n"
-        assert protocol._columns(text, 5) is not None
+        assert protocol._tokens(text.encode("ascii"), 5) is not None
         with pytest.raises(MalformedLine) as exc:
             parse_manifest(text)
         assert exc.value.line_no == 3
@@ -145,7 +155,7 @@ class TestParseManifest:
 class TestParseScores:
     def test_basic(self):
         cols = parse_scores("u001 1.25\nu002 -3.5\n")
-        assert cols.ids == ["u001", "u002"]
+        assert decode_ids(cols.ids) == ["u001", "u002"]
         assert cols.scores.dtype == np.float64
         assert cols.scores.tolist() == [1.25, -3.5]
 
@@ -153,18 +163,20 @@ class TestParseScores:
         assert parse_scores("u001 -1.5e-3\n").scores.tolist() == [-1.5e-3]
 
     def test_comments(self):
-        assert parse_scores("# hi\nu001 0.5 # ok\n").ids == ["u001"]
+        assert decode_ids(parse_scores("# hi\nu001 0.5 # ok\n").ids) == [
+            "u001"]
 
     def test_empty(self):
         cols = parse_scores("")
-        assert cols.ids == [] and len(cols.scores) == 0
+        assert decode_ids(cols.ids) == [] and len(cols.scores) == 0
 
     def test_not_a_number(self):
         with pytest.raises(MalformedLine) as exc:
             parse_scores("u001 high\n")
         assert exc.value.line_no == 1
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity",
+                                     "1e400", "-1e309"])
     def test_non_finite(self, bad):
         with pytest.raises(NonFiniteScore):
             parse_scores(f"u001 {bad}\n")
@@ -185,13 +197,13 @@ class TestJoinScores:
 
     def test_strict_happy_path(self):
         joined = self.join(self.pairs)
-        assert joined.ids == ["u001", "u002", "u003"]
+        assert decode_ids(joined.ids) == ["u001", "u002", "u003"]
         assert joined.scores.tolist() == [2.0, -1.0, 0.5]
         assert (joined.unscored, joined.orphans) == (0, 0)
 
     def test_strict_order_follows_trials(self):
         joined = self.join(list(reversed(self.pairs)))
-        assert joined.ids == ["u001", "u002", "u003"]
+        assert decode_ids(joined.ids) == ["u001", "u002", "u003"]
         assert joined.scores.tolist() == [2.0, -1.0, 0.5]
 
     def test_strict_missing(self):
@@ -208,7 +220,7 @@ class TestJoinScores:
         extra = self.pairs[:2] + [("u999", 0.0)]
         with pytest.warns(UserWarning, match="dropped 2"):
             joined = self.join(extra, policy="intersect")
-        assert joined.ids == ["u001", "u002"]
+        assert decode_ids(joined.ids) == ["u001", "u002"]
         assert joined.scores.tolist() == [2.0, -1.0]
         assert joined.bonafide.tolist() == [True, False]
         assert (joined.unscored, joined.orphans) == (1, 1)
@@ -246,7 +258,7 @@ class TestJoinScores:
 
 class TestEmitManifest:
     def test_exact_text(self):
-        assert emit_manifest(zip(*parse_manifest(MANIFEST)[0])) == MANIFEST
+        assert emit_manifest(parse_manifest(MANIFEST)[0]) == MANIFEST
         assert emit_manifest(manifest_records(MANIFEST)) == MANIFEST
 
     def test_empty(self):
@@ -254,7 +266,7 @@ class TestEmitManifest:
 
     def test_round_trip_normalizes_whitespace(self):
         text = "u001\tbonafide\t-\tC00\tp\n"
-        assert emit_manifest(zip(*parse_manifest(text)[0])) == \
+        assert emit_manifest(parse_manifest(text)[0]) == \
             "u001 bonafide - C00 p\n"
 
 
@@ -286,32 +298,93 @@ def test_emit_parse_identity(records):
     assert manifest_records(emit_manifest(records)) == records
 
 
-def same_scores(a, b):
-    """Equal ids and bit-identical float64 scores."""
-    return a.ids == b.ids and np.array_equal(
-        np.asarray(a.scores, dtype=np.float64).view(np.int64),
-        np.asarray(b.scores, dtype=np.float64).view(np.int64))
+def same_scores(a, ids, values):
+    """Score columns a hold ids and bit-identical float64 values."""
+    return decode_ids(a.ids) == ids and np.array_equal(
+        a.scores.view(np.int64),
+        np.asarray(values, dtype=np.float64).view(np.int64))
 
 
 class TestEmitScores:
     def test_awkward_floats_round_trip(self):
         values = [0.1, -1 / 3, 1e-17, -3.5e300, 5e-324, 0.0, -0.0, 2.0]
-        scores = score_columns(*((f"u{i:03d}", v)
-                                 for i, v in enumerate(values)))
-        assert same_scores(parse_scores(emit_scores(scores)), scores)
-
-    def test_exact_text(self):
-        assert emit_scores(score_columns(("u001", 1.5))) == "u001 1.5\n"
-
-    def test_empty(self):
-        assert emit_scores(score_columns()) == ""
+        ids = [f"u{i:03d}" for i in range(len(values))]
+        assert same_scores(parse_scores(score_text(ids, values)), ids,
+                           values)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 max_size=20))
 def test_scores_emit_parse_identity(values):
-    scores = score_columns(*((f"u{i:04d}", v) for i, v in enumerate(values)))
-    assert same_scores(parse_scores(emit_scores(scores)), scores)
+    ids = [f"u{i:04d}" for i in range(len(values))]
+    assert same_scores(parse_scores(score_text(ids, values)), ids, values)
+
+
+# --- the bytes-to-float cast against float() ---------------------------------
+
+def test_bytes_cast_matches_float():
+    """parse_scores reads a column of score bytes with numpy's cast to
+    float64; it must give float()'s double, bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(23))
+    doubles = rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64,
+                           endpoint=False).view(np.float64)
+    digits = rng.integers(0, 10 ** 18, (2_000, 2)).tolist()
+    exponents = rng.integers(-340, 320, 2_000).tolist()
+    texts = ([repr(v) for v in doubles[np.isfinite(doubles)].tolist()]
+             + [f"{a}.{b}e{e}" for (a, b), e in zip(digits, exponents)]
+             + ["5e-324", "-5e-324", "1.7976931348623157e308",
+                "-1.7976931348623157e308", "-0.0", "0", "1_0", "0_0.0_1",
+                "+.5", "7.", "1E5", "2.2250738585072014e-308"])
+    want = np.array([float(t) for t in texts]).view(np.int64)
+    with np.errstate(over="ignore"):
+        cast = np.array([t.encode() for t in texts], dtype="S").astype(
+            np.float64)
+    assert np.array_equal(cast.view(np.int64), want)
+    finite = [t for t in texts if math.isfinite(float(t))]
+    ids = [f"u{i}" for i in range(len(finite))]
+    parsed = parse_scores("".join(f"{u} {t}\n" for u, t in zip(ids, finite)))
+    assert decode_ids(parsed.ids) == ids
+    assert np.array_equal(parsed.scores.view(np.int64),
+                          want[np.isfinite(want.view(np.float64))])
+
+
+@pytest.mark.parametrize("bad", ["0x10", "--1", "1_", "1e", "1.5\x00"])
+def test_refused_score_falls_to_per_line_error(bad):
+    text = f"u1 0.5\nu2 {bad}\n"
+    assert protocol._tokens(text.encode("ascii"), 2) is not None
+    with pytest.raises(MalformedLine) as per_line:
+        protocol._score_lines(text)
+    with pytest.raises(MalformedLine) as fast:
+        parse_scores(text)
+    assert str(fast.value) == str(per_line.value) == (
+        f"line 2: score {bad!r} is not a number")
+
+
+# --- fixed-width ids ----------------------------------------------------------
+
+def test_long_id_keeps_join_exact():
+    # one id as long as the rest of the text is kept as a bytes object,
+    # not padded into a fixed width for every row
+    long_id = "x" * 50_000
+    ids = [f"t{i:03d}" for i in range(40)] + [long_id]
+    manifest = "".join(f"{u} spoof A1 C0 p\n" for u in ids)
+    rows, trials = parse_manifest(manifest)
+    assert trials.ids.dtype == object
+    assert decode_ids(trials.ids) == ids and rows[40].utterance_id == long_id
+    values = [float(i) for i in range(len(ids))]
+    joined = join_scores(trials, parse_scores(score_text(ids[::-1],
+                                                          values[::-1])))
+    assert decode_ids(joined.ids) == ids
+    assert joined.scores.tolist() == values
+    with pytest.warns(UserWarning, match="1 unscored"):
+        joined = join_scores(trials, parse_scores(score_text(ids[:-1],
+                                                             values[:-1])),
+                             "intersect")
+    assert decode_ids(joined.ids) == ids[:-1]
+    with pytest.raises(OrphanScore) as exc:
+        join_scores(parse_manifest(manifest.split("\n", 1)[1])[1],
+                    parse_scores(score_text(ids, values)))
+    assert exc.value.ids == ["t000"]
 
 
 # --- the columnar fast path against the per-line path -----------------------
@@ -321,7 +394,9 @@ def test_scores_emit_parse_identity(values):
 # comments, unicode whitespace and line breaks, and non-ASCII ids.  Each
 # may carry one defect on one line: a wrong field count, a bad label, a
 # label/attack mismatch, a repeated id, an id the other file lacks, or a
-# score that is not a finite number.
+# score that is not a finite number.  Ids come in pairs that share a stem
+# and differ in a tail: one a prefix of the other, or one ending in NUL
+# or another control byte, which fixed-width bytes must keep apart.
 _CLEAN = {"id": "u{}", "sep": [" ", "\t", "  ", " \t"],
           "lead": ["", "", " "], "tail": ["", "", " ", "\t"],
           "end": ["\n"], "other": ["   ", ""]}
@@ -336,6 +411,8 @@ _NOISY = {"id": "\u00fc{}",
           "other": ["   ", "# a comment"]}
 _DEFECTS = [None, None, "count", "label", "mismatch", "repeat", "stranger",
             "value"]
+_TAILS = [("", "_"), ("", "_"), ("", "\x00"), ("\x00", "\x00\x00"),
+          ("", "\x01"), ("\x1b", "")]
 _VALUES = ["1.5", "-2e-3", "0", "-0.0", "5e-324", "7", "1_0"]
 _BAD_VALUES = ["nan", "inf", "-Infinity", "1e400", "high", "0x10", "--1"]
 
@@ -357,6 +434,11 @@ def texts(draw, kind):
     """Manifest or score text; ids are distinct unless repeated on purpose,
     in an order of their own."""
     style = draw(st.sampled_from([_CLEAN, _CLEAN, _ODD, _NOISY]))
+    tails = draw(st.sampled_from(_TAILS))
+
+    def ident(k):
+        return style["id"].format(k // 2) + tails[k % 2]
+
     order = draw(st.permutations(range(draw(st.integers(0, 8)))))
     defect = draw(st.sampled_from(_DEFECTS))
     bad = draw(st.integers(0, max(len(order) - 1, 0)))
@@ -367,7 +449,7 @@ def texts(draw, kind):
         # a stranger comes twice, so that orphan scores repeat too
         d = defect if i == bad or (defect == "stranger" and i == bad + 1) \
             else None
-        uid = {"repeat": "u0", "stranger": "u9"}.get(d, style["id"].format(k))
+        uid = {"repeat": ident(0), "stranger": "u9"}.get(d, ident(k))
         fields = _fields(draw, kind, uid, d)
         if d == "count":
             fields = fields[:-1] if draw(st.booleans()) else fields + ["x"]
@@ -390,7 +472,7 @@ def _outcome(fn, *args):
 
 
 def _trial_lists(trials):
-    return (list(trials.ids), trials.bonafide.tolist(),
+    return (decode_ids(trials.ids), trials.bonafide.tolist(),
             [trials.attacks[i] for i in trials.attack.tolist()],
             [trials.codecs[i] for i in trials.codec.tolist()])
 
@@ -407,13 +489,19 @@ def _record_lists(records):
 
 
 def _score_lists(scores):
-    return list(scores.ids), scores.scores.view(np.int64).tolist()
+    return decode_ids(scores.ids), scores.scores.view(np.int64).tolist()
+
+
+def _per_line_scores(text):
+    """Ids and score bits of the per-line reader."""
+    ids, scores = protocol._score_lines(text)
+    return ids, np.array(scores, dtype=np.float64).view(np.int64).tolist()
 
 
 def _reference_join(records, scores, policy):
     """Dict-based join over the per-line parse, as a plain reference."""
     by_id = {}
-    for u, v in zip(scores.ids, scores.scores.tolist()):
+    for u, v in zip(*scores):
         if u in by_id:
             raise DuplicateId(f"utterance {u!r} is scored more than once")
         by_id[u] = v
@@ -426,7 +514,7 @@ def _reference_join(records, scores, policy):
         raise OrphanScore(orphans)
     kept = [r for r in records if r.utterance_id in by_id]
     return ([r.utterance_id for r in kept],
-            [np.float64(by_id[r.utterance_id]).view(np.int64) for r in kept],
+            [by_id[r.utterance_id] for r in kept],
             len(missing), len(orphans))
 
 
@@ -437,27 +525,54 @@ def test_manifest_fast_path_matches_per_line(text):
     fast = _outcome(parse_manifest, text)
     if per_line[0] == "ok":
         assert fast[0] == "ok"
-        fields, trials = fast[1]
+        rows, trials = fast[1]
         assert _trial_lists(trials) == _record_lists(per_line[1])
-        assert [TrialRecord(*r) for r in zip(*fields)] == per_line[1]
+        assert list(rows) == per_line[1]
     else:
         assert fast == per_line
 
-    fields = protocol._columns(text, 5)
-    if fields is not None:
+    raw = text.encode("utf-8", "surrogatepass")
+    tokens = (protocol._tokens(raw, 5)
+              if text.isascii() and "#" not in text else None)
+    if tokens is not None:
+        starts, ends = tokens
         rows = [line.split() for _, line in protocol._content_lines(text)]
-        assert all(len(row) == 5 for row in rows)
-        assert fields == [[row[i] for row in rows] for i in range(5)]
+        assert [[raw[s:e].decode() for s, e in zip(*row)]
+                for row in zip(starts.tolist(), ends.tolist())] == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts("manifest"), texts("scores"), st.integers(1, 12),
+       st.integers(1, 3))
+def test_small_spans_and_chunks_agree(manifest, scores, span, chunk):
+    # the tokenizer scans raw bytes a span at a time and the gather copies
+    # rows a chunk at a time; neither may change what is read
+    want = (_outcome(parse_manifest, manifest), _outcome(parse_scores, scores))
+    with mock.patch.object(protocol, "_SPAN", span), \
+            mock.patch.object(protocol, "_CHUNK", chunk):
+        got = (_outcome(parse_manifest, manifest),
+               _outcome(parse_scores, scores))
+    if want[0][0] == "ok":
+        assert got[0][0] == "ok"
+        assert (list(got[0][1][0]), _trial_lists(got[0][1][1])) == (
+            list(want[0][1][0]), _trial_lists(want[0][1][1]))
+    else:
+        assert got[0] == want[0]
+    if want[1][0] == "ok":
+        assert got[1][0] == "ok"
+        assert _score_lists(got[1][1]) == _score_lists(want[1][1])
+    else:
+        assert got[1] == want[1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(texts("scores"))
 def test_score_fast_path_matches_per_line(text):
-    per_line = _outcome(protocol._score_lines, text)
+    per_line = _outcome(_per_line_scores, text)
     fast = _outcome(parse_scores, text)
     if per_line[0] == "ok":
         assert fast[0] == "ok"
-        assert _score_lists(fast[1]) == _score_lists(per_line[1])
+        assert _score_lists(fast[1]) == per_line[1]
     else:
         assert fast == per_line
 
@@ -467,7 +582,7 @@ def test_score_fast_path_matches_per_line(text):
        st.sampled_from(["strict", "intersect"]))
 def test_join_matches_dict_reference(manifest, scores, policy):
     records = _outcome(_per_line_records, manifest)
-    parsed = _outcome(protocol._score_lines, scores)
+    parsed = _outcome(_per_line_scores, scores)
     if records[0] != "ok" or parsed[0] != "ok":
         return
     with warnings.catch_warnings():
@@ -477,7 +592,7 @@ def test_join_matches_dict_reference(manifest, scores, policy):
                        parse_scores(scores), policy)
     if want[0] == "ok":
         joined = got[1]
-        assert (joined.ids, joined.scores.view(np.int64).tolist(),
+        assert (decode_ids(joined.ids), joined.scores.view(np.int64).tolist(),
                 joined.unscored, joined.orphans) == want[1]
     else:
         assert got == want
