@@ -25,8 +25,8 @@ from .errors import (CorruptFile, DuplicateId, EmptyClass,
 from .metrics import MetricConfig
 from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
                        select_subset)
-from .protocol import (JOIN_POLICIES, ScoreColumns, decode_ids, encode_ids,
-                       join_scores, parse_manifest, parse_scores)
+from .protocol import (JOIN_POLICIES, ScoreColumns, encode_ids, join_scores,
+                       parse_manifest, parse_scores)
 from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey, axis_keys,
                         compute_breakdown, rank_worst, render, render_skipped)
 
@@ -93,18 +93,15 @@ def cmd_launder(args) -> int:
         noises.get(name)
     backend = _resolve_backend(args)
 
-    chosen = select_subset(decode_ids(trials.ids), args.fraction, args.seed)
+    chosen = select_subset(trials.order, args.fraction, args.seed)
     selected = [rows[r] for r in chosen]
     jobs = plan_attacks(selected, args.seed)
-    # every output id joins the manifest's ids in augmented.manifest
+    # distinct ids and tags give distinct output ids; one may be a manifest id
     out_ids = [job.output_utterance_id for job in jobs]
-    taken = np.isin(encode_ids(out_ids), trials.ids).tolist()
-    added = set()
-    for out_id, clash in zip(out_ids, taken):
-        if clash or out_id in added:
-            raise DuplicateId(f"output id {out_id!r} would appear more "
-                              f"than once in augmented.manifest")
-        added.add(out_id)
+    taken = np.isin(encode_ids(out_ids), trials.ids)
+    if taken.any():
+        raise DuplicateId(f"output id {out_ids[taken.argmax()]!r} would "
+                          f"appear more than once in augmented.manifest")
     report = execute_plan(jobs, audio_root, out_dir, noises=noises,
                           backend=backend, parallelism=args.jobs)
 

@@ -93,7 +93,7 @@ class NoiseLibrary:
 
     Expected layout: <directory>/{babble,volvo,cafe,street}.wav.  White
     noise is synthesized on demand and never loaded from disk.  Assets are
-    resampled to 16 kHz on load so SNR arithmetic sees matched rates.
+    resampled to 16 kHz on load, and apply_attack matches a source's rate.
     """
 
     directory: Path
@@ -290,6 +290,8 @@ def apply_attack(x: AudioBuffer, spec: AttackSpec, seed: int,
                 raise InvalidParameter(
                     "additive_noise attack needs a NoiseLibrary")
             noise = noises.get(spec.noise_name)
+            if noise.sample_rate_hz != x.sample_rate_hz:
+                noise = resample(noise, x.sample_rate_hz)
         return mix_noise(x, noise, spec.snr_db, seed)
     if spec.kind == "recompression":
         if backend is None:

@@ -1,12 +1,12 @@
 """Batch laundering: subset selection, attack planning, and execution.
 
-A run takes a manifest, keeps a seeded fraction of its files, and plans
-nine attacked copies per kept file: one reverberation, five additive
-noises (one per noise name), one recompression, one resampling, and one
-fixed lowpass.  Every random draw is keyed by (run seed, utterance id,
-attack slot), so plans and non-codec output bytes are reproducible from
-the manifest and the seed alone, regardless of manifest line order or
-worker scheduling.
+A run takes a manifest, keeps a seeded fraction of its rows, drawn from
+their id order, and plans nine attacked copies per kept file: one
+reverberation, five additive noises (one per noise name), one
+recompression, one resampling, and one fixed lowpass.  Every random draw
+is keyed by (run seed, utterance id, attack slot), so plans and
+non-codec output bytes are reproducible from the manifest and the seed
+alone, regardless of manifest line order or worker scheduling.
 
 Execution runs one task per source: the source is read once, and its
 attacks and writes run in plan order on that one decoded buffer.  A
@@ -73,27 +73,26 @@ def attack_tag(spec: AttackSpec) -> str:
     return f"lowpass_{int(spec.cutoff_hz)}_{spec.order}"
 
 
-def select_subset(ids, fraction: float, seed: int) -> list:
+def select_subset(order, fraction: float, seed: int) -> list:
     """Rows of floor(fraction*N) ids, chosen by seeded shuffle, in id order.
 
-    Rows are sorted by id before shuffling so the selection depends only
-    on the set of ids, not on manifest line order.  The fraction is read
-    as a decimal literal, so 0.7 of 10 files is exactly 7 even though
-    0.7*10 < 7 in binary floats.
+    order lists the rows in id order (TrialColumns.order), so the
+    selection depends only on the set of ids, not on manifest line order.
+    The fraction is read as a decimal literal, so 0.7 of 10 files is
+    exactly 7 even though 0.7*10 < 7 in binary floats.
     """
-    if not ids:
+    n = len(order)
+    if not n:
         raise EmptyInput("cannot select from an empty trial list")
     if not 0.0 < fraction <= 1.0:
         raise InvalidParameter(
             f"fraction must lie in (0, 1], got {fraction}")
-    count = int(Fraction(str(fraction)) * len(ids))
+    count = int(Fraction(str(fraction)) * n)
     if count == 0:
         raise ZeroSelection(
-            f"fraction {fraction} of {len(ids)} trials floors to zero")
-    ordered = sorted(range(len(ids)), key=ids.__getitem__)
-    perm = make_rng(seed, "select").permutation(len(ids))
-    return sorted((ordered[i] for i in perm[:count].tolist()),
-                  key=ids.__getitem__)
+            f"fraction {fraction} of {n} trials floors to zero")
+    perm = make_rng(seed, "select").permutation(n)
+    return [int(order[i]) for i in sorted(perm[:count].tolist())]
 
 
 def _draw(seed, utt, slot, choices):

@@ -57,8 +57,9 @@ class TrialColumns:
     """Manifest trials as columns, in line order.
 
     ids holds each utterance id as a key (see encode_ids); order is the
-    stable argsort of ids.  attack and codec hold indexes into the sorted
-    vocabularies attacks and codecs.
+    stable argsort of ids, which is Python's order of the id strings, and
+    launder selects its rows by it.  attack and codec hold indexes into
+    the sorted vocabularies attacks and codecs.
     """
 
     ids: np.ndarray

@@ -145,6 +145,14 @@ class TestLaunder:
         assert summary["manifest_spoof"] == "5"
         assert "laundered 9/9" in capsys.readouterr().err
 
+    def test_source_at_another_rate_than_the_noise(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n_files=1)
+        x = 0.3 * np.sin(2 * np.pi * 300.0 * np.arange(2756) / 22050.0)
+        write_audio(AudioBuffer(x, 22050), corpus["audio_root"] / "u0000.flac")
+        out = tmp_path / "out"
+        assert main(launder_argv(corpus, out, ["--fraction", "1.0"])) == 0
+        assert "laundered 9/9" in capsys.readouterr().err
+
     def test_augmented_manifest_is_pinned(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, n_files=4)
         corpus["manifest"].write_text(

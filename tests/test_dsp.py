@@ -459,6 +459,30 @@ class TestApplyAttack:
         with pytest.raises(InvalidParameter):
             apply_attack(sine(440), spec, 1)
 
+    def test_loaded_noise_follows_the_source_rate(self, tmp_path):
+        TestNoiseLibrary().make_assets(tmp_path)
+        lib = NoiseLibrary(tmp_path)
+        rng = np.random.default_rng(15)
+        x = AudioBuffer(0.1 * rng.standard_normal(22050), 22050)
+        for name in dsp.LOADABLE_NOISES:
+            for snr in dsp.SNR_DB_CHOICES:
+                spec = AttackSpec("additive_noise", noise_name=name,
+                                  snr_db=snr)
+                y = apply_attack(x, spec, 9, noises=lib)
+                assert (len(y), y.sample_rate_hz) == (len(x), 22050)
+                added = y.samples - x.samples
+                got = 10 * np.log10(rms_power(x) / np.mean(added ** 2))
+                assert got == pytest.approx(snr, abs=1e-9)
+
+    def test_loaded_noise_at_16k_is_the_cached_asset(self, tmp_path):
+        TestNoiseLibrary().make_assets(tmp_path)
+        lib = NoiseLibrary(tmp_path)
+        x = sine(440)
+        spec = AttackSpec("additive_noise", noise_name="cafe", snr_db=10)
+        y = apply_attack(x, spec, 9, noises=lib)
+        assert np.array_equal(y.samples,
+                              mix_noise(x, lib.get("cafe"), 10, 9).samples)
+
     def test_recompression_needs_backend(self):
         spec = AttackSpec("recompression", bitrate_kbps=64)
         with pytest.raises(InvalidParameter):

@@ -1,16 +1,21 @@
 """Selection, planning, batch execution, and augmented-manifest emission."""
 
 import hashlib
+import itertools
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from launderbench import flacio, pipeline
 from launderbench.audio import AudioBuffer, CodecBackend, read_audio, write_audio
-from launderbench.dsp import (BITRATE_CHOICES, NOISE_NAMES, RT60_CHOICES,
+from launderbench.dsp import (ATTACK_GRID, BITRATE_CHOICES, NOISE_NAMES,
+                              RT60_CHOICES,
                               SNR_DB_CHOICES, TARGET_RATE_CHOICES, AttackSpec,
                               NoiseLibrary, apply_attack)
 from launderbench.errors import (CorruptFile, EmptyInput, InvalidParameter,
@@ -18,7 +23,7 @@ from launderbench.errors import (CorruptFile, EmptyInput, InvalidParameter,
 from launderbench.pipeline import (attack_tag, emit_augmented_manifest,
                                    execute_plan, plan_attacks, select_subset)
 from launderbench.protocol import TrialRecord, parse_manifest
-from launderbench.rng import derive_seed
+from launderbench.rng import derive_seed, make_rng
 
 COPY_BODY = "import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n"
 
@@ -45,6 +50,10 @@ def make_trials(n, prefix="u"):
 
 def make_ids(n):
     return [t.utterance_id for t in make_trials(n)]
+
+
+def id_order(ids):
+    return sorted(range(len(ids)), key=ids.__getitem__)
 
 
 def manifest_records(text):
@@ -80,6 +89,28 @@ class TestAttackTag:
     ])
     def test_grammar(self, spec, tag):
         assert attack_tag(spec) == tag
+
+    def test_no_tag_ends_with_another(self):
+        # an output id is f"{id}_{tag}", so two ids could share one only if
+        # a tag ended with "_" + another tag; launder relies on this
+        tags = [attack_tag(AttackSpec(kind, **dict(zip(grid, values))))
+                for kind, grid in ATTACK_GRID.items()
+                for values in itertools.product(*grid.values())]
+        assert len(tags) == len(set(tags)) == 29
+        for a, b in itertools.product(tags, tags):
+            assert not a.endswith("_" + b), (a, b)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_ids_tags_are_distinct(self, seed):
+        ids = ["u", "u_white", "u_white_20", "u_lowpass_8000", "v_babble"]
+        jobs = plan_attacks([t._replace(utterance_id=u) for t, u in
+                             zip(make_trials(len(ids)), ids)], seed)
+        for u in ids:
+            tags = [attack_tag(j.spec) for j in jobs
+                    if j.source.utterance_id == u]
+            assert len(tags) == len(set(tags)) == 9
+        out_ids = [j.output_utterance_id for j in jobs]
+        assert len(set(out_ids)) == len(out_ids)
 
     def test_injective_over_grid(self):
         specs = grid_specs()
@@ -126,60 +157,128 @@ GOLDEN_SELECTIONS = {
 
 class TestSelectSubset:
     def test_floor_count(self):
-        assert len(select_subset(make_ids(120), 0.1, seed=1)) == 12
-        assert len(select_subset(make_ids(37), 0.1, seed=1)) == 3
+        for n, count in ((120, 12), (37, 3)):
+            assert len(select_subset(id_order(make_ids(n)), 0.1, 1)) == count
 
     def test_decimal_fraction_is_exact(self):
         # binary 0.7*10 = 6.999...; the decimal reading must keep 7
-        assert len(select_subset(make_ids(10), 0.7, seed=0)) == 7
+        assert len(select_subset(id_order(make_ids(10)), 0.7, 0)) == 7
 
     def test_full_fraction(self):
         ids = make_ids(9)[::-1]
-        assert select_subset(ids, 1.0, seed=5) == list(range(8, -1, -1))
+        assert select_subset(id_order(ids), 1.0, seed=5) == list(
+            range(8, -1, -1))
 
     def test_deterministic(self):
         ids = make_ids(200)
-        a = select_subset(ids, 0.1, seed=77)
-        b = select_subset(ids, 0.1, seed=77)
+        a = select_subset(id_order(ids), 0.1, seed=77)
+        b = select_subset(id_order(ids), 0.1, seed=77)
         assert a == b
 
     def test_seed_changes_selection(self):
         ids = make_ids(200)
-        a = select_subset(ids, 0.1, seed=1)
-        b = select_subset(ids, 0.1, seed=2)
+        a = select_subset(id_order(ids), 0.1, seed=1)
+        b = select_subset(id_order(ids), 0.1, seed=2)
         assert a != b
 
     def test_independent_of_input_order(self):
         ids = make_ids(150)
         rng = np.random.Generator(np.random.PCG64(3))
         shuffled = [ids[i] for i in rng.permutation(len(ids))]
-        assert [ids[r] for r in select_subset(ids, 0.2, seed=9)] == [
-            shuffled[r] for r in select_subset(shuffled, 0.2, seed=9)]
+        assert [ids[r] for r in select_subset(id_order(ids), 0.2, 9)] == [
+            shuffled[r] for r in select_subset(id_order(shuffled), 0.2, 9)]
 
     def test_output_sorted_by_id(self):
         ids = make_ids(100)[::-1]
-        chosen = [ids[r] for r in select_subset(ids, 0.3, seed=4)]
+        chosen = [ids[r] for r in select_subset(id_order(ids), 0.3, seed=4)]
         assert chosen == sorted(chosen)
         assert len(set(chosen)) == len(chosen)
 
     @pytest.mark.parametrize("seed,fraction", sorted(GOLDEN_SELECTIONS))
     def test_selection_matches_golden(self, seed, fraction):
-        rows = select_subset(GOLDEN_IDS, fraction, seed)
+        rows = select_subset(id_order(GOLDEN_IDS), fraction, seed)
         assert [GOLDEN_IDS[r] for r in rows] == [
             f"T_{n:04d}" for n in GOLDEN_SELECTIONS[seed, fraction]]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            select_subset([], 0.1, seed=0)
+            select_subset(id_order([]), 0.1, seed=0)
 
     def test_zero_selection(self):
         with pytest.raises(ZeroSelection):
-            select_subset(make_ids(5), 0.1, seed=0)
+            select_subset(id_order(make_ids(5)), 0.1, seed=0)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
     def test_invalid_fraction(self, fraction):
         with pytest.raises(InvalidParameter):
-            select_subset(make_ids(10), fraction, seed=0)
+            select_subset(id_order(make_ids(10)), fraction, seed=0)
+
+
+def string_sorted_selection(ids, fraction, seed):
+    """Rows select_subset chose when it sorted the id strings itself."""
+    count = int(Fraction(str(fraction)) * len(ids))
+    ordered = sorted(range(len(ids)), key=ids.__getitem__)
+    perm = make_rng(seed, "select").permutation(len(ids))
+    return sorted((ordered[i] for i in perm[:count].tolist()),
+                  key=ids.__getitem__)
+
+
+# ids whose key order could part from Python's string order: prefixes,
+# tails of the lowest code points, and multi-byte UTF-8 up to astral
+ASCII_STRESS = ["a", "a\x00", "a\x01", "a\x00\x00", "a\x00b", "a\x01\x00",
+                "ab", "aa", "A", "Z_", "_", "\x7f", "b\x00", "b"]
+UNICODE_STRESS = ASCII_STRESS + ["\x80", "ü", "u", "uü", "ü\x00", "üa", "中",
+                                 "中文", "中\x01", "\uffff", "\U00010000",
+                                 "\U0001f600", "\U0001f600a", "\U0010ffff"]
+LONG_ID = "a" * 100_000
+# any character a manifest id may hold
+_ID_CHARS = st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="#").filter(
+                              lambda c: not c.isspace())
+
+
+class TestIdOrder:
+    """TrialColumns.order, the id order launder selects by, is Python's
+    order of the id strings."""
+
+    @staticmethod
+    def parsed(ids):
+        rng = np.random.Generator(np.random.PCG64(len(ids)))
+        ids = [ids[i] for i in rng.permutation(len(ids))]
+        text = "".join(f"{u} bonafide - C00 p{i}.flac\n"
+                       for i, u in enumerate(ids))
+        return ids, parse_manifest(text)[1]
+
+    @pytest.mark.parametrize("ids", [ASCII_STRESS, UNICODE_STRESS,
+                                     ASCII_STRESS + [LONG_ID],
+                                     UNICODE_STRESS + [LONG_ID]],
+                             ids=["ascii", "unicode", "ascii-long",
+                                  "unicode-long"])
+    def test_order_is_string_order(self, ids):
+        ids, trials = self.parsed(ids)
+        assert trials.order.tolist() == id_order(ids)
+        assert (trials.ids.dtype == object) == (LONG_ID in ids)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.35, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 11, 77])
+    def test_selection_matches_string_sort(self, seed, fraction):
+        ids, trials = self.parsed(UNICODE_STRESS + [LONG_ID])
+        chosen = select_subset(trials.order, fraction, seed)
+        assert chosen == string_sorted_selection(ids, fraction, seed)
+        assert all(type(r) is int for r in chosen)
+
+    @pytest.mark.parametrize("seed,fraction", sorted(GOLDEN_SELECTIONS))
+    def test_golden_from_parsed_order(self, seed, fraction):
+        ids, trials = self.parsed(GOLDEN_IDS)
+        rows = select_subset(trials.order, fraction, seed)
+        assert [ids[r] for r in rows] == [
+            f"T_{n:04d}" for n in GOLDEN_SELECTIONS[seed, fraction]]
+
+    @given(st.lists(st.text(_ID_CHARS, min_size=1, max_size=5), unique=True,
+                    max_size=12))
+    def test_order_of_any_ids(self, ids):
+        ids, trials = self.parsed(ids)
+        assert trials.order.tolist() == id_order(ids)
 
 
 class TestPlanAttacks:
