@@ -93,15 +93,18 @@ class NoiseLibrary:
 
     Expected layout: <directory>/{babble,volvo,cafe,street}.wav.  White
     noise is synthesized on demand and never loaded from disk.  Assets are
-    resampled to 16 kHz on load, and apply_attack matches a source's rate.
+    resampled to 16 kHz on load, and to another rate once per rate.
     """
 
     directory: Path
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def get(self, name: str) -> AudioBuffer:
-        if name in self._cache:
-            return self._cache[name]
+    def get(self, name: str, rate_hz: int = NOISE_RATE_HZ) -> AudioBuffer:
+        if (name, rate_hz) in self._cache:
+            return self._cache[name, rate_hz]
+        if rate_hz != NOISE_RATE_HZ:
+            self._cache[name, rate_hz] = resample(self.get(name), rate_hz)
+            return self._cache[name, rate_hz]
         if name not in LOADABLE_NOISES:
             raise InvalidParameter(
                 f"{name!r} is not a loadable noise; expected one of "
@@ -115,7 +118,7 @@ class NoiseLibrary:
             raise SilentInput(f"noise asset {name!r} at {path} is empty")
         if buf.sample_rate_hz != NOISE_RATE_HZ:
             buf = resample(buf, NOISE_RATE_HZ)
-        self._cache[name] = buf
+        self._cache[name, rate_hz] = buf
         return buf
 
 
@@ -289,9 +292,7 @@ def apply_attack(x: AudioBuffer, spec: AttackSpec, seed: int,
             if noises is None:
                 raise InvalidParameter(
                     "additive_noise attack needs a NoiseLibrary")
-            noise = noises.get(spec.noise_name)
-            if noise.sample_rate_hz != x.sample_rate_hz:
-                noise = resample(noise, x.sample_rate_hz)
+            noise = noises.get(spec.noise_name, x.sample_rate_hz)
         return mix_noise(x, noise, spec.snr_db, seed)
     if spec.kind == "recompression":
         if backend is None:

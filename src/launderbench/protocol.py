@@ -14,9 +14,10 @@ decode a TrialRecord only when read, and the TrialColumns.  launder
 selects rows by id and decodes the rows it keeps; scoring keeps the
 columns.  parse_scores reads score files as columns.  Columns hold no
 Python object per trial: ids, labels, attacks and codecs are gathered
-from the UTF-8 bytes into fixed-width bytes arrays (see TrialColumns),
-and join_scores matches ids by a stable sort of each side and a binary
-search of the score ids in the trial ids.  Both files share one
+from the UTF-8 bytes into fixed-width bytes arrays (see TrialColumns).
+Ids are sorted, deduplicated and matched as compact keys (see
+_sort_keys), most often one integer per id: join_scores sorts the score
+keys and binary-searches them in the trial keys.  Both files share one
 tokenizer whose fast path covers plain ASCII text.  Other text, and text
 failing a bulk check, is parsed line by line, so every error names the
 line it comes from; the fields of a clean per-line parse are written
@@ -56,10 +57,10 @@ class TrialRecord(NamedTuple):
 class TrialColumns:
     """Manifest trials as columns, in line order.
 
-    ids holds each utterance id as a key (see encode_ids); order is the
-    stable argsort of ids, which is Python's order of the id strings, and
-    launder selects its rows by it.  attack and codec hold indexes into
-    the sorted vocabularies attacks and codecs.
+    ids holds each utterance id as a key (see encode_ids); order lists
+    the rows with ids in ascending order, which is Python's order of the
+    id strings, and launder selects its rows by it.  attack and codec hold
+    indexes into the sorted vocabularies attacks and codecs.
     """
 
     ids: np.ndarray
@@ -266,9 +267,44 @@ class ManifestRows(Sequence):
             line.decode("utf-8", "surrogatepass").split())
 
 
+def _fold_rows(v):
+    """Rows whose columns hold the least and the greatest byte of v's
+    columns: numpy reduces many short rows slowly, so blocks of 4096 rows
+    are first reduced as one long row each."""
+    m = len(v) - len(v) % 4096
+    block = v[:m].reshape(-1, 4096 * v.shape[1])
+    return np.concatenate([v[m:]] + [f(0).reshape(4096, -1) for f in
+                                     (block.min, block.max) if m])
+
+
+def _sort_keys(*keys):
+    """Keys that sort and compare as the given id keys do, one per array:
+    the keys cast to one dtype, or, if at most eight byte columns vary
+    across all of them, those bytes read big-endian into one uint32 or
+    uint64 per key (numpy sorts no narrower integer faster)."""
+    common = np.result_type(*keys)
+    keys = [np.ascontiguousarray(k, common) for k in keys]
+    if common != object:
+        views = [k.view(np.uint8).reshape(-1, common.itemsize) for k in keys]
+        rows = np.concatenate([_fold_rows(v) for v in views])
+        varying = np.flatnonzero(rows.min(0, initial=255)
+                                 < rows.max(0, initial=0))
+        if len(varying) <= 8:
+            word = 4 if len(varying) <= 4 else 8
+            bufs = [np.zeros((len(v), word), np.uint8) for v in views]
+            for buf, v in zip(bufs, views):
+                # a little-endian word holds its first byte last
+                for j, c in enumerate(varying[::-1]):
+                    buf[:, j] = v[:, c]
+            return [buf.view(f"<u{word}").ravel() for buf in bufs]
+    return keys
+
+
 def _codes(keys):
-    vocab, code = np.unique(keys, return_inverse=True)
-    return code, tuple(decode_ids(vocab))
+    vocab, code = np.unique(_sort_keys(keys)[0], return_inverse=True)
+    row = np.empty(len(vocab), dtype=np.intp)
+    row[code] = np.arange(len(code))    # any row of a code decodes it
+    return code, tuple(decode_ids(keys[row]))
 
 
 def _manifest_columns(raw, starts, ends):
@@ -276,12 +312,13 @@ def _manifest_columns(raw, starts, ends):
     an id repeats, a label is not in LABELS or a label disagrees with its
     attack."""
     ids = _gather(raw, starts[:, 0], ends[:, 0])
-    order = np.argsort(ids, kind="stable")
-    by_key = ids[order]
+    (key,) = _sort_keys(ids)
+    order = np.argsort(key)
+    key = key[order]
     label = _gather(raw, starts[:, 1], ends[:, 1])
     bonafide_key, spoof_key = encode_ids(LABELS)
     bonafide = label == bonafide_key
-    if np.any(by_key[1:] == by_key[:-1]) or not np.all(
+    if np.any(key[1:] == key[:-1]) or not np.all(
             bonafide | (label == spoof_key)):
         return None
     attack, attacks = _codes(_gather(raw, starts[:, 2], ends[:, 2]))
@@ -374,22 +411,23 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
     if policy not in JOIN_POLICIES:
         raise InvalidParameter(
             f"policy must be 'strict' or 'intersect', got {policy!r}")
-    key = np.result_type(trials.ids.dtype, scores.ids.dtype)
-    order = np.argsort(scores.ids, kind="stable")
-    wanted = scores.ids[order].astype(key, copy=False)
-    repeat = wanted[1:] == wanted[:-1]
-    if repeat.any():
+    by_trial, wanted = _sort_keys(trials.ids, scores.ids)
+    order = np.argsort(wanted)
+    wanted = wanted[order]
+    if np.any(wanted[1:] == wanted[:-1]):
         # a stable sort keeps repeats in file order: the first repeat is
         # the earliest line that is not the first of its run
+        order = np.argsort(scores.ids, kind="stable")
+        repeat = scores.ids[order][1:] == scores.ids[order][:-1]
         first = int(order[1:][repeat].min())
         (utt,) = decode_ids(scores.ids[first:first + 1])
         raise DuplicateId(f"utterance {utt!r} is scored more than once")
 
     n = len(trials.ids)
-    at = np.searchsorted(trials.ids[trials.order].astype(key, copy=False),
-                         wanted)
+    by_trial = by_trial[trials.order]
+    at = np.searchsorted(by_trial, wanted)
     found = at < n
-    found[found] = trials.ids[trials.order[at[found]]] == wanted[found]
+    found[found] = by_trial[at[found]] == wanted[found]
     rows = trials.order[at[found]]
     keep = np.zeros(n, dtype=bool)
     keep[rows] = True

@@ -6,13 +6,14 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from launderbench import flacio, pipeline
+from launderbench import dsp, flacio, pipeline, protocol
 from launderbench.audio import AudioBuffer, CodecBackend, read_audio, write_audio
 from launderbench.dsp import (ATTACK_GRID, BITRATE_CHOICES, NOISE_NAMES,
                               RT60_CHOICES,
@@ -235,6 +236,26 @@ LONG_ID = "a" * 100_000
 _ID_CHARS = st.characters(blacklist_categories=("Cs",),
                           blacklist_characters="#").filter(
                               lambda c: not c.isspace())
+# ids and the kind of their sort key (see protocol._sort_keys): at most
+# eight varying byte columns pack into one integer ("u"), more keep the
+# bytes ("S"), and an id too long for a fixed width makes bytes objects
+# ("O")
+_KEY_RNG = np.random.Generator(np.random.PCG64(5))
+KEY_CASES = {
+    "ascii": (ASCII_STRESS, "u"),
+    "unicode": (UNICODE_STRESS, "u"),
+    "ascii-long": (ASCII_STRESS + [LONG_ID], "O"),
+    "unicode-long": (UNICODE_STRESS + [LONG_ID], "O"),
+    "wide": (["".join(_KEY_RNG.choice(list("abcdef"), 12))
+              for _ in range(60)], "S"),
+    "long-prefix": ([f"speaker_0042_session_{i * 37:06d}" for i in range(60)],
+                    "u"),
+    "prefixes": (["ab", "abc", "a", "abcd", "abcde", "b", "abd", "ba"], "u"),
+    "wide-prefixes": (["x", "x" + "y" * 12, "x" + "z" * 11, "xy",
+                       "xz" + "a" * 9, "w"], "S"),
+    "single": (["only"], "u"),
+    "empty": ([], "u"),
+}
 
 
 class TestIdOrder:
@@ -249,15 +270,12 @@ class TestIdOrder:
                        for i, u in enumerate(ids))
         return ids, parse_manifest(text)[1]
 
-    @pytest.mark.parametrize("ids", [ASCII_STRESS, UNICODE_STRESS,
-                                     ASCII_STRESS + [LONG_ID],
-                                     UNICODE_STRESS + [LONG_ID]],
-                             ids=["ascii", "unicode", "ascii-long",
-                                  "unicode-long"])
-    def test_order_is_string_order(self, ids):
+    @pytest.mark.parametrize("ids,kind", KEY_CASES.values(), ids=KEY_CASES)
+    def test_order_is_string_order(self, ids, kind):
         ids, trials = self.parsed(ids)
         assert trials.order.tolist() == id_order(ids)
-        assert (trials.ids.dtype == object) == (LONG_ID in ids)
+        (key,) = protocol._sort_keys(trials.ids)
+        assert key.dtype.kind == kind
 
     @pytest.mark.parametrize("fraction", [0.1, 0.35, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 11, 77])
@@ -596,6 +614,44 @@ class TestExecutePlan:
             coded = fake_codec(src, job.spec.bitrate_kbps).samples
             out = read_audio(tmp_path / "p1" / job.output_path)
             assert np.max(np.abs(out.samples - coded[:len(src)])) <= 2.0 ** -16
+
+    def test_noise_asset_resampled_once_per_rate(self, tmp_path):
+        # each recorded-noise job on a 22,050 Hz source mixes a 16 kHz
+        # asset at 22,050 Hz; the asset is resampled once, not per job
+        audio_root, noise_dir = tmp_path / "audio", tmp_path / "noise"
+        audio_root.mkdir()
+        noise_dir.mkdir()
+        rng = np.random.Generator(np.random.PCG64(3))
+        trials = make_trials(2, prefix="hr")
+        for t in trials:
+            write_audio(AudioBuffer(0.3 * rng.standard_normal(5000), 22050),
+                        audio_root / t.source_path)
+        for name in dsp.LOADABLE_NOISES:
+            write_audio(AudioBuffer(0.1 * rng.standard_normal(8000), 16000),
+                        noise_dir / f"{name}.wav", format="wav16")
+        jobs = [j for j in plan_attacks(trials, seed=8)
+                if j.spec.kind == "additive_noise"]
+        resample, asset_rates = dsp.resample, []
+
+        def counting(x, rate):
+            if x.sample_rate_hz == dsp.NOISE_RATE_HZ:
+                asset_rates.append(rate)
+            return resample(x, rate)
+
+        with mock.patch.object(dsp, "resample", counting):
+            report = execute_plan(jobs, audio_root, tmp_path / "out",
+                                  noises=NoiseLibrary(noise_dir),
+                                  parallelism=1)
+        assert report.jobs_failed == 0
+        assert asset_rates == [22050] * len(dsp.LOADABLE_NOISES)
+        # the bytes of each job run with its own, freshly resampled noise
+        for job in jobs:
+            src = read_audio(audio_root / job.source.source_path)
+            want = apply_attack(src, job.spec, job.job_seed,
+                                noises=NoiseLibrary(noise_dir))
+            write_audio(want, tmp_path / "want.flac", format="flac")
+            assert (tmp_path / "out" / job.output_path).read_bytes() == (
+                tmp_path / "want.flac").read_bytes()
 
     def test_clip_events_counted(self, corpus, tmp_path):
         # near-full-scale square wave overshoots through the lowpass

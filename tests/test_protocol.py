@@ -236,6 +236,36 @@ class TestJoinScores:
         with pytest.raises(DuplicateId):
             self.join(self.pairs + [("u001", 9.0)], policy=policy)
 
+    # the score keys are sorted without regard to line order; the message
+    # still names the earliest line that repeats an earlier one
+    @pytest.mark.parametrize("policy", ["strict", "intersect"])
+    @pytest.mark.parametrize("ids,repeated", [
+        (["u003", "u001", "u003", "u001"], "u003"),
+        (["u003", "u002", "u001", "u002", "u003"], "u002"),
+        (["u001", "u003", "u002", "u003", "u001"], "u003"),
+        (["u002", "u003", "u001", "u001", "u003", "u002"], "u001"),
+        (["u999", "u003", "u999", "u001", "u003", "u001"], "u999"),
+    ])
+    def test_duplicate_names_earliest_repeat(self, ids, repeated, policy):
+        with pytest.raises(DuplicateId) as exc:
+            self.join([(u, 1.0) for u in ids], policy=policy)
+        assert str(exc.value) == (
+            f"utterance {repeated!r} is scored more than once")
+
+    @pytest.mark.parametrize("policy", ["strict", "intersect"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_duplicate_among_many_repeats(self, seed, policy):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ids = [f"u{i:03d}" for i in rng.permutation(300)]
+        ids = ids + [ids[i] for i in rng.permutation(300)[:200]]
+        ids = [ids[i] for i in rng.permutation(len(ids))]
+        seen = set()
+        repeated = next(u for u in ids if u in seen or seen.add(u))
+        with pytest.raises(DuplicateId) as exc:
+            self.join([(u, 0.0) for u in ids], policy=policy)
+        assert str(exc.value) == (
+            f"utterance {repeated!r} is scored more than once")
+
     @pytest.mark.parametrize("policy", ["strict", "intersect"])
     def test_duplicate_orphan_score_id(self, policy):
         pairs = self.pairs + [("u999", 1.0), ("u002", 3.0), ("u999", 2.0)]
@@ -577,10 +607,7 @@ def test_score_fast_path_matches_per_line(text):
         assert fast == per_line
 
 
-@settings(max_examples=150, deadline=None)
-@given(texts("manifest"), texts("scores"),
-       st.sampled_from(["strict", "intersect"]))
-def test_join_matches_dict_reference(manifest, scores, policy):
+def _assert_join_matches_reference(manifest, scores, policy):
     records = _outcome(_per_line_records, manifest)
     parsed = _outcome(_per_line_scores, scores)
     if records[0] != "ok" or parsed[0] != "ok":
@@ -596,3 +623,81 @@ def test_join_matches_dict_reference(manifest, scores, policy):
                 joined.unscored, joined.orphans) == want[1]
     else:
         assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts("manifest"), texts("scores"),
+       st.sampled_from(["strict", "intersect"]))
+def test_join_matches_dict_reference(manifest, scores, policy):
+    _assert_join_matches_reference(manifest, scores, policy)
+
+
+# manifest ids, score ids, and the kind of their sort keys (see
+# protocol._sort_keys): "u" one unsigned integer each, "S" the bytes
+# cast to one width, "O" bytes objects
+_WIDE = [f"{i * 7919:012d}"[::-1] for i in range(1, 40)]
+_LONG = "x" * 70_000
+# first byte "a", "b", then "a" again over two 4096-line blocks and a
+# tail: only the blocks' greatest bytes show that the first byte varies
+_BLOCKS = ([f"a{i:04d}" for i in range(4096)]
+           + [f"b{i:04d}" for i in range(4096)]
+           + [f"a9{i:03d}" for i in range(10)])
+JOIN_KEY_CASES = {
+    "wide": (_WIDE, _WIDE[::-2] + ["7" * 12], "S"),
+    "long-prefix": ([f"speaker_0042_session_{i:05d}" for i in range(30)],
+                    [f"speaker_0042_session_{i:05d}"
+                     for i in range(40, 0, -3)], "u"),
+    "prefixes": (["a", "ab", "abc", "b"], ["abc", "ab", "a", "abcd", "ba"],
+                 "u"),
+    "single": (["u1"], ["u1"], "u"),
+    "single-orphan": (["u1"], ["u2"], "u"),
+    "empty": ([], [], "u"),
+    "empty-manifest": ([], ["u1", "u2"], "u"),
+    "empty-scores": (["u1", "u2"], [], "u"),
+    "wider-scores": (["u001", "u002", "u003"],
+                     ["u003", "u001x", "u001", "u0020000000000", "u002"],
+                     "S"),
+    # every score id ends in the byte the manifest ids start with: the
+    # manifest's padding still tells them apart
+    "wider-scores-same-tail": (["a", "b"], ["aa", "ba"], "u"),
+    "manifest-constant-column": (["a1", "a2", "a3"], ["a1", "b2", "a3", "a2"],
+                                 "u"),
+    "object-scores": (["t1", "t2", "t3"], ["t2", _LONG, "t1", "t3"], "O"),
+    "object-manifest": (["t1", _LONG, "t3"], ["t3", "t1", "t4"], "O"),
+    "blocks": (_BLOCKS, _BLOCKS[::-3] + ["b9999"], "u"),
+}
+
+
+@pytest.mark.parametrize("policy", ["strict", "intersect"])
+@pytest.mark.parametrize("trial_ids,score_ids,kind", JOIN_KEY_CASES.values(),
+                         ids=JOIN_KEY_CASES)
+def test_join_key_edge_cases(trial_ids, score_ids, kind, policy):
+    manifest = "".join(f"{u} spoof A1 C0 p.flac\n" for u in trial_ids)
+    scores = score_text(score_ids, [0.5 * i for i in range(len(score_ids))])
+    keys = protocol._sort_keys(parse_manifest(manifest)[1].ids,
+                               parse_scores(scores).ids)
+    assert [k.dtype.kind for k in keys] == [kind, kind]
+    _assert_join_matches_reference(manifest, scores, policy)
+
+
+@pytest.mark.parametrize("pattern,count", [("LA_%07d", 600_000),
+                                           ("E_%010d", 680_774)])
+def test_fixed_pattern_ids_sort_as_one_word(pattern, count):
+    # the bench's ids and ASVspoof 5's reach the one-uint64 key in the
+    # manifest's id sort and in the join; attacks and codecs sort as uint32
+    ids = [pattern % i for i in range(0, count, 4_001)] + [pattern % count]
+    manifest = "".join(f"{u} spoof A17 C03 p.flac\n" for u in ids)
+    scores = score_text(ids[::-1], [float(i) for i in range(len(ids))])
+    sort_keys, kinds = protocol._sort_keys, []
+
+    def spy(*keys):
+        out = sort_keys(*keys)
+        kinds.extend(k.dtype for k in out)
+        return out
+
+    with mock.patch.object(protocol, "_sort_keys", spy):
+        joined = join_scores(parse_manifest(manifest)[1],
+                             parse_scores(scores))
+    assert decode_ids(joined.ids) == ids
+    assert kinds == [np.dtype(t) for t in (np.uint64, np.uint32, np.uint32,
+                                            np.uint64, np.uint64)]
