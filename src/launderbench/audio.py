@@ -137,12 +137,6 @@ def read_audio(path) -> AudioBuffer:
         f"{path}: not a RIFF/WAVE or FLAC file (header {blob[:4]!r})")
 
 
-def _quantize16(samples):
-    q = np.rint(np.asarray(samples, dtype=np.float64) * 32768.0)
-    clipped = int(np.count_nonzero(np.abs(samples) > 1.0))
-    return np.clip(q, -32768, 32767).astype(np.int64), clipped
-
-
 def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
     """Write 16-bit audio; returns the count of saturated samples.
 
@@ -155,7 +149,8 @@ def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
     if format not in FORMATS:
         raise UnsupportedFormat(
             f"unknown output format {format!r}; expected one of {FORMATS}")
-    q, clipped = _quantize16(buf.samples)
+    q = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype(np.int64)
+    clipped = int(np.count_nonzero(np.abs(buf.samples) > 1.0))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.part")
     try:
@@ -206,11 +201,11 @@ def codec_roundtrip(buf: AudioBuffer, bitrate_kbps: int,
                     codec) -> AudioBuffer:
     """Encode to a lossy codec and decode back.
 
-    A codec is any callable codec(buf, bitrate_kbps) -> AudioBuffer with
-    an identity attribute: mp3tool's in-process LAME codec or the
-    CodecBackend command adapter.  The decoded signal is trimmed or
-    zero-padded to the input length with no delay compensation, and
-    resampled back (with a warning) if the codec returns a different rate.
+    The codec is the CodecBackend command adapter, or any callable
+    codec(buf, bitrate_kbps) -> AudioBuffer.  The decoded signal is
+    trimmed or zero-padded to the input length with no delay
+    compensation, and resampled back (with a warning) if the codec
+    returns a different rate.
     """
     if bitrate_kbps <= 0:
         raise InvalidParameter(f"bitrate must be positive, got {bitrate_kbps}")

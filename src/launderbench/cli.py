@@ -12,12 +12,12 @@ finished with some jobs failed.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import mp3tool
 from .audio import CodecBackend
 from .dsp import LOADABLE_NOISES, NoiseLibrary
 from .errors import (CorruptFile, DuplicateId, EmptyClass,
@@ -51,18 +51,16 @@ def _read_text(value, flag) -> str:
 
 
 def _resolve_backend(args):
-    """Explicit templates win; otherwise in-process LAME if it loads."""
-    if args.encode_cmd or args.decode_cmd:
-        if not (args.encode_cmd and args.decode_cmd):
-            raise InvalidParameter(
-                "--encode-cmd and --decode-cmd must be given together")
+    """The command-template codec; None, with a warning, when neither
+    template is given, so that only the recompression jobs fail."""
+    if args.encode_cmd and args.decode_cmd:
         return CodecBackend(args.encode_cmd, args.decode_cmd, "external")
-    try:
-        return mp3tool.default_backend()
-    except OSError as e:
-        print(f"warning: no codec backend available ({e}); "
-              f"recompression jobs will fail", file=sys.stderr)
-        return None
+    if args.encode_cmd or args.decode_cmd:
+        raise InvalidParameter(
+            "--encode-cmd and --decode-cmd must be given together")
+    print("warning: no codec backend (--encode-cmd and --decode-cmd not "
+          "given); recompression jobs will fail", file=sys.stderr)
+    return None
 
 
 def _read_scored(args):
@@ -111,6 +109,7 @@ def cmd_launder(args) -> int:
     (out_dir / "augmented.manifest").write_text(emit_augmented_manifest(
         rows, succeeded, backend_identity=identity))
 
+    import scipy
     bonafide = int(trials.bonafide.sum())
     _write_summary(out_dir / "run_summary.txt", [
         ("command", "launder"),
@@ -130,6 +129,10 @@ def cmd_launder(args) -> int:
         ("jobs_succeeded", report.jobs_succeeded),
         ("jobs_failed", report.jobs_failed),
         ("clip_events", report.clip_events),
+        # seeded output is byte-identical on one software stack only
+        ("python", platform.python_version()),
+        ("numpy", np.__version__),
+        ("scipy", scipy.__version__),
     ])
 
     for job, error in report.failures:
@@ -264,8 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sources processed at once, each in a forked "
                         "worker process that holds its own decoded source; "
                         "1 runs inline")
-    p.add_argument("--encode-cmd")
-    p.add_argument("--decode-cmd")
+    p.add_argument("--encode-cmd", help="recompression encoder command, "
+                   "run without a shell: {in} is 16-bit WAV, {out} the coded "
+                   "file, {bitrate_kbps} the rate; needs --decode-cmd")
+    p.add_argument("--decode-cmd", help="decoder command from the coded "
+                   "file {in} to WAV {out}; needs --encode-cmd")
 
     p = sub.add_parser("evaluate", help="pooled metrics from trial scores")
     p.add_argument("--manifest")

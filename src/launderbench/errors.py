@@ -36,7 +36,7 @@ class SampleRateChangedByCodec(UserWarning):
 
 
 class BackendInvocationFailed(LaunderbenchError):
-    """Lossy codec failed: bad exit status, no output, or a LAME error."""
+    """Codec command failed: not launched, bad exit status, or no output."""
 
 
 # --- DSP ---

@@ -3,14 +3,16 @@
 import codecs
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from launderbench import cli, flacio, mp3tool, pipeline
+from launderbench import cli, flacio, pipeline
 from launderbench.audio import AudioBuffer, write_audio
 from launderbench.cli import build_parser, main
 from launderbench.errors import InvalidParameter
@@ -140,6 +142,9 @@ class TestLaunder:
                             "c_fa", "pi_spoof"):
             assert scoring_key not in summary
         assert summary["backend"] == "external"
+        assert summary["python"] == platform.python_version()
+        assert summary["numpy"] == np.__version__
+        assert summary["scipy"] == scipy.__version__
         assert summary["manifest_total"] == "10"
         assert summary["manifest_bonafide"] == "5"
         assert summary["manifest_spoof"] == "5"
@@ -173,9 +178,6 @@ class TestLaunder:
 
     def test_no_codec_backend_fails_recompression_only(
             self, tmp_path, capsys, monkeypatch):
-        def no_lame():
-            raise OSError("libmp3lame shared library not found")
-
         reports = []
         execute_plan = cli.execute_plan
 
@@ -183,21 +185,33 @@ class TestLaunder:
             reports.append(execute_plan(*args, **kwargs))
             return reports[-1]
 
-        monkeypatch.setattr(mp3tool, "load_lame", no_lame)
         monkeypatch.setattr(cli, "execute_plan", recording_execute_plan)
         corpus = write_corpus(tmp_path)
         out = tmp_path / "out"
         argv = launder_argv(corpus, out, ["--fraction", "0.3"])
         del argv[argv.index("--encode-cmd"):argv.index("--decode-cmd") + 2]
         assert main(argv) == 2
-        assert "warning: no codec backend available" in \
-            capsys.readouterr().err
+        warning = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("warning:")]
+        assert len(warning) == 1
+        assert "--encode-cmd" in warning[0] and "--decode-cmd" in warning[0]
         assert read_summary(out)["backend"] == "none"
         failures = reports[0].failures
         assert len(failures) == 3
         for job, error in failures:
             assert job.spec.kind == "recompression"
             assert type(error) is InvalidParameter
+
+    @pytest.mark.parametrize("flag", ["--encode-cmd", "--decode-cmd"])
+    def test_one_codec_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        corpus = write_corpus(tmp_path)
+        out = tmp_path / "out"
+        argv = launder_argv(corpus, out)
+        del argv[argv.index(flag):argv.index(flag) + 2]
+        assert main(argv) == 1
+        assert "--encode-cmd and --decode-cmd must be given together" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_noise_asset_fails_fast(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

@@ -1,0 +1,248 @@
+"""Decode fuzzing: no FLAC stream gives a traceback, a hang or wrong audio.
+
+Two kinds of source stream are mutated: order-8 LPC streams, as
+reference encoders write them, from a small writer kept in this file
+(its own bit strings and CRCs, so the decoder is not checked against
+code it shares), and the program's own fixed-predictor encoder output.
+The mutations, drawn from one seeded random.Random per stream, are bit
+flips, truncations (half of them in the last 16 bytes, among the last
+Rice codes), overwritten byte runs, and, on the LPC streams,
+frame-body edits whose frame CRC-16 is written anew, so that the edit
+gets past the CRC check to the prediction restore.
+
+Every mutated stream must decode to the original samples or raise a
+LaunderbenchError, each within STREAM_SECONDS; a truncated stream must
+raise CorruptFile saying where the stream ran out.  Each of the four
+source streams gets MUTATIONS mutants, 1,400 decodes in all, which take
+about 5 s on 2 shared CPUs, where the slowest decode took 15 ms.
+"""
+
+import contextlib
+import hashlib
+import random
+import re
+import signal
+
+import numpy as np
+import pytest
+from scipy.signal import lfilter
+
+from launderbench import flacio
+from launderbench.errors import CorruptFile, LaunderbenchError
+
+MUTATIONS = 350          # mutated streams per source stream
+STREAM_SECONDS = 1.0     # bound on one decode
+RATE = 16000
+LPC_ORDER = 8
+LPC_PRECISION = 13
+BLOCKSIZE = 4096
+# what a truncated stream is refused with: cut inside a frame, inside
+# the metadata, before the marker, or between two frames
+TRUNCATED = ("unexpected end of FLAC stream|truncated metadata|"
+             "missing fLaC|STREAMINFO says")
+
+
+def speech_like(seed, n=8000):
+    """16-bit speech-like samples: a seeded order-2 resonance driven by
+    noise, under a slow envelope."""
+    x = lfilter([1.0], [1.0, -1.8, 0.9],
+                np.random.default_rng(seed).standard_normal(n))
+    x *= 0.5 + 0.5 * np.sin(np.linspace(0, 3 * np.pi, n)) ** 2
+    return np.rint(x / np.abs(x).max() * 20000).astype(np.int64)
+
+
+# ----------------------------------------------------- test-local LPC writer
+
+def crc_table(poly, width):
+    top, mask = 1 << (width - 1), (1 << width) - 1
+    table = []
+    for b in range(256):
+        c = b << (width - 8)
+        for _ in range(8):
+            c = ((c << 1) ^ poly if c & top else c << 1) & mask
+        table.append(c)
+    return table
+
+
+CRC8, CRC16 = crc_table(0x07, 8), crc_table(0x8005, 16)
+
+
+def crc8(data):
+    c = 0
+    for b in data:
+        c = CRC8[c ^ b]
+    return c
+
+
+def crc16(data):
+    c = 0
+    for b in data:
+        c = ((c << 8) & 0xFFFF) ^ CRC16[(c >> 8) ^ b]
+    return c
+
+
+def field(value, width):
+    """The low width bits of value, MSB first, as a '0'/'1' string."""
+    return format(int(value) & ((1 << width) - 1), f"0{width}b")
+
+
+def to_bytes(bits):
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def rice(residual):
+    """Rice(k) parameter and codes of signed residuals, k of least size."""
+    u = np.where(residual >= 0, 2 * residual, -2 * residual - 1)
+    k = int(np.argmin([(u >> k).sum() + len(u) * (k + 1) for k in range(15)]))
+    codes = "".join("0" * int(v >> k) + "1" + (field(v, k) if k else "")
+                    for v in u)
+    return field(k, 4) + codes
+
+
+def lpc_subframe(block):
+    """An order-8 LPC subframe: least-squares coefficients quantized to
+    13 bits, and four Rice partitions."""
+    n, order = len(block), LPC_ORDER
+    history = np.lib.stride_tricks.sliding_window_view(
+        block[:-1], order)[:, ::-1]
+    c = np.linalg.lstsq(history.astype(float), block[order:].astype(float),
+                        rcond=None)[0]
+    shift = LPC_PRECISION - 2 - int(np.floor(np.log2(np.abs(c).max())))
+    shift = max(0, min(15, shift))
+    lim = 1 << (LPC_PRECISION - 1)
+    coefs = np.clip(np.rint(c * (1 << shift)), -lim, lim - 1).astype(np.int64)
+    resid = block[order:] - ((history @ coefs) >> shift)
+    bits = "0" + field(32 + order - 1, 6) + "0"
+    bits += "".join(field(v, 16) for v in block[:order])
+    bits += field(LPC_PRECISION - 1, 4) + field(shift, 5)
+    bits += "".join(field(v, LPC_PRECISION) for v in coefs)
+    bits += field(0, 2) + field(2, 4)
+    part = n // 4
+    bounds = [0, part - order, 2 * part - order, 3 * part - order, n - order]
+    for a, b in zip(bounds, bounds[1:]):
+        bits += rice(resid[a:b])
+    return to_bytes(bits)
+
+
+def lpc_stream(samples):
+    """A mono 16-bit FLAC stream of LPC frames, then the (start, body,
+    end) byte offsets of each frame: header, subframe, end of CRC-16."""
+    frames, spans = [], []
+    head = (b"fLaC" + b"\x00" + (34).to_bytes(3, "big")
+            + to_bytes(field(BLOCKSIZE, 16) * 2 + field(0, 48)
+                       + field(RATE, 20) + field(0, 3) + field(15, 5)
+                       + field(len(samples), 36))
+            + hashlib.md5(samples.astype("<i2").tobytes()).digest()
+            + b"\x81" + (64).to_bytes(3, "big") + bytes(64))
+    pos = len(head)
+    for index, start in enumerate(range(0, len(samples), BLOCKSIZE)):
+        block = samples[start:start + BLOCKSIZE]
+        n = len(block)
+        assert n % 4 == 0 and n // 4 > LPC_ORDER
+        header = bytearray([0xFF, 0xF8, 0x75 if n != BLOCKSIZE else 0xC5,
+                            0b1000, index])
+        if n != BLOCKSIZE:
+            header += (n - 1).to_bytes(2, "big")
+        header.append(crc8(header))
+        frame = bytes(header) + lpc_subframe(block)
+        frames.append(frame + crc16(frame).to_bytes(2, "big"))
+        spans.append((pos, pos + len(header), pos + len(frames[-1])))
+        pos += len(frames[-1])
+    return head + b"".join(frames), spans
+
+
+# ------------------------------------------------------------------ mutations
+
+def flip_bits(rng, blob):
+    out = bytearray(blob)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(8 * len(out))
+        out[i // 8] ^= 0x80 >> (i % 8)
+    return bytes(out)
+
+
+def overwrite_run(rng, blob):
+    """One run of 1-32 bytes overwritten by random bytes, zeros or 0xFF."""
+    out = bytearray(blob)
+    n = min(rng.randint(1, 32), len(out))
+    at = rng.randrange(len(out) - n + 1)
+    fill = rng.choice([None, 0x00, 0xFF])
+    out[at:at + n] = (bytes(rng.randrange(256) for _ in range(n))
+                      if fill is None else bytes([fill]) * n)
+    return bytes(out)
+
+
+def resealed(rng, blob, spans):
+    """One frame's subframe edited, half the time within its first 32
+    bytes (warm-up, shift and coefficients), and the frame's CRC-16
+    written for the edited bytes."""
+    start, body, end = rng.choice(spans)
+    hi = body + 32 if rng.random() < 0.5 else end - 2
+    edit = rng.choice([flip_bits, overwrite_run])
+    frame = blob[start:body] + edit(rng, blob[body:hi]) + blob[hi:end - 2]
+    return blob[:start] + frame + crc16(frame).to_bytes(2, "big") + blob[end:]
+
+
+def mutants(seed, blob, spans=None):
+    """MUTATIONS mutated copies of blob and whether each is a truncation."""
+    rng = random.Random(seed)
+    kinds = ["flip", "run", "cut"] + (["reseal"] if spans else [])
+    for i in range(MUTATIONS):
+        kind = kinds[i % len(kinds)]
+        if kind == "flip":
+            yield flip_bits(rng, blob), False
+        elif kind == "run":
+            yield overwrite_run(rng, blob), False
+        elif kind == "cut":
+            # half within the last frame's last Rice codes and CRC-16
+            lo = len(blob) - 16 if rng.random() < 0.5 else 0
+            yield blob[:rng.randrange(lo, len(blob))], True
+        else:
+            yield resealed(rng, blob, spans), False
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError in the block once seconds of wall time pass, so
+    that a decode that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"one decode ran over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_mutants(seed, blob, samples, spans=None):
+    with time_bound(STREAM_SECONDS):
+        assert np.array_equal(flacio.decode_flac(blob)[0], samples)
+    for bad, cut in mutants(seed, blob, spans):
+        try:
+            with time_bound(STREAM_SECONDS):
+                y, rate, bps = flacio.decode_flac(bad)
+        except LaunderbenchError as e:
+            if cut:
+                assert isinstance(e, CorruptFile), e
+                assert re.search(TRUNCATED, str(e)), e
+        else:
+            assert not cut
+            assert (rate, bps) == (RATE, 16)
+            assert np.array_equal(y, samples)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mutated_lpc_streams(seed):
+    samples = speech_like(seed)
+    blob, spans = lpc_stream(samples)
+    check_mutants(seed, blob, samples, spans)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_mutated_encoder_streams(seed):
+    samples = speech_like(seed)
+    blob = flacio.encode_flac(samples, RATE)
+    check_mutants(seed, blob, samples)
