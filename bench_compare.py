@@ -2,10 +2,11 @@
 
 Runs bench/run.py --trace 0 per workload and seed in a git archive export
 of --base and in the working tree, alternating which goes first, and
-writes BENCH_NAME.json: each side's median, q1, q3 and spread per
-end-to-end metric, the ratio of medians, pairs won, whether every change
-run reads better than every base run (separated), a verdict (see
-verdict()), failures and digests; the verdicts are printed as well.
+writes BENCH_NAME.json: the host (see host()), and per workload each
+side's median, q1, q3 and spread per end-to-end metric, the ratio of
+medians, pairs won, whether every change run reads better than every
+base run (separated), a verdict (see verdict()), failures and digests;
+the verdicts are printed as well.
 A run that exits non-zero stops the comparison: the tail of its stderr is
 printed, and the json keeps the workloads already done plus a failed_run
 entry; the exit status is then 1.  It is 1 as well when a workload breaks
@@ -54,6 +55,17 @@ def bench(tree, workload, seed, seconds):
     digest = out.split("non_codec_sha256=")[1].split()[0]
     return ({k: v["value"] for k, v in result["metrics"].items()},
             result["failed"], digest)
+
+
+def host():
+    """The CPUs and software stack the runs share: seeded output is
+    byte-identical on one stack only, so the versions of the libraries
+    that compute it are kept beside the interpreter's."""
+    import numpy
+    import scipy
+    return {"nproc": len(os.sched_getaffinity(0)),
+            "python": sys.version.split()[0], "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
 
 
 def summary(values):
@@ -173,8 +185,7 @@ def main():
                                    cwd=ROOT, text=True).strip()
     report = {"about": f"bench/run.py --trace 0, seeds {args.seeds}, {base}"
                        " against the working tree, alternating",
-              "host": {"nproc": len(os.sched_getaffinity(0)),
-                       "python": sys.version.split()[0]}, "workloads": {}}
+              "host": host(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         subprocess.run(f"git archive {base} | tar -x -C {tmp}", shell=True,
                        cwd=ROOT, check=True)

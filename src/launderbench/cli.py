@@ -12,6 +12,7 @@ finished with some jobs failed.
 from __future__ import annotations
 
 import argparse
+import codecs
 import platform
 import sys
 from pathlib import Path
@@ -41,11 +42,12 @@ def _require(value, flag, kind="path"):
     return Path(value)
 
 
-def _read_text(value, flag) -> str:
-    """The UTF-8 text of the file a flag names, without a byte-order mark."""
+def _parse(parser, value, flag):
+    """parser's reading of the bytes of the file a flag names, less a
+    leading byte-order mark; bytes that are not UTF-8 are a CorruptFile."""
     path = _require(value, flag, "file")
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return parser(path.read_bytes().removeprefix(codecs.BOM_UTF8))
     except UnicodeDecodeError as e:
         raise CorruptFile(f"{flag} {path} is not UTF-8 text: {e}") from None
 
@@ -66,8 +68,8 @@ def _resolve_backend(args):
 def _read_scored(args):
     """The metric settings, checked first, and the joined scores."""
     metrics = MetricConfig(args.c_miss, args.c_fa, args.pi_spoof)
-    trials = parse_manifest(_read_text(args.manifest, "--manifest"))[1]
-    scores = parse_scores(_read_text(args.scores, "--scores"))
+    trials = _parse(parse_manifest, args.manifest, "--manifest")[1]
+    scores = _parse(parse_scores, args.scores, "--scores")
     if args.invert_scores:
         scores = ScoreColumns(scores.ids, -scores.scores)
     return metrics, join_scores(trials, scores, policy=args.join)
@@ -80,11 +82,10 @@ def _write_summary(path, items):
 def cmd_launder(args) -> int:
     if args.jobs < 1:
         raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
-    manifest_text = _read_text(args.manifest, "--manifest")
+    rows, trials = _parse(parse_manifest, args.manifest, "--manifest")
     audio_root = _require(args.audio_root, "--audio-root", "dir")
     noise_dir = _require(args.noise_dir, "--noise-dir", "dir")
     out_dir = _require(args.out, "--out")
-    rows, trials = parse_manifest(manifest_text)
 
     noises = NoiseLibrary(noise_dir)
     for name in LOADABLE_NOISES:
@@ -161,7 +162,6 @@ def cmd_report(args) -> int:
     out_dir = _require(args.out, "--out")
     table = compute_breakdown(scored, metrics)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     fmt = args.format
     prefix = out_dir / "report"
     files = {
@@ -173,6 +173,8 @@ def cmd_report(args) -> int:
     for metric in METRIC_NAMES:
         files[f"{prefix}_grid_{metric}.{fmt}"] = render(
             table, "grid", fmt, metric=metric)
+    # made once every file has rendered, so a failed render leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     for path, text in files.items():
         Path(path).write_text(text)
     _write_summary(out_dir / "report_summary.txt", [

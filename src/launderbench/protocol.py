@@ -9,19 +9,19 @@ with '#' starting a comment (full-line or trailing).  Score files carry
 bonafide-like.  Attack and codec vocabularies are open; the bonafide
 attack placeholder is the literal "-".
 
-A manifest has one reader, parse_manifest: it returns the rows, which
-decode a TrialRecord only when read, and the TrialColumns.  launder
+Both readers take a file's UTF-8 bytes, in which LF, CRLF and CR end a
+line.  A manifest has one reader, parse_manifest: it returns the rows,
+which decode a TrialRecord only when read, and the TrialColumns.  launder
 selects rows by id and decodes the rows it keeps; scoring keeps the
 columns.  parse_scores reads score files as columns.  Columns hold no
 Python object per trial: ids, labels, attacks and codecs are gathered
-from the UTF-8 bytes into fixed-width bytes arrays (see TrialColumns).
-Ids are sorted, deduplicated and matched as compact keys (see
-_sort_keys), most often one integer per id: join_scores sorts the score
-keys and binary-searches them in the trial keys.  Both files share one
-tokenizer whose fast path covers plain ASCII text.  Other text, and text
-failing a bulk check, is parsed line by line, so every error names the
-line it comes from; the fields of a clean per-line parse are written
-back as plain text and read by the fast path.
+from the bytes into fixed-width bytes arrays (see TrialColumns).  Ids are
+sorted, deduplicated and matched as compact keys (see _sort_keys), most
+often one integer per id: join_scores sorts the score keys and
+binary-searches them in the trial keys.  Both files share one tokenizer
+whose fast path covers plain ASCII.  Other bytes, and bytes failing a
+bulk check, are decoded and parsed line by line, so every error names
+its line; a clean per-line parse is written back and read as columns.
 """
 
 from __future__ import annotations
@@ -108,42 +108,39 @@ _SHIFT = bytes((b + 1) % 256 for b in range(256))
 _UNSHIFT = bytes((b - 1) % 256 for b in range(256))
 
 
-def _utf8(text):
-    return text.encode("utf-8", "surrogatepass")
-
-
 def encode_ids(ids) -> np.ndarray:
     """Keys of the given id strings."""
-    return np.array([_utf8(u).translate(_SHIFT) for u in ids], dtype="S")
+    return np.array([u.encode().translate(_SHIFT) for u in ids], dtype="S")
 
 
 def decode_ids(keys) -> list:
     """The id strings of keys."""
-    return [k.translate(_UNSHIFT).decode("utf-8", "surrogatepass")
-            for k in keys.tolist()]
+    return [k.translate(_UNSHIFT).decode() for k in keys.tolist()]
 
 
-def _content_lines(text):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+def _content_lines(raw):
+    """Numbered non-blank lines of raw, comments cut; raw must be UTF-8."""
+    for line_no, text in enumerate(raw.decode("utf-8").splitlines(), start=1):
+        line = text.split("#", 1)[0].strip()
         if line:
             yield line_no, line
 
 
-# bytes str.split() or str.splitlines() treat as separators besides
-# space, tab and newline
+# ASCII bytes str.split() or str.splitlines() treat as separators besides
+# space, tab, newline and carriage return, which the tokenizer reads
 _OTHER_SEPARATORS = np.zeros(256, dtype=bool)
-_OTHER_SEPARATORS[[0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F]] = True
+_OTHER_SEPARATORS[[0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F]] = True
 
 
-_GAPS = (0x20, 0x09, 0x0A)
+_GAPS = (0x20, 0x09, 0x0A, 0x0D)
 _SPAN = 1 << 22     # bytes the tokenizer scans at a time
 
 
 def _tokens(raw, n_fields):
     """The starts and ends of the tokens of raw as (rows, n_fields)
-    arrays, or None unless raw holds no separator but space, tab and
-    newline and every non-blank line has n_fields tokens.
+    arrays, or None unless raw holds no separator but space, tab, LF and
+    CR and every non-blank line has n_fields tokens.  CR ends a line as
+    LF does; the empty line inside a CRLF holds no token.
 
     raw is scanned a span at a time, so its byte-sized masks stay small.
     """
@@ -157,13 +154,14 @@ def _tokens(raw, n_fields):
             return None
         # gap[i] is whether byte lo - 1 + i separates tokens; the bytes
         # beyond raw do
+        line_end = (span == 0x0A) | (span == 0x0D)
         gap = np.ones(len(span) + 2, dtype=bool)
-        gap[1:-1] = (span == 0x20) | (span == 0x09) | (span == 0x0A)
+        gap[1:-1] = line_end | (span == 0x20) | (span == 0x09)
         gap[0] = lo == 0 or buf[lo - 1] in _GAPS
         gap[-1] = hi == len(buf) or buf[hi] in _GAPS
         for found, at, mask in ((starts, lo, gap[:-2] > gap[1:-1]),
                                 (ends, lo + 1, gap[1:-1] < gap[2:]),
-                                (newlines, lo, span == 0x0A)):
+                                (newlines, lo, line_end)):
             found.append((np.flatnonzero(mask) + at).astype(position))
     starts, ends, newlines = map(np.concatenate, (starts, ends, newlines))
     if len(starts) % n_fields:
@@ -214,22 +212,21 @@ def _gather(raw, starts, ends, shift=1):
     return out.view(f"S{width}").ravel()
 
 
-def _read(text, n_fields, columns):
-    """columns(raw, starts, ends) of plain ASCII text without '#', or None
-    when the text or its columns need the per-line path."""
-    if not text.isascii() or "#" in text:
+def _read(raw, n_fields, columns):
+    """columns(raw, starts, ends) of plain ASCII bytes without '#', or
+    None when the bytes or their columns need the per-line path."""
+    if not raw.isascii() or b"#" in raw:
         return None
-    raw = text.encode("ascii")
     tokens = _tokens(raw, n_fields)
     return None if tokens is None else columns(raw, *tokens)
 
 
-def _manifest_lines(text):
+def _manifest_lines(raw):
     """Per-line manifest parse into five field lists; raises at the first
     bad line."""
     columns = [[] for _ in TrialRecord._fields]
     seen = set()
-    for line_no, line in _content_lines(text):
+    for line_no, line in _content_lines(raw):
         fields = line.split()
         if len(fields) != 5:
             raise MalformedLine(
@@ -263,8 +260,7 @@ class ManifestRows(Sequence):
 
     def __getitem__(self, row) -> TrialRecord:
         line = self._raw[self._starts[row]:self._ends[row]]
-        return TrialRecord._make(
-            line.decode("utf-8", "surrogatepass").split())
+        return TrialRecord._make(line.decode().split())
 
 
 def _fold_rows(v):
@@ -332,25 +328,25 @@ def _manifest_columns(raw, starts, ends):
                               codecs)
 
 
-def parse_manifest(text: str) -> tuple:
-    """The ManifestRows and TrialColumns of manifest text, in line order.
+def parse_manifest(raw: bytes) -> tuple:
+    """The ManifestRows and TrialColumns of manifest bytes, in line order.
 
-    Text the tokenizer or the bulk check of _manifest_columns rejects is
-    read by _manifest_lines, which raises the error for the first bad
-    line.
+    Bytes the tokenizer or the bulk check of _manifest_columns rejects are
+    decoded and read by _manifest_lines, which raises the error for the
+    first bad line, or UnicodeDecodeError if they are not UTF-8.
     """
-    read = _read(text, 5, _manifest_columns)
+    read = _read(raw, 5, _manifest_columns)
     if read is None:
-        raw = _utf8(emit_manifest(zip(*_manifest_lines(text))))
-        read = _manifest_columns(raw, *_tokens(raw, 5))
+        clean = emit_manifest(zip(*_manifest_lines(raw))).encode()
+        read = _manifest_columns(clean, *_tokens(clean, 5))
     return read
 
 
-def _score_lines(text):
+def _score_lines(raw):
     """Per-line score parse into ids and scores; raises at the first bad
     line."""
     ids, scores = [], []
-    for line_no, line in _content_lines(text):
+    for line_no, line in _content_lines(raw):
         fields = line.split()
         if len(fields) != 2:
             raise MalformedLine(
@@ -387,17 +383,18 @@ def _score_columns(raw, starts, ends):
     return ScoreColumns(_gather(raw, starts[:, 0], ends[:, 0]), scores)
 
 
-def parse_scores(text: str) -> ScoreColumns:
-    """Parse score text into columns, preserving line order.
+def parse_scores(raw: bytes) -> ScoreColumns:
+    """Parse a score file's bytes into columns, preserving line order.
 
-    Text the tokenizer or the bulk check of _score_columns rejects is read
-    by _score_lines, which raises the error for the first bad line.
+    Bytes the tokenizer or the bulk check of _score_columns rejects are
+    decoded and read by _score_lines, which raises the error for the first
+    bad line, or UnicodeDecodeError if they are not UTF-8.
     """
-    read = _read(text, 2, _score_columns)
+    read = _read(raw, 2, _score_columns)
     if read is None:
-        raw = _utf8("".join(f"{u} {v!r}\n"
-                            for u, v in zip(*_score_lines(text))))
-        read = _score_columns(raw, *_tokens(raw, 2))
+        clean = "".join(f"{u} {v!r}\n"
+                        for u, v in zip(*_score_lines(raw))).encode()
+        read = _score_columns(clean, *_tokens(clean, 2))
     return read
 
 
@@ -452,5 +449,5 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
 
 def emit_manifest(rows) -> str:
     """Render rows of five fields back to manifest text; inverse of
-    parse_manifest, as emit_manifest(parse_manifest(text)[0])."""
+    parse_manifest, as emit_manifest(parse_manifest(text.encode())[0])."""
     return "".join(" ".join(row) + "\n" for row in rows)

@@ -28,7 +28,7 @@ from launderbench.reporting import (BreakdownTable, CellMetrics, GroupKey,
 
 
 def manifest_records(text):
-    return list(parse_manifest(text)[0])
+    return list(parse_manifest(text.encode())[0])
 
 
 @contextmanager
@@ -343,8 +343,8 @@ def test_format_round_trips(tmp_path, capsys):
             0.1, -1 / 3, 1e300, 5e-324, -0.0]
         values = np.array(values, dtype=np.float64)
         ids = [f"s{i:05d}" for i in range(len(values))]
-        back = parse_scores(
-            "".join(f"{u} {v!r}\n" for u, v in zip(ids, values.tolist())))
+        back = parse_scores("".join(
+            f"{u} {v!r}\n" for u, v in zip(ids, values.tolist())).encode())
         assert decode_ids(back.ids) == ids
         assert np.array_equal(back.scores.view(np.int64),
                               values.view(np.int64))

@@ -1,9 +1,13 @@
-"""The per-metric verdict rule of bench_compare.py, on hand-made runs."""
+"""The per-metric verdict rule of bench_compare.py, on hand-made runs,
+and the host entry of its report."""
 
 import importlib.util
+import platform
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 _spec = importlib.util.spec_from_file_location(
     "bench_compare", Path(__file__).resolve().parents[1] / "bench_compare.py")
@@ -54,3 +58,12 @@ def test_separated_wide_base_within_bound():
     assert bench_compare.summary(base)["spread"] > 0.25
     assert bench_compare.separated(base, change, 1)
     assert bench_compare.verdict(base, change, 1, 0.25) == "within bound"
+
+
+def test_host_records_the_software_stack():
+    # digests are equal on one software stack only; the runs use this
+    # interpreter, so its versions are theirs
+    host = bench_compare.host()
+    assert host.pop("nproc") >= 1
+    assert host == {"python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__}

@@ -7,12 +7,13 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
 
-from launderbench import cli, flacio, pipeline
+from launderbench import cli, flacio, pipeline, protocol
 from launderbench.audio import AudioBuffer, write_audio
 from launderbench.cli import build_parser, main
 from launderbench.errors import InvalidParameter
@@ -24,7 +25,7 @@ COPY_BODY = "import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n"
 
 
 def manifest_records(text):
-    return list(parse_manifest(text)[0])
+    return list(parse_manifest(text.encode())[0])
 
 
 def parse_args(argv):
@@ -725,6 +726,39 @@ class TestReport:
                    "--scores", str(scores), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert not (tmp_path / "x").exists()
+
+    def test_unrenderable_table_makes_no_out_dir(self, tmp_path, capsys):
+        manifest, scores = write_eval_fixture(tmp_path, spf=())
+        rc = main(["report", "--manifest", str(manifest),
+                   "--scores", str(scores), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: table holds no pooled cell\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("end,bom", [("\r\n", b""), ("\r", b""),
+                                         ("\r\n", codecs.BOM_UTF8)])
+    def test_line_ends_and_bom_read_as_lf(self, tmp_path, capsys, end, bom):
+        # CR ends a line as LF does and the BOM is dropped before the
+        # tokenizer, so these files never reach the per-line readers and
+        # every output is byte-identical to the LF files'
+        manifest, scores = self.fixture(tmp_path)
+        argv = ["--manifest", str(manifest), "--scores", str(scores)]
+
+        def run(out):
+            assert main(["evaluate", *argv]) == 0
+            assert main(["report", *argv, "--out", str(out)]) == 0
+            return (capsys.readouterr().out,
+                    {p.name: p.read_bytes() for p in out.iterdir()})
+
+        want = run(tmp_path / "lf")
+        for path in (manifest, scores):
+            path.write_bytes(
+                bom + path.read_bytes().replace(b"\n", end.encode()))
+        with mock.patch.object(protocol, "_manifest_lines",
+                               side_effect=AssertionError), \
+                mock.patch.object(protocol, "_score_lines",
+                                  side_effect=AssertionError):
+            assert run(tmp_path / "cr") == want
 
 
 class TestByteOrderMark:

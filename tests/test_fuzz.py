@@ -1,4 +1,5 @@
-"""Decode fuzzing: no FLAC stream gives a traceback, a hang or wrong audio.
+"""Input fuzzing: no FLAC stream and no manifest or score file gives a
+traceback, a hang or a wrong result.
 
 Two kinds of source stream are mutated: order-8 LPC streams, as
 reference encoders write them, from a small writer kept in this file
@@ -15,20 +16,35 @@ LaunderbenchError, each within STREAM_SECONDS; a truncated stream must
 raise CorruptFile saying where the stream ran out.  Each of the four
 source streams gets MUTATIONS mutants, 1,400 decodes in all, which take
 about 5 s on 2 shared CPUs, where the slowest decode took 15 ms.
+
+evaluate and report each read SCORING_CASES drawn pairs of manifest and
+score files (see scoring_case) through cli.main.  Each call must return
+0 or 1 and print no traceback.  What it computes, or the error it
+prints, must be what test_protocol's references read from the same
+bytes: the per-line readers, after a strict UTF-8 check and less one
+byte-order mark, and the dict join, broken down as the command does.
+The 2 x 300 calls take about 2 s on 2 shared CPUs.
 """
 
+import codecs
+import collections
 import contextlib
 import hashlib
 import random
 import re
+import shutil
 import signal
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from launderbench import flacio
+from launderbench import cli, flacio, protocol, reporting
 from launderbench.errors import CorruptFile, LaunderbenchError
+from launderbench.metrics import MetricConfig
+from test_protocol import _per_line_records, _reference_join
 
 MUTATIONS = 350          # mutated streams per source stream
 STREAM_SECONDS = 1.0     # bound on one decode
@@ -246,3 +262,168 @@ def test_mutated_encoder_streams(seed):
     samples = speech_like(seed)
     blob = flacio.encode_flac(samples, RATE)
     check_mutants(seed, blob, samples)
+
+
+# ------------------------------------------------------------ scoring input
+
+SCORING_CASES = 300      # evaluate calls, and as many report calls
+NAMES = ["LA_", "u", "E_", "\u00fc"]
+# ids come in pairs that differ in a tail: NULs, which fixed-width bytes
+# must keep apart, or a run that makes a 300-byte id
+TAIL_PAIRS = [("", "_"), ("", "\x00"), ("\x00", "\x00\x00"), ("", "x" * 296)]
+# attack and codec vocabularies, two in three of them ASCII
+VOCABULARIES = [(["A17", "A18", "A19"], ["C00", "C01", "C02"])] * 2 + [
+    (["A17", "A\u00e918"], ["C00", "C\u00e901"])]
+SCORES = ["1.5", "-2e-3", "0", "-0.0", "5e-324", "7", "1_0", "-1e300"]
+BAD_SCORES = ["nan", "-inf", "Infinity", "1e400", "-1e309", "0x10", "1_",
+              "high"]
+# separators str.split() knows besides space and tab; the first five end
+# a line for str.splitlines() too.  A file uses at most one, as a field
+# separator, a line end or a lead
+OTHER = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x1f", "\u00a0",
+         "\u3000"]
+NOT_UTF8 = [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+            b"\xe2\x82"]
+DEFECTS = [None] * 10 + ["score", "nul", "count", "label", "mismatch",
+                        "repeat", "rescored", "missing", "orphan", "utf8"]
+
+
+def render(rng, rows):
+    """File bytes of rows of fields, with drawn separators, line ends,
+    leads, tails and blank lines, and maybe a byte-order mark.  Half the
+    files use one other separator, and some carry comments."""
+    seps, ends, leads = [" ", "\t", "  "], ["\n", "\r\n", "\r"], ["", " "]
+    tails, blanks = ["", "", "\t"], ["", "", "  \n"]
+    if rng.random() < 0.5:
+        rng.choice([seps, ends, leads, leads]).append(rng.choice(OTHER))
+    if rng.random() < 0.3:
+        tails.append(" # note")
+        blanks.append("# a comment\n")
+    text = ""
+    for fields in rows:
+        text += rng.choice(blanks) + rng.choice(leads) + fields[0] + "".join(
+            rng.choice(seps) + f for f in fields[1:])
+        text += rng.choice(tails) + rng.choice(ends)
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\n\r")
+    return (codecs.BOM_UTF8 if rng.random() < 0.2 else b"") + text.encode()
+
+
+def scoring_case(rng):
+    """Manifest and score file bytes of one drawn trial set, which may
+    carry one defect, and a join policy."""
+    name, pair = rng.choice(NAMES), rng.choice(TAIL_PAIRS)
+    attacks, codecs_ = rng.choice(VOCABULARIES)
+    ids = [f"{name}{k // 2}{pair[k % 2]}" for k in range(rng.randint(0, 10))]
+    rng.shuffle(ids)
+    trials, scores = [], []
+    for uid in ids:
+        label = rng.choice(["bonafide", "spoof"])
+        attack = "-" if label == "bonafide" else rng.choice(attacks)
+        trials.append([uid, label, attack, rng.choice(codecs_), "p.flac"])
+        scores.append([uid, rng.choice(SCORES) if rng.random() < 0.3
+                       else repr(rng.gauss(0.0, 3.0))])
+    rng.shuffle(scores)
+    defect = rng.choice(DEFECTS) if ids else None
+    at = rng.randrange(len(ids)) if ids else 0
+    if defect == "score":
+        scores[at][1] = rng.choice(BAD_SCORES)
+    elif defect == "nul":
+        scores[at][1] += "\x00"
+    elif defect == "count":
+        row = rng.choice([trials, scores])[at]
+        row.append("x") if rng.random() < 0.5 else row.pop()
+    elif defect == "label":
+        trials[at][1] = "real"
+    elif defect == "mismatch":
+        trials[at][2] = "A17" if trials[at][2] == "-" else "-"
+    elif defect == "repeat":
+        trials.insert(rng.randrange(len(trials) + 1), list(trials[at]))
+    elif defect == "rescored":
+        scores.insert(rng.randrange(len(scores) + 1), [trials[at][0], "0.25"])
+    elif defect == "missing":
+        del scores[at]
+    elif defect == "orphan":
+        scores.insert(rng.randrange(len(scores) + 1), [f"{name}9", "0.5"])
+    files = [render(rng, trials), render(rng, scores)]
+    if defect == "utf8":
+        i = rng.randrange(2)
+        cut = rng.randrange(len(files[i]) + 1)
+        files[i] = files[i][:cut] + rng.choice(NOT_UTF8) + files[i][cut:]
+    return (*files, rng.choice(protocol.JOIN_POLICIES))
+
+
+def utf8(path, flag):
+    """The bytes of a file less one byte-order mark, if they are UTF-8."""
+    raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CorruptFile(f"{flag} {path} is not UTF-8 text: {e}") from None
+    return raw
+
+
+def reference_table(manifest, scores, policy, axes):
+    """The table test_protocol's per-line readers and dict join give for
+    the files, or the message of the error they raise."""
+    try:
+        records = _per_line_records(utf8(manifest, "--manifest"))
+        score_lines = protocol._score_lines(utf8(scores, "--scores"))
+        ids, values, unscored, orphans = _reference_join(
+            records, score_lines, policy)
+        by_id = {r.utterance_id: r for r in records}
+        kept = [by_id[u] for u in ids]
+        attacks = tuple(sorted({r.attack_id for r in records}))
+        codecs_ = tuple(sorted({r.codec_id for r in records}))
+        scored = protocol.ScoredTrials(
+            protocol.encode_ids(ids),
+            np.array([r.label == "bonafide" for r in kept], dtype=bool),
+            np.array([attacks.index(r.attack_id) for r in kept], np.intp),
+            attacks,
+            np.array([codecs_.index(r.codec_id) for r in kept], np.intp),
+            codecs_, np.array(values, dtype=np.float64), unscored, orphans)
+        return reporting.compute_breakdown(scored, MetricConfig(), axes)
+    except LaunderbenchError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("command,axes", [("evaluate", ()),
+                                          ("report", ("attack", "codec"))])
+def test_scoring_input(tmp_path, capsys, command, axes):
+    manifest, scores = tmp_path / "trials.manifest", tmp_path / "scores.txt"
+    out = tmp_path / "report"
+    rng = random.Random(f"scoring-{command}")
+    seen = collections.Counter()
+    for case in range(SCORING_CASES):
+        m, s, policy = scoring_case(rng)
+        manifest.write_bytes(m)
+        scores.write_bytes(s)
+        argv = [command, "--manifest", str(manifest), "--scores",
+                str(scores), "--join", policy]
+        tables = []     # what the command breaks down
+
+        def spy(*args, **kwargs):
+            tables.append(reporting.compute_breakdown(*args, **kwargs))
+            return tables[-1]
+
+        with mock.patch.object(cli, "compute_breakdown", spy), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(argv + (["--out", str(out)] if axes else []))
+        err = capsys.readouterr().err
+        want = reference_table(manifest, scores, policy, axes)
+        where = (case, m, s, policy)
+        assert rc in (0, 1) and "Traceback" not in err, where
+        if isinstance(want, str):
+            assert (rc, err) == (1, f"error: {want}\n"), where
+            seen["refused"] += 1
+        else:
+            assert tables == [want], where
+            assert rc == 0 or err.startswith(
+                ("error: need at least one bonafide", "error: table holds no")
+            ), where
+            seen["scored" if rc == 0 else "unscorable"] += 1
+        # report renders every file before it makes --out
+        assert out.is_dir() == (command == "report" and rc == 0), where
+        shutil.rmtree(out, ignore_errors=True)
+    assert min(seen["refused"], seen["scored"]) >= SCORING_CASES // 5, seen

@@ -58,7 +58,7 @@ def id_order(ids):
 
 
 def manifest_records(text):
-    return list(parse_manifest(text)[0])
+    return list(parse_manifest(text.encode())[0])
 
 
 def grid_specs():
@@ -268,7 +268,7 @@ class TestIdOrder:
         ids = [ids[i] for i in rng.permutation(len(ids))]
         text = "".join(f"{u} bonafide - C00 p{i}.flac\n"
                        for i, u in enumerate(ids))
-        return ids, parse_manifest(text)[1]
+        return ids, parse_manifest(text.encode())[1]
 
     @pytest.mark.parametrize("ids,kind", KEY_CASES.values(), ids=KEY_CASES)
     def test_order_is_string_order(self, ids, kind):

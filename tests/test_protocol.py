@@ -29,12 +29,12 @@ def score_columns(*pairs):
 
 
 def score_text(ids, values):
-    """Score file text of ids and values; repr() round-trips doubles."""
-    return "".join(f"{u} {v!r}\n" for u, v in zip(ids, values))
+    """Score file bytes of ids and values; repr() round-trips doubles."""
+    return "".join(f"{u} {v!r}\n" for u, v in zip(ids, values)).encode()
 
 
 def manifest_records(text):
-    return list(parse_manifest(text)[0])
+    return list(parse_manifest(text.encode())[0])
 
 
 def trial(utt="u001", label="bonafide", attack="-", codec="C00",
@@ -57,7 +57,7 @@ class TestTrialRecord:
 
 class TestParseManifest:
     def test_basic(self):
-        rows, trials = parse_manifest(MANIFEST)
+        rows, trials = parse_manifest(MANIFEST.encode())
         assert [r.utterance_id for r in rows] == decode_ids(trials.ids) == [
             "u001", "u002", "u003"]
         assert rows[0].label == "bonafide"
@@ -72,15 +72,15 @@ class TestParseManifest:
                 "u001 bonafide - C00 p1  # trailing note\n"
                 "   \n"
                 "u002 spoof A01 C01 p2\n")
-        assert [r.utterance_id for r in parse_manifest(text)[0]] == [
+        assert [r.utterance_id for r in parse_manifest(text.encode())[0]] == [
             "u001", "u002"]
 
     def test_no_trailing_newline(self):
-        trials = parse_manifest("u001 bonafide - C00 p")[1]
+        trials = parse_manifest(b"u001 bonafide - C00 p")[1]
         assert decode_ids(trials.ids) == ["u001"]
 
     def test_empty_text(self):
-        for text in ("", "# only comments\n\n"):
+        for text in (b"", b"# only comments\n\n"):
             rows, trials = parse_manifest(text)
             assert list(rows) == [] and decode_ids(trials.ids) == []
 
@@ -88,28 +88,28 @@ class TestParseManifest:
                                       "u001 bonafide - C00 p extra"])
     def test_wrong_field_count(self, line):
         with pytest.raises(MalformedLine) as exc:
-            parse_manifest(line + "\n")
+            parse_manifest((line + "\n").encode())
         assert exc.value.line_no == 1
 
     def test_line_number_accounts_for_comments(self):
-        text = "# one\nu001 bonafide - C00 p\n\nu002 spoof A1\n"
+        text = b"# one\nu001 bonafide - C00 p\n\nu002 spoof A1\n"
         with pytest.raises(MalformedLine) as exc:
             parse_manifest(text)
         assert exc.value.line_no == 4
 
     def test_bonafide_with_attack_is_malformed(self):
         with pytest.raises(MalformedLine) as exc:
-            parse_manifest("u003 bonafide A17 C00 p\n")
+            parse_manifest(b"u003 bonafide A17 C00 p\n")
         assert exc.value.line_no == 1
         assert "attack" in exc.value.reason
 
     def test_spoof_with_placeholder_is_malformed(self):
         with pytest.raises(MalformedLine):
-            parse_manifest("u003 spoof - C00 p\n")
+            parse_manifest(b"u003 spoof - C00 p\n")
 
     def test_unknown_label_is_malformed(self):
         with pytest.raises(MalformedLine):
-            parse_manifest("u001 real - C00 p\n")
+            parse_manifest(b"u001 real - C00 p\n")
 
     @pytest.mark.parametrize("line", ["u003 spoof - C00 p",
                                       "u003 bonafide A17 C00 p",
@@ -117,14 +117,15 @@ class TestParseManifest:
     def test_fast_path_text_invalid_on_line_3(self, line):
         # plain ASCII without '#' passes the tokenizer, so the bulk check
         # rejects it and the per-line reader names the line
-        text = f"u001 bonafide - C00 p\nu002 spoof A17 C00 p\n{line}\n"
-        assert protocol._tokens(text.encode("ascii"), 5) is not None
+        text = (f"u001 bonafide - C00 p\nu002 spoof A17 C00 p\n{line}\n"
+                .encode())
+        assert protocol._tokens(text, 5) is not None
         with pytest.raises(MalformedLine) as exc:
             parse_manifest(text)
         assert exc.value.line_no == 3
 
     def test_duplicate_id(self):
-        text = "u001 bonafide - C00 p1\nu001 spoof A01 C00 p2\n"
+        text = b"u001 bonafide - C00 p1\nu001 spoof A01 C00 p2\n"
         with pytest.raises(DuplicateId):
             parse_manifest(text)
 
@@ -146,7 +147,7 @@ class TestParseManifest:
     def test_other_whitespace_splits_fields(self, sep, error):
         # whitespace other than space, tab and newline separates fields
         # or lines, though "p<sep>extra" holds no space
-        text = f"u001 bonafide - C00 p{sep}extra\n"
+        text = f"u001 bonafide - C00 p{sep}extra\n".encode()
         with pytest.raises(MalformedLine) as exc:
             parse_manifest(text)
         assert str(exc.value) == error
@@ -154,42 +155,42 @@ class TestParseManifest:
 
 class TestParseScores:
     def test_basic(self):
-        cols = parse_scores("u001 1.25\nu002 -3.5\n")
+        cols = parse_scores(b"u001 1.25\nu002 -3.5\n")
         assert decode_ids(cols.ids) == ["u001", "u002"]
         assert cols.scores.dtype == np.float64
         assert cols.scores.tolist() == [1.25, -3.5]
 
     def test_scientific_notation(self):
-        assert parse_scores("u001 -1.5e-3\n").scores.tolist() == [-1.5e-3]
+        assert parse_scores(b"u001 -1.5e-3\n").scores.tolist() == [-1.5e-3]
 
     def test_comments(self):
-        assert decode_ids(parse_scores("# hi\nu001 0.5 # ok\n").ids) == [
+        assert decode_ids(parse_scores(b"# hi\nu001 0.5 # ok\n").ids) == [
             "u001"]
 
     def test_empty(self):
-        cols = parse_scores("")
+        cols = parse_scores(b"")
         assert decode_ids(cols.ids) == [] and len(cols.scores) == 0
 
     def test_not_a_number(self):
         with pytest.raises(MalformedLine) as exc:
-            parse_scores("u001 high\n")
+            parse_scores(b"u001 high\n")
         assert exc.value.line_no == 1
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity",
                                      "1e400", "-1e309"])
     def test_non_finite(self, bad):
         with pytest.raises(NonFiniteScore):
-            parse_scores(f"u001 {bad}\n")
+            parse_scores(f"u001 {bad}\n".encode())
 
     @pytest.mark.parametrize("line", ["u001", "u001 1.0 2.0"])
     def test_wrong_field_count(self, line):
         with pytest.raises(MalformedLine):
-            parse_scores(line + "\n")
+            parse_scores((line + "\n").encode())
 
 
 class TestJoinScores:
     def setup_method(self):
-        self.trials = parse_manifest(MANIFEST)[1]
+        self.trials = parse_manifest(MANIFEST.encode())[1]
         self.pairs = [("u001", 2.0), ("u002", -1.0), ("u003", 0.5)]
 
     def join(self, pairs, policy="strict"):
@@ -288,7 +289,7 @@ class TestJoinScores:
 
 class TestEmitManifest:
     def test_exact_text(self):
-        assert emit_manifest(parse_manifest(MANIFEST)[0]) == MANIFEST
+        assert emit_manifest(parse_manifest(MANIFEST.encode())[0]) == MANIFEST
         assert emit_manifest(manifest_records(MANIFEST)) == MANIFEST
 
     def test_empty(self):
@@ -296,7 +297,7 @@ class TestEmitManifest:
 
     def test_round_trip_normalizes_whitespace(self):
         text = "u001\tbonafide\t-\tC00\tp\n"
-        assert emit_manifest(parse_manifest(text)[0]) == \
+        assert emit_manifest(parse_manifest(text.encode())[0]) == \
             "u001 bonafide - C00 p\n"
 
 
@@ -372,7 +373,8 @@ def test_bytes_cast_matches_float():
     assert np.array_equal(cast.view(np.int64), want)
     finite = [t for t in texts if math.isfinite(float(t))]
     ids = [f"u{i}" for i in range(len(finite))]
-    parsed = parse_scores("".join(f"{u} {t}\n" for u, t in zip(ids, finite)))
+    parsed = parse_scores("".join(f"{u} {t}\n"
+                                  for u, t in zip(ids, finite)).encode())
     assert decode_ids(parsed.ids) == ids
     assert np.array_equal(parsed.scores.view(np.int64),
                           want[np.isfinite(want.view(np.float64))])
@@ -380,8 +382,8 @@ def test_bytes_cast_matches_float():
 
 @pytest.mark.parametrize("bad", ["0x10", "--1", "1_", "1e", "1.5\x00"])
 def test_refused_score_falls_to_per_line_error(bad):
-    text = f"u1 0.5\nu2 {bad}\n"
-    assert protocol._tokens(text.encode("ascii"), 2) is not None
+    text = f"u1 0.5\nu2 {bad}\n".encode()
+    assert protocol._tokens(text, 2) is not None
     with pytest.raises(MalformedLine) as per_line:
         protocol._score_lines(text)
     with pytest.raises(MalformedLine) as fast:
@@ -397,7 +399,7 @@ def test_long_id_keeps_join_exact():
     # not padded into a fixed width for every row
     long_id = "x" * 50_000
     ids = [f"t{i:03d}" for i in range(40)] + [long_id]
-    manifest = "".join(f"{u} spoof A1 C0 p\n" for u in ids)
+    manifest = "".join(f"{u} spoof A1 C0 p\n" for u in ids).encode()
     rows, trials = parse_manifest(manifest)
     assert trials.ids.dtype == object
     assert decode_ids(trials.ids) == ids and rows[40].utterance_id == long_id
@@ -412,7 +414,7 @@ def test_long_id_keeps_join_exact():
                              "intersect")
     assert decode_ids(joined.ids) == ids[:-1]
     with pytest.raises(OrphanScore) as exc:
-        join_scores(parse_manifest(manifest.split("\n", 1)[1])[1],
+        join_scores(parse_manifest(manifest.split(b"\n", 1)[1])[1],
                     parse_scores(score_text(ids, values)))
     assert exc.value.ids == ["t000"]
 
@@ -420,7 +422,7 @@ def test_long_id_keeps_join_exact():
 # --- the columnar fast path against the per-line path -----------------------
 
 # Each text is clean, using only what the fast path accepts; odd, with
-# ASCII separators other than space, tab and newline; or noisy, with
+# ASCII separators other than space, tab, LF and CR; or noisy, with
 # comments, unicode whitespace and line breaks, and non-ASCII ids.  Each
 # may carry one defect on one line: a wrong field count, a bad label, a
 # label/attack mismatch, a repeated id, an id the other file lacks, or a
@@ -429,7 +431,7 @@ def test_long_id_keeps_join_exact():
 # or another control byte, which fixed-width bytes must keep apart.
 _CLEAN = {"id": "u{}", "sep": [" ", "\t", "  ", " \t"],
           "lead": ["", "", " "], "tail": ["", "", " ", "\t"],
-          "end": ["\n"], "other": ["   ", ""]}
+          "end": ["\n", "\n", "\r\n", "\r"], "other": ["   ", ""]}
 _ODD = {"id": "u{}", "sep": [" ", "\t", " ", "\x1f", "\x1c"],
         "lead": ["", " "], "tail": ["", "\r", "\x0c"],
         "end": ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1d", "\x1e"],
@@ -490,7 +492,7 @@ def texts(draw, kind):
     ends = [draw(st.sampled_from(style["end"])) for _ in lines]
     if ends and draw(st.booleans()):
         ends[-1] = ""
-    return "".join(line + end for line, end in zip(lines, ends))
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
 
 
 def _outcome(fn, *args):
@@ -561,13 +563,12 @@ def test_manifest_fast_path_matches_per_line(text):
     else:
         assert fast == per_line
 
-    raw = text.encode("utf-8", "surrogatepass")
-    tokens = (protocol._tokens(raw, 5)
-              if text.isascii() and "#" not in text else None)
+    tokens = (protocol._tokens(text, 5)
+              if text.isascii() and b"#" not in text else None)
     if tokens is not None:
         starts, ends = tokens
         rows = [line.split() for _, line in protocol._content_lines(text)]
-        assert [[raw[s:e].decode() for s, e in zip(*row)]
+        assert [[text[s:e].decode() for s, e in zip(*row)]
                 for row in zip(starts.tolist(), ends.tolist())] == rows
 
 
@@ -605,6 +606,25 @@ def test_score_fast_path_matches_per_line(text):
         assert _score_lists(fast[1]) == per_line[1]
     else:
         assert fast == per_line
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_cr_line_ends_read_on_fast_path(end):
+    # CR ends a line as LF does, so CRLF and lone-CR files are tokenized
+    # as their LF copies are, without the per-line readers
+    manifest = "\n" + MANIFEST + "  \nu004 spoof A17 C00 p"
+    scores = "u003 0.5\n\nu001 2.0\t\nu002 -1.0"
+    with mock.patch.object(protocol, "_manifest_lines",
+                           side_effect=AssertionError), \
+            mock.patch.object(protocol, "_score_lines",
+                              side_effect=AssertionError):
+        rows, trials = parse_manifest(manifest.replace("\n", end).encode())
+        cols = parse_scores(scores.replace("\n", end).encode())
+    lf_rows, lf_trials = parse_manifest(manifest.encode())
+    assert list(rows) == list(lf_rows)
+    assert _trial_lists(trials) == _trial_lists(lf_trials)
+    assert np.array_equal(trials.order, lf_trials.order)
+    assert _score_lists(cols) == _score_lists(parse_scores(scores.encode()))
 
 
 def _assert_join_matches_reference(manifest, scores, policy):
@@ -672,7 +692,7 @@ JOIN_KEY_CASES = {
 @pytest.mark.parametrize("trial_ids,score_ids,kind", JOIN_KEY_CASES.values(),
                          ids=JOIN_KEY_CASES)
 def test_join_key_edge_cases(trial_ids, score_ids, kind, policy):
-    manifest = "".join(f"{u} spoof A1 C0 p.flac\n" for u in trial_ids)
+    manifest = "".join(f"{u} spoof A1 C0 p.flac\n" for u in trial_ids).encode()
     scores = score_text(score_ids, [0.5 * i for i in range(len(score_ids))])
     keys = protocol._sort_keys(parse_manifest(manifest)[1].ids,
                                parse_scores(scores).ids)
@@ -686,7 +706,7 @@ def test_fixed_pattern_ids_sort_as_one_word(pattern, count):
     # the bench's ids and ASVspoof 5's reach the one-uint64 key in the
     # manifest's id sort and in the join; attacks and codecs sort as uint32
     ids = [pattern % i for i in range(0, count, 4_001)] + [pattern % count]
-    manifest = "".join(f"{u} spoof A17 C03 p.flac\n" for u in ids)
+    manifest = "".join(f"{u} spoof A17 C03 p.flac\n" for u in ids).encode()
     scores = score_text(ids[::-1], [float(i) for i in range(len(ids))])
     sort_keys, kinds = protocol._sort_keys, []
 

@@ -45,7 +45,8 @@ def columns(rows):
     """ScoredTrials of rows, through manifest and score text."""
     scores = "".join(f"{r.trial.utterance_id} {r.score!r}\n" for r in rows)
     manifest = emit_manifest([r.trial for r in rows])
-    return join_scores(parse_manifest(manifest)[1], parse_scores(scores))
+    return join_scores(parse_manifest(manifest.encode())[1],
+                       parse_scores(scores.encode()))
 
 
 def fixture_scored():
@@ -211,7 +212,8 @@ def test_breakdown_matches_mask_reference(axes):
     bonafide, attack, codec, scores = random_trials(20_000, 5)
     manifest = parse_manifest("".join(
         f"t{i:05d} {'bonafide' if b else 'spoof'} {a} {c} p\n"
-        for i, (b, a, c) in enumerate(zip(bonafide, attack, codec))))[1]
+        for i, (b, a, c) in enumerate(zip(bonafide, attack, codec)))
+        .encode())[1]
     cfg = MetricConfig()
     # the second score file omits every trial of codec C2 and of attack
     # A03: the intersect join keeps both in its vocabularies but in no row,
@@ -223,7 +225,8 @@ def test_breakdown_matches_mask_reference(axes):
             scores.tolist()) if kept[i])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            joined = join_scores(manifest, parse_scores(score_text), policy)
+            joined = join_scores(manifest, parse_scores(score_text.encode()),
+                                 policy)
         table = compute_breakdown(joined, cfg, axes=axes)
         reference = mask_reference(bonafide[kept], attack[kept],
                                    codec[kept], scores[kept], cfg, axes)

@@ -1,10 +1,12 @@
 """Scoring memory: peak RSS growth per trial in a fresh interpreter.
 
-Scoring holds no Python object per trial, so `evaluate` on a 200k-trial
-set grows the peak RSS over import by about 270 bytes per trial (numpy
-2.4, Python 3.11, Linux).  Reading every field as a str and joining
-through an id->row dict grew it by about 610.  The bound lies between the
-two.  It is a gate, not a knob.
+Scoring holds no Python object per trial and reads each file as its
+bytes, with no whole-file str, so `evaluate` on a 200k-trial set grows
+the peak RSS over import by about 210 bytes per trial, 212 for CRLF
+files (numpy 2.4, Python 3.11, Linux); through a whole-file str it grew
+by about 257.  Reading every field as a str and joining through an
+id->row dict grew it by about 610.  The bound lies between the two.  It
+is a gate, not a knob.
 
 The peak is VmHWM, the high-water mark of the interpreter's own address
 space: ru_maxrss would count the pytest process too, since Linux carries
