@@ -126,4 +126,4 @@ class ZeroSelection(LaunderbenchError):
 
 
 class WorkerDied(LaunderbenchError):
-    """A worker process ended before returning its sources' results."""
+    """A worker process ended before returning its results."""

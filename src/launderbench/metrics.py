@@ -108,11 +108,17 @@ def cell_metrics(scores: np.ndarray, is_bon: np.ndarray,
     below = int(np.searchsorted(scores, bayes_threshold(cfg)))
     miss = int(np.count_nonzero(is_bon[:below]))
     act = w_miss * (miss / nb) + w_fa * ((ns - (below - miss)) / ns)
-    bon_bits = np.logaddexp(0.0, -scores[is_bon]) / _LN2
-    spf_bits = np.logaddexp(0.0, scores[~is_bon]) / _LN2
+    nats = (np.logaddexp(0.0, -scores[is_bon]),
+            np.logaddexp(0.0, scores[~is_bon]))
+    with np.errstate(over="ignore"):
+        cllr = float(0.5 * ((nats[0] / _LN2).mean()
+                            + (nats[1] / _LN2).mean()))
+    if cllr == math.inf:
+        # terms near the largest double overflow the sums: add each term's
+        # share of the average instead, which overflows only if it does
+        cllr = sum(float(np.sum(t * (0.5 / (_LN2 * len(t))))) for t in nats)
     return (float(costs.min() / min(w_miss, w_fa)), act / min(w_miss, w_fa),
-            float(0.5 * (bon_bits.mean() + spf_bits.mean())),
-            100.0 * (n_miss[i] / nb + n_fa[i] / ns) / 2.0)
+            cllr, 100.0 * (n_miss[i] / nb + n_fa[i] / ns) / 2.0)
 
 
 def _scored(s: ScoreSet, cfg: MetricConfig) -> tuple:

@@ -4,6 +4,7 @@ import codecs
 import hashlib
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -613,6 +614,16 @@ class TestEvaluate:
         assert err.startswith(f"error: --scores {scores} is not UTF-8")
         assert "Traceback" not in err
 
+    def test_cllr_near_the_largest_double(self, tmp_path, capsys):
+        manifest, scores = write_eval_fixture(tmp_path, bon=(1.0,),
+                                              spf=(1e308, 1e308))
+        rc = main(["evaluate", "--manifest", str(manifest),
+                   "--scores", str(scores)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        cllr = float(dict(ln.split("=") for ln in out.splitlines())["cllr"])
+        assert cllr == pytest.approx(1e308 / (2.0 * np.log(2.0)), rel=1e-12)
+
     def test_empty_intersection(self, tmp_path, capsys):
         manifest, scores = write_eval_fixture(tmp_path)
         scores.write_text("zzz 0.5\n")
@@ -786,6 +797,162 @@ class TestByteOrderMark:
         assert len(records) == 20
         assert not any("\ufeff" in r.utterance_id for r in records)
         assert not any("\ufeff" in str(p) for p in out.rglob("*"))
+
+
+def fork_every_scores_file(monkeypatch):
+    """Sets FORK_SCORES_BYTES to 0, so that every non-empty --scores file
+    is parsed in a forked child; returns the list of the children's pids,
+    which grows with each fork."""
+    monkeypatch.setattr(cli, "FORK_SCORES_BYTES", 0)
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedScores:
+    """A --scores file above FORK_SCORES_BYTES is parsed in a forked child
+    while the manifest parses: what evaluate and report print, write and
+    return is what the serial path gives, and no child outlives a call."""
+
+    def run(self, command, manifest, scores, out):
+        argv = [command, "--manifest", str(manifest), "--scores", str(scores)]
+        return main(argv + (["--out", str(out)] if command == "report"
+                            else []))
+
+    def test_outputs_match_the_serial_path(self, tmp_path, capfd,
+                                           monkeypatch):
+        manifest, scores = TestReport().fixture(tmp_path)
+        out = tmp_path / "out"
+
+        def both():
+            codes = [self.run(c, manifest, scores, out)
+                     for c in ("evaluate", "report")]
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+            return codes, capfd.readouterr(), files
+
+        want = both()
+        pids = fork_every_scores_file(monkeypatch)
+        # captured at the file descriptors: the child writes nothing
+        assert both() == want
+        assert len(pids) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("forked", [False, True])
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_manifest_error_comes_first(self, tmp_path, capsys, monkeypatch,
+                                        command, forked):
+        manifest, scores = write_eval_fixture(tmp_path)
+        out = tmp_path / "out"
+        good_manifest = manifest.read_bytes()
+        manifest.write_text("b000 real - C00 p\n")
+        assert self.run(command, manifest, scores, out) == 1
+        want = capsys.readouterr().err
+        assert want.startswith("error: line 1:")
+        manifest.write_bytes(good_manifest)
+        scores.write_text("oops\n")
+        assert self.run(command, manifest, scores, out) == 1
+        assert capsys.readouterr().err.startswith("error: line 1:")
+
+        manifest.write_text("b000 real - C00 p\n")
+        pids = fork_every_scores_file(monkeypatch) if forked else []
+        assert self.run(command, manifest, scores, out) == 1
+        assert capsys.readouterr().err == want
+        assert len(pids) == forked
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_score_error_matches_the_serial_path(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        manifest, scores = write_eval_fixture(tmp_path)
+        out = tmp_path / "out"
+        scores.write_text("b000 1.0\nb001 nan\ns000 0.0\ns001 0.0\n")
+        assert self.run(command, manifest, scores, out) == 1
+        want = capsys.readouterr().err
+        pids = fork_every_scores_file(monkeypatch)
+        assert self.run(command, manifest, scores, out) == 1
+        assert capsys.readouterr().err == want
+        assert len(pids) == 1
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_any_exception_comes_back_as_its_type(self, tmp_path,
+                                                  monkeypatch):
+        manifest, scores = write_eval_fixture(tmp_path)
+        pids = fork_every_scores_file(monkeypatch)
+        monkeypatch.setattr(cli, "parse_scores", mock.Mock(
+            side_effect=AssertionError("raised in the child")))
+        with pytest.raises(AssertionError, match="raised in the child"):
+            self.run("evaluate", manifest, scores, None)
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_dead_child_is_an_input_error(self, tmp_path, capsys,
+                                          monkeypatch, command):
+        manifest, scores = write_eval_fixture(tmp_path)
+        out = tmp_path / "out"
+        pids = fork_every_scores_file(monkeypatch)
+        parent = os.getpid()
+
+        def dying_parse(raw):
+            assert os.getpid() != parent, "scores parsed in the parent"
+            os._exit(7)
+
+        monkeypatch.setattr(cli, "parse_scores", dying_parse)
+        assert self.run(command, manifest, scores, out) == 1
+        assert capsys.readouterr().err == (
+            f"error: the process reading --scores {scores} died before "
+            f"returning its scores\n")
+        assert len(pids) == 1
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_interrupt_reaps_the_child(self, tmp_path, monkeypatch):
+        manifest, scores = write_eval_fixture(tmp_path)
+        pids = fork_every_scores_file(monkeypatch)
+        monkeypatch.setattr(cli, "parse_manifest",
+                            mock.Mock(side_effect=KeyboardInterrupt))
+        with pytest.raises(KeyboardInterrupt):
+            self.run("evaluate", manifest, scores, None)
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    def test_file_up_to_the_bound_never_forks(self, tmp_path, capsys,
+                                              monkeypatch):
+        manifest, scores = write_eval_fixture(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.setattr(os, "fork",
+                            mock.Mock(side_effect=AssertionError("forked")))
+        monkeypatch.setattr(cli, "FORK_SCORES_BYTES", scores.stat().st_size)
+        assert self.run("evaluate", manifest, scores, out) == 0
+        assert self.run("report", manifest, scores, out) == 0
+        # a --scores that is absent or names no file is read serially
+        # and refused after the manifest, with or without a bound
+        monkeypatch.setattr(cli, "FORK_SCORES_BYTES", 0)
+        capsys.readouterr()
+        assert main(["evaluate", "--manifest", str(manifest)]) == 1
+        assert self.run("evaluate", manifest, tmp_path, out) == 1
+        assert capsys.readouterr().err == (
+            "error: missing required --scores\n"
+            f"error: --scores {tmp_path} is not a readable file\n")
+        monkeypatch.setattr(cli, "FORK_SCORES_BYTES",
+                            scores.stat().st_size - 1)
+        with pytest.raises(AssertionError, match="forked"):
+            self.run("evaluate", manifest, scores, out)
 
 
 class TestImports:

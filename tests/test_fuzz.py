@@ -23,7 +23,11 @@ score files (see scoring_case) through cli.main.  Each call must return
 prints, must be what test_protocol's references read from the same
 bytes: the per-line readers, after a strict UTF-8 check and less one
 byte-order mark, and the dict join, broken down as the command does.
-The 2 x 300 calls take about 2 s on 2 shared CPUs.
+The 2 x 300 calls take about 2 s on 2 shared CPUs.  The fixtures' score
+files are far below cli.FORK_SCORES_BYTES, so test_scoring_input_forked
+runs the same cases again with the bound at 0: every non-empty score
+file is then parsed in a forked child, and the results must be the
+same.  Those 600 calls take about 5 s.
 """
 
 import codecs
@@ -44,6 +48,7 @@ from scipy.signal import lfilter
 from launderbench import cli, flacio, protocol, reporting
 from launderbench.errors import CorruptFile, LaunderbenchError
 from launderbench.metrics import MetricConfig
+from test_cli import assert_no_child_left, fork_every_scores_file
 from test_protocol import _per_line_records, _reference_join
 
 MUTATIONS = 350          # mutated streams per source stream
@@ -387,9 +392,28 @@ def reference_table(manifest, scores, policy, axes):
         return str(e)
 
 
-@pytest.mark.parametrize("command,axes", [("evaluate", ()),
-                                          ("report", ("attack", "codec"))])
+SCORING_COMMANDS = pytest.mark.parametrize(
+    "command,axes", [("evaluate", ()), ("report", ("attack", "codec"))])
+
+
+@SCORING_COMMANDS
 def test_scoring_input(tmp_path, capsys, command, axes):
+    check_scoring_input(tmp_path, capsys, command, axes)
+
+
+@SCORING_COMMANDS
+def test_scoring_input_forked(tmp_path, capsys, monkeypatch, command, axes):
+    """The same cases with every non-empty score file parsed in a forked
+    child, as files above cli.FORK_SCORES_BYTES are."""
+    forks = fork_every_scores_file(monkeypatch)
+    seen = check_scoring_input(tmp_path, capsys, command, axes)
+    assert len(forks) == seen["non-empty scores"], seen
+    assert_no_child_left()
+
+
+def check_scoring_input(tmp_path, capsys, command, axes):
+    """Runs command on SCORING_CASES drawn cases against the references;
+    returns the counts of what the cases gave."""
     manifest, scores = tmp_path / "trials.manifest", tmp_path / "scores.txt"
     out = tmp_path / "report"
     rng = random.Random(f"scoring-{command}")
@@ -398,6 +422,7 @@ def test_scoring_input(tmp_path, capsys, command, axes):
         m, s, policy = scoring_case(rng)
         manifest.write_bytes(m)
         scores.write_bytes(s)
+        seen["non-empty scores"] += bool(s)
         argv = [command, "--manifest", str(manifest), "--scores",
                 str(scores), "--join", policy]
         tables = []     # what the command breaks down
@@ -427,3 +452,4 @@ def test_scoring_input(tmp_path, capsys, command, axes):
         assert out.is_dir() == (command == "report" and rc == 0), where
         shutil.rmtree(out, ignore_errors=True)
     assert min(seen["refused"], seen["scored"]) >= SCORING_CASES // 5, seen
+    return seen

@@ -321,6 +321,18 @@ class TestCllr:
         assert value == pytest.approx(1000.0 / math.log(2.0), rel=1e-9)
         assert cllr(ScoreSet([1000.0], [-1000.0])) >= 0.0
 
+    def test_terms_near_the_largest_double_stay_finite(self):
+        # two spoof terms of 1e308 / ln 2 bits overflow their plain sum,
+        # but not their mean; no overflow warning may escape
+        bon_bits = math.log1p(math.exp(-1.0)) / math.log(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = cllr(ScoreSet([1.0], [1e308, 1e308]))
+            assert value == pytest.approx(
+                0.5 * (bon_bits + 1e308 / math.log(2.0)), rel=1e-12)
+            # past the largest double the average itself overflows
+            assert cllr(ScoreSet([-1.7e308], [1.7e308])) == math.inf
+
     def test_nonnegative(self):
         for bon, spf in random_score_sets(100, seed=12):
             assert cllr(ScoreSet(bon, spf)) >= 0.0

@@ -10,7 +10,11 @@ is a gate, not a knob.
 
 The peak is VmHWM, the high-water mark of the interpreter's own address
 space: ru_maxrss would count the pytest process too, since Linux carries
-a parent's peak into a forked and exec'd child.
+a parent's peak into a forked and exec'd child.  The set's ~6 MB score
+file is larger than cli.FORK_SCORES_BYTES, so it is parsed in a forked
+child; the child's growth, its RUSAGE_CHILDREN ru_maxrss over the same
+base, is added to the interpreter's.  Split so, the growth is about 211
+bytes per trial in the interpreter and 98 in the child, 309 in all.
 """
 
 import os
@@ -52,7 +56,8 @@ def write_trial_set(root, n):
                     reason="VmHWM is read from /proc")
 def test_evaluate_peak_rss_per_trial(tmp_path):
     manifest, scores = write_trial_set(tmp_path, TRIALS)
-    code = ("from launderbench import cli\n"
+    code = ("import resource\n"
+            "from launderbench import cli\n"
             "def peak():\n"
             "    with open('/proc/self/status') as f:\n"
             "        return next(int(line.split()[1]) * 1024 for line in f\n"
@@ -61,7 +66,8 @@ def test_evaluate_peak_rss_per_trial(tmp_path):
             f"rc = cli.main(['evaluate', '--manifest', {str(manifest)!r},"
             f" '--scores', {str(scores)!r}])\n"
             "assert rc == 0, rc\n"
-            "print(peak() - base)\n")
+            "child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(peak() - base, max(0, child * 1024 - base))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1]),
@@ -69,6 +75,6 @@ def test_evaluate_peak_rss_per_trial(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    growth = int(done.stdout.splitlines()[-1])
+    growth = sum(map(int, done.stdout.splitlines()[-1].split()))
     assert growth / TRIALS < BYTES_PER_TRIAL, \
         f"{growth / TRIALS:.0f} bytes per trial"
