@@ -673,6 +673,22 @@ class TestReport:
         assert worst["worst_min_dcf_by_attack"].split(",")[-1] == "Agood"
         assert len(worst["worst_eer_by_codec"].split(",")) == 2
 
+    def test_cllr_near_the_largest_double(self, tmp_path, capsys):
+        # TestEvaluate's fixture: the pooled and attack cells hold both
+        # 1e308 spoof terms, whose sum overflows, and codec C00 one of them
+        manifest, scores = write_eval_fixture(tmp_path, bon=(1.0,),
+                                              spf=(1e308, 1e308))
+        out = tmp_path / "rep"
+        rc = main(["report", "--manifest", str(manifest),
+                   "--scores", str(scores), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (rc, err) == (0, f"wrote 8 report files under {out}\n")
+        want = 0.5 * (np.log1p(np.exp(-1.0)) + 1e308) / np.log(2.0)
+        for name in ("pooled", "by_attack", "by_codec"):
+            row = (out / f"report_{name}.tsv").read_text().splitlines()[1]
+            assert float(row.split("\t")[4]) == pytest.approx(
+                want, rel=1e-12), name
+
     def test_summary_strict(self, tmp_path):
         manifest, scores = self.fixture(tmp_path)
         out = tmp_path / "rep"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from launderbench.errors import EmptyClass, InvalidParameter, NonFiniteScore
 from launderbench.metrics import (MetricConfig, ScoreSet, act_dcf,
-                                  bayes_threshold, cllr, eer, error_counts,
+                                  bayes_threshold, cllr, eer,
                                   gaussian_scores, min_dcf)
 
 # --- reference implementation: plain-Python threshold sweep ---
@@ -120,55 +120,6 @@ class TestScoreSet:
             min_dcf(s, MetricConfig())
         with pytest.raises(EmptyClass):
             act_dcf(s, MetricConfig())
-
-
-def det_points(s):
-    """(threshold, p_miss, p_fa) at each cut of metrics.error_counts.
-
-    The kernel computes no thresholds; each cut is paired with the
-    reference midpoint that lies in it.
-    """
-    scores = np.concatenate((s.bonafide, s.spoof))
-    order = np.argsort(scores)
-    n_miss, n_fa, nb, ns = error_counts(scores[order],
-                                        order < len(s.bonafide))
-    thresholds = ref_thresholds(s.bonafide.tolist(), s.spoof.tolist())
-    assert len(thresholds) == len(n_miss) == len(n_fa)
-    return [(t, nm / nb, nf / ns)
-            for t, nm, nf in zip(thresholds, n_miss, n_fa)]
-
-
-class TestDetPoints:
-    def test_sentinels(self):
-        pts = det_points(ScoreSet([2.0, 3.0], [0.0, 1.0]))
-        assert pts[0] == (-np.inf, 0.0, 1.0)
-        assert pts[-1] == (np.inf, 1.0, 0.0)
-
-    def test_separable_has_perfect_point(self):
-        pts = det_points(ScoreSet([2.0, 3.0], [0.0, 1.0]))
-        assert any(p_miss == 0.0 and p_fa == 0.0 for _, p_miss, p_fa in pts)
-
-    def test_point_count(self):
-        # k distinct pooled values -> k-1 midpoints + 2 sentinels
-        pts = det_points(ScoreSet([1.0, 2.0, 2.0], [0.0, 1.0]))
-        assert len(pts) == 3 + 1
-
-    def test_matches_direct_counting(self):
-        for bon, spf in random_score_sets(50, seed=7):
-            pts = det_points(ScoreSet(bon, spf))
-            assert pts[0][0] == -np.inf
-            for tau, p_miss, p_fa in pts:
-                n_miss, n_fa = ref_counts(bon, spf, tau)
-                assert p_miss == n_miss / len(bon)
-                assert p_fa == n_fa / len(spf)
-
-    def test_monotone_along_threshold(self):
-        for bon, spf in random_score_sets(50, seed=8):
-            pts = det_points(ScoreSet(bon, spf))
-            for a, b in zip(pts, pts[1:]):
-                assert a[0] < b[0]
-                assert a[1] <= b[1]
-                assert a[2] >= b[2]
 
 
 class TestEer:

@@ -18,6 +18,7 @@ from launderbench.protocol import (TrialRecord, emit_manifest, join_scores,
 from launderbench.reporting import (BreakdownTable, CellMetrics, GroupKey,
                                     compute_breakdown, rank_worst, render,
                                     render_skipped)
+from test_metrics import ref_act_dcf, ref_eer, ref_min_dcf
 
 # Published per-attack and per-codec minDCF columns used as ranking
 # fixtures; the expected top-5 orders are the tables' bold entries.
@@ -265,6 +266,71 @@ def mask_reference(bonafide, attack, codec, scores, cfg, axes):
         cells[key] = CellMetrics(min_dcf(s, cfg), act_dcf(s, cfg), cllr(s),
                                  eer(s), int(bon.sum()), int(spf.sum()))
     return BreakdownTable(cells, cfg, tuple(skipped))
+
+
+def oracle_rows(seed):
+    """Tie-heavy scored rows: scores on a grid of halves, attacks A1-A4 and
+    codecs C0-C3.  A2 scores above every bonafide score, so cut 0 is the
+    best cut of its cells; A4 has one spoof; C3 holds spoof rows only.
+    Seed None gives every row the same score."""
+    rng = np.random.Generator(np.random.PCG64(seed or 0))
+    rows = []
+    for i in range(240):
+        codec = f"C{rng.integers(0, 3)}"
+        if i % 4 == 0:
+            label, attack = "bonafide", "-"
+            score = int(rng.integers(-4, 7)) / 2
+        else:
+            label, attack = "spoof", ("A1", "A2", "A3")[i % 3]
+            score = int(rng.integers(-6, 5)) / 2 + (7 if attack == "A2" else 0)
+            codec = "C3" if i % 11 == 0 else codec
+        rows.append(scored(f"t{i:03d}", label, attack, codec, score))
+    rows.append(scored("t999", "spoof", "A4", "C1",
+                       int(rng.integers(-6, 7)) / 2))
+    if seed is None:
+        rows = [r._replace(score=0.0) for r in rows]
+    return rows
+
+
+def ref_cllr(bon, spf):
+    def bits(x):   # log2(1 + e^x), plain Python
+        return (max(x, 0.0) + math.log1p(math.exp(-abs(x)))) / math.log(2.0)
+    return 0.5 * (sum(bits(-b) for b in bon) / len(bon)
+                  + sum(bits(v) for v in spf) / len(spf))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+def test_breakdown_cells_match_oracles(seed):
+    # an oracle independent of metrics: a plain-Python sweep over every
+    # midpoint threshold, class sets picked row by row
+    rows = oracle_rows(seed)
+    attacks = sorted({r.trial.attack_id for r in rows} - {"-"})
+    codecs = sorted({r.trial.codec_id for r in rows})
+    keys = [GroupKey("*", "*")] + [GroupKey(a, "*") for a in attacks]
+    keys += [GroupKey("*", c) for c in codecs]
+    keys += [GroupKey(a, c) for a in attacks for c in codecs]
+    for cfg in (MetricConfig(), MetricConfig(1.0, 1.0, 0.5)):
+        table = compute_breakdown(columns(rows), cfg)
+        assert list(table.cells) == [k for k in keys if k in table.cells]
+        assert list(table.skipped) == [k for k in keys
+                                       if k not in table.cells]
+        for key in keys:
+            bon = [r.score for r in rows if r.trial.label == "bonafide"
+                   and key.codec_id in ("*", r.trial.codec_id)]
+            spf = [r.score for r in rows if r.trial.label == "spoof"
+                   and key.codec_id in ("*", r.trial.codec_id)
+                   and key.attack_id in ("*", r.trial.attack_id)]
+            if not bon or not spf:
+                assert key not in table.cells
+                continue
+            cell = table.cells[key]
+            assert (cell.n_bon, cell.n_spf) == (len(bon), len(spf))
+            assert cell.min_dcf == ref_min_dcf(bon, spf, cfg), key
+            assert cell.act_dcf == ref_act_dcf(bon, spf, cfg), key
+            assert cell.eer == ref_eer(bon, spf), key
+            assert cell.cllr == pytest.approx(ref_cllr(bon, spf), rel=1e-12)
+    assert GroupKey("*", "C3") in table.skipped
+    assert table.cells[GroupKey("A4", "*")].n_spf == 1
 
 
 class TestRankWorst:

@@ -15,6 +15,10 @@ file is larger than cli.FORK_SCORES_BYTES, so it is parsed in a forked
 child; the child's growth, its RUSAGE_CHILDREN ru_maxrss over the same
 base, is added to the interpreter's.  Split so, the growth is about 211
 bytes per trial in the interpreter and 98 in the child, 309 in all.
+
+`report` runs the same parse and join, then the full attack x codec
+breakdown, which stays under the parse's peak: it grows 308-309 bytes
+per trial in all, as `evaluate` does.
 """
 
 import os
@@ -52,10 +56,9 @@ def write_trial_set(root, n):
     return manifest, scores_file
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                    reason="VmHWM is read from /proc")
-def test_evaluate_peak_rss_per_trial(tmp_path):
-    manifest, scores = write_trial_set(tmp_path, TRIALS)
+def peak_growth(argv):
+    """Peak RSS growth over import of cli.main(argv) in a fresh
+    interpreter, the forked score reader's included."""
     code = ("import resource\n"
             "from launderbench import cli\n"
             "def peak():\n"
@@ -63,8 +66,7 @@ def test_evaluate_peak_rss_per_trial(tmp_path):
             "        return next(int(line.split()[1]) * 1024 for line in f\n"
             "                    if line.startswith('VmHWM:'))\n"
             "base = peak()\n"
-            f"rc = cli.main(['evaluate', '--manifest', {str(manifest)!r},"
-            f" '--scores', {str(scores)!r}])\n"
+            f"rc = cli.main({argv!r})\n"
             "assert rc == 0, rc\n"
             "child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
             "print(peak() - base, max(0, child * 1024 - base))\n")
@@ -75,6 +77,27 @@ def test_evaluate_peak_rss_per_trial(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    growth = sum(map(int, done.stdout.splitlines()[-1].split()))
+    return sum(map(int, done.stdout.splitlines()[-1].split()))
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                                reason="VmHWM is read from /proc")
+
+
+@needs_proc
+def test_evaluate_peak_rss_per_trial(tmp_path):
+    manifest, scores = write_trial_set(tmp_path, TRIALS)
+    growth = peak_growth(["evaluate", "--manifest", str(manifest),
+                          "--scores", str(scores)])
+    assert growth / TRIALS < BYTES_PER_TRIAL, \
+        f"{growth / TRIALS:.0f} bytes per trial"
+
+
+@needs_proc
+def test_report_peak_rss_per_trial(tmp_path):
+    manifest, scores = write_trial_set(tmp_path, TRIALS)
+    growth = peak_growth(["report", "--manifest", str(manifest),
+                          "--scores", str(scores), "--out",
+                          str(tmp_path / "out")])
     assert growth / TRIALS < BYTES_PER_TRIAL, \
         f"{growth / TRIALS:.0f} bytes per trial"
