@@ -6,7 +6,8 @@ writes BENCH_NAME.json: the host (see host()), and per workload each
 side's median, q1, q3 and spread per end-to-end metric, the ratio of
 medians, pairs won, whether every change run reads better than every
 base run (separated), a verdict (see verdict()), failures and digests;
-the verdicts are printed as well.
+the verdicts are printed as well.  It records each side's line count of
+src/launderbench too (see src_lines()), and prints it.
 A run that exits non-zero stops the comparison: the tail of its stderr is
 printed, and the json keeps the workloads already done plus a failed_run
 entry; the exit status is then 1.  It is 1 as well when a workload breaks
@@ -66,6 +67,12 @@ def host():
     return {"nproc": len(os.sched_getaffinity(0)),
             "python": sys.version.split()[0], "numpy": numpy.__version__,
             "scipy": scipy.__version__}
+
+
+def src_lines(tree):
+    """Lines of src/launderbench/*.py in tree, as bench/run.py counts."""
+    return sum(len(p.read_text().splitlines()) for p in
+               sorted((Path(tree) / "src" / "launderbench").glob("*.py")))
 
 
 def summary(values):
@@ -189,6 +196,9 @@ def main():
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         subprocess.run(f"git archive {base} | tar -x -C {tmp}", shell=True,
                        cwd=ROOT, check=True)
+        report["src_lines"] = {"base": src_lines(tmp),
+                               "change": src_lines(ROOT)}
+        print("src_lines", report["src_lines"], flush=True)
         compare(report, tmp, spec, args.seeds)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")

@@ -39,7 +39,7 @@ from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
                        select_subset)
 from .protocol import (JOIN_POLICIES, ScoreColumns, encode_ids, join_scores,
                        parse_manifest, parse_scores)
-from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey, axis_keys,
+from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey,
                         compute_breakdown, rank_worst, render, render_skipped)
 
 
@@ -145,6 +145,11 @@ def _read_scored(args):
 
 
 def _write_summary(path, items):
+    """key=value lines of items, then the software stack: seeded output is
+    byte-identical, and metrics bit-identical, on one stack only."""
+    import scipy
+    items = [*items, ("python", platform.python_version()),
+             ("numpy", np.__version__), ("scipy", scipy.__version__)]
     Path(path).write_text("".join(f"{key}={value}\n" for key, value in items))
 
 
@@ -179,7 +184,6 @@ def cmd_launder(args) -> int:
     (out_dir / "augmented.manifest").write_text(emit_augmented_manifest(
         rows, succeeded, backend_identity=identity))
 
-    import scipy
     bonafide = int(trials.bonafide.sum())
     _write_summary(out_dir / "run_summary.txt", [
         ("command", "launder"),
@@ -199,10 +203,6 @@ def cmd_launder(args) -> int:
         ("jobs_succeeded", report.jobs_succeeded),
         ("jobs_failed", report.jobs_failed),
         ("clip_events", report.clip_events),
-        # seeded output is byte-identical on one software stack only
-        ("python", platform.python_version()),
-        ("numpy", np.__version__),
-        ("scipy", scipy.__version__),
     ])
 
     for job, error in report.failures:
@@ -215,7 +215,7 @@ def cmd_launder(args) -> int:
 
 def cmd_evaluate(args) -> int:
     metrics, scored = _read_scored(args)
-    table = compute_breakdown(scored, metrics, axes=())
+    table = compute_breakdown(scored, metrics, grid=False)
     cell = table.cells.get(GroupKey(POOLED, POOLED))
     if cell is None:
         raise EmptyClass("need at least one bonafide and one spoof score")
@@ -263,8 +263,7 @@ def cmd_report(args) -> int:
 
     for metric in METRIC_NAMES:
         for axis in ("attack", "codec"):
-            k = min(5, len(axis_keys(table, axis)))
-            worst = rank_worst(table, metric, k, axis=axis)
+            worst = rank_worst(table, metric, 5, axis=axis)
             ids = ",".join(getattr(key, f"{axis}_id") for key in worst)
             print(f"worst_{metric}_by_{axis}={ids}")
     print(f"wrote {len(files)} report files under {out_dir}",

@@ -111,10 +111,6 @@ class EmptyClass(LaunderbenchError):
     """A metric needs at least one bonafide and one spoof score."""
 
 
-class InsufficientCells(LaunderbenchError):
-    """Ranking asked for more cells than the table holds on that axis."""
-
-
 # --- pipeline ---
 
 class EmptyInput(LaunderbenchError):

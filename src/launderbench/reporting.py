@@ -1,11 +1,14 @@
 """Grouped metric tables over scored trials.
 
-Cells are addressed by (attack_id, codec_id) with "*" pooling an axis.
-Bonafide trials carry no attack id, so per-attack cells share all
-bonafide scores of their codec restriction; compute_breakdown scores
-each such block of cells in one metrics.block_metrics pass.  A cell
-missing either class is omitted from the table and listed as skipped
-instead of being reported with a fabricated extreme value.
+Cells are addressed by (attack_id, codec_id) with "*" pooling an axis;
+a table holds the pooled cell only, or also every per-attack, per-codec
+and attack x codec cell.  Bonafide trials carry no attack id, so
+per-attack cells share all bonafide scores of their codec restriction:
+compute_breakdown groups each class's ascending rows into one pooled
+group and into a group per codec, and one function scores each group
+holding both classes as one metrics.block_metrics block.  A cell missing
+either class is omitted from the table and listed as skipped instead of
+being reported with a fabricated extreme value.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InsufficientCells, InvalidParameter
+from .errors import EmptyInput, InvalidParameter
 from .metrics import MetricConfig, block_metrics, cllr_bits
 
 POOLED = "*"
@@ -54,122 +57,105 @@ def _small(codes, n_codes):
     return codes.astype(np.min_scalar_type(max(n_codes - 1, 0)))
 
 
-def _ascending(scored, axes):
-    """Each class's scores ascending, and the attack codes of the spoof
-    rows and the codec codes of both classes in that order, or None where
-    axes do not ask for them."""
-    if not axes:
+def _ascending(scored, grid):
+    """Each class's scores ascending; for the grid also the attack codes of
+    the spoof rows and the codec codes of both classes in that order."""
+    if not grid:
         return (np.sort(scored.scores[scored.bonafide]),
                 np.sort(scored.scores[~scored.bonafide]), None, None, None)
     bon_rows, spf_rows = (
         rows[np.argsort(scored.scores[rows])] for rows in
         (np.flatnonzero(scored.bonafide), np.flatnonzero(~scored.bonafide)))
-    attack = bon_codec = spf_codec = None
-    if "attack" in axes:
-        attack = _small(scored.attack, len(scored.attacks))[spf_rows]
-    if "codec" in axes:
-        codec = _small(scored.codec, len(scored.codecs))
-        bon_codec, spf_codec = codec[bon_rows], codec[spf_rows]
-    return (scored.scores[bon_rows], scored.scores[spf_rows], attack,
-            bon_codec, spf_codec)
+    codec = _small(scored.codec, len(scored.codecs))
+    return (scored.scores[bon_rows], scored.scores[spf_rows],
+            _small(scored.attack, len(scored.attacks))[spf_rows],
+            codec[bon_rows], codec[spf_rows])
 
 
-def _pooled_block(results, bon, spf, attack, attack_count, cfg):
-    """Score the pooled cell, and the attack cells when attack codes are
-    given, which hold every bonafide row, since bonafide rows carry no
-    attack."""
-    parts = attacks = None
-    if attack is not None:
-        attacks = np.flatnonzero(attack_count)
-        parts = (np.argsort(attack, kind="stable"),
-                 np.cumsum(attack_count[attacks]),
-                 np.zeros(len(attacks), np.intp))
-    values = zip(*block_metrics(*bon, [len(bon[0])], *spf, [len(spf[0])],
-                                parts, cfg))
-    results[-1, -1] = next(values) + (len(bon[0]), len(spf[0]))
-    for a in attacks.tolist() if parts else ():
-        results[a, -1] = next(values) + (len(bon[0]), int(attack_count[a]))
+def _score_groups(results, column, bon, spf, counts, groups, attack,
+                  n_attacks, cfg):
+    """Score each group of rows holding both classes as one block_metrics
+    block, with its attack cells if attack codes are given, into
+    results[attack code or -1, column[group]].
 
-
-def _codec_blocks(results, bon, spf, bon_codec, spf_codec, bon_count,
-                  spf_count, attack, n_attacks, cfg):
-    """Score each codec holding both classes, with its grid cells when
-    attack codes are given; the spoof rows of other codecs group after
-    the last block and are dropped."""
-    scoring = np.flatnonzero((bon_count > 0) & (spf_count > 0))
+    bon and spf are each class's ascending scores and cllr_bits; counts
+    has a row per class of its rows per group.  groups is each class's
+    group codes, or None for one group: the rows as they are.  A stable
+    grouping keeps each group ascending; the rows of groups lacking a
+    class sort after the last block and are dropped.
+    """
+    scoring = np.flatnonzero((counts > 0).all(axis=0))
     n_blocks = len(scoring)
     if n_blocks == 0:
         return
-    block_of = np.full(len(bon_count), n_blocks,
-                       dtype=np.min_scalar_type(n_blocks * n_attacks))
-    block_of[scoring] = np.arange(n_blocks)
-    order = np.argsort(block_of[bon_codec], kind="stable")
-    order = order[:bon_count[scoring].sum()]
-    bon = bon[0][order], bon[1][order]
-    order = np.argsort(block_of[spf_codec], kind="stable")
-    order = order[:spf_count[scoring].sum()]
-    parts = None
+    bon_order = spf_order = slice(None)
+    block = 0
+    if groups is not None:
+        block_of = np.full(counts.shape[1], n_blocks,
+                           dtype=np.min_scalar_type(n_blocks * n_attacks))
+        block_of[scoring] = np.arange(n_blocks)
+        bon_order, spf_order = (
+            np.argsort(block_of[g], kind="stable")[:count[scoring].sum()]
+            for g, count in zip(groups, counts))
+        block = block_of[groups[1][spf_order]]
+    parts, cells = None, ()
     if attack is not None:
-        cell = block_of[spf_codec[order]] * n_attacks + attack[order]
+        cell = block * n_attacks + attack[spf_order]
         cell_count = np.bincount(cell, minlength=n_blocks * n_attacks)
         cells = np.flatnonzero(cell_count)
         parts = (np.argsort(cell, kind="stable"),
                  np.cumsum(cell_count[cells]), cells // n_attacks)
-        del cell   # freed before block_metrics, the peak of memory
-    values = zip(*block_metrics(*bon, np.cumsum(bon_count[scoring]),
-                                spf[0][order], spf[1][order],
-                                np.cumsum(spf_count[scoring]), parts, cfg))
-    for c in scoring.tolist():
-        results[-1, c] = next(values) + (int(bon_count[c]), int(spf_count[c]))
-    for k in cells.tolist() if parts else ():
-        b, a = divmod(k, n_attacks)
-        c = int(scoring[b])
-        results[a, c] = next(values) + (int(bon_count[c]), int(cell_count[k]))
+        del cell, block   # freed before block_metrics, the peak of memory
+    ends = np.cumsum(counts[:, scoring], axis=1)
+    values = zip(*block_metrics(bon[0][bon_order], bon[1][bon_order], ends[0],
+                                spf[0][spf_order], spf[1][spf_order], ends[1],
+                                parts, cfg))
+    for g in scoring.tolist():
+        results[-1, column[g]] = next(values) + tuple(counts[:, g].tolist())
+    for k in cells:
+        b, a = divmod(int(k), n_attacks)
+        g = int(scoring[b])
+        results[a, column[g]] = next(values) + (int(counts[0, g]),
+                                                int(cell_count[k]))
 
 
 def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
-                      axes=("attack", "codec")) -> BreakdownTable:
-    """Evaluate metrics for the pooled cell and each requested breakdown.
+                      grid=True) -> BreakdownTable:
+    """Metrics of the pooled cell, and with grid also of the per-attack,
+    per-codec and attack x codec cells, of a protocol.ScoredTrials.
 
-    scored is a protocol.ScoredTrials.  axes = {} gives only the pooled
-    cell; {"attack"} adds per-attack cells; {"codec"} adds per-codec;
-    both add the full attack x codec grid.  Each class is sorted once and
-    each row's Cllr term computed once.  Cells are scored a block at a time
-    by metrics.block_metrics, a block being the cells that share one set of
-    bonafide scores: the pooled cell with the attack cells, and each codec
-    cell with its grid cells.  A cell's spoof scores are a contiguous
-    ascending slice of a stable grouping of the ascending rows, so results
-    do not depend on input order.
+    Each class is sorted once and each row's Cllr term computed once.
+    Cells are scored a block at a time by metrics.block_metrics, a block
+    being the cells that share one set of bonafide scores, in two groupings
+    of the ascending rows: one pooled group, the pooled cell with the
+    attack cells, and a group per codec, the codec cell with its grid
+    cells.  A cell's spoof scores are a contiguous ascending slice of a
+    stable grouping of the ascending rows, so results do not depend on
+    input order.
     """
     if len(scored.scores) == 0:
         raise EmptyInput("no scored trials to break down")
-    axes = frozenset(axes)
-    if not axes <= {"attack", "codec"}:
-        raise InvalidParameter(
-            f"axes must be a subset of {{'attack', 'codec'}}, got {set(axes)}")
-
-    bon, spf, attack, bon_codec, spf_codec = _ascending(scored, axes)
-    # ids come from the kept rows, which an intersect join may have emptied
-    # of some attack or codec; an axis that was not asked for has no ids, so
-    # it adds no cells.  Cells are found by (attack, codec) code, -1 pooling.
-    attacks = codecs = attack_count = ()
-    if attack is not None:
-        attack_count = np.bincount(attack, minlength=len(scored.attacks))
-        attacks = sorted(np.flatnonzero(attack_count).tolist(),
-                         key=scored.attacks.__getitem__)
-    if spf_codec is not None:
-        bon_count = np.bincount(bon_codec, minlength=len(scored.codecs))
-        spf_count = np.bincount(spf_codec, minlength=len(scored.codecs))
-        codecs = sorted(np.flatnonzero(bon_count + spf_count).tolist(),
+    bon, spf, attack, bon_codec, spf_codec = _ascending(scored, grid)
+    bon = bon, cllr_bits(bon, True)
+    spf = spf, cllr_bits(spf, False)
+    n_attacks = len(scored.attacks)
+    results = {}   # cells by (attack, codec) code, -1 pooling
+    _score_groups(results, [-1], bon, spf,
+                  np.array([[len(bon[0])], [len(spf[0])]]), None, attack,
+                  n_attacks, cfg)
+    attacks = codecs = ()
+    if grid:
+        counts = np.array([np.bincount(c, minlength=len(scored.codecs))
+                           for c in (bon_codec, spf_codec)])
+        _score_groups(results, range(len(scored.codecs)), bon, spf, counts,
+                      (bon_codec, spf_codec), attack, n_attacks, cfg)
+        # ids come from the kept rows, which an intersect join may have
+        # emptied of some attack or codec
+        attacks = sorted(np.flatnonzero(np.bincount(
+            attack, minlength=n_attacks)).tolist(),
+            key=scored.attacks.__getitem__)
+        codecs = sorted(np.flatnonzero(counts.sum(axis=0)).tolist(),
                         key=scored.codecs.__getitem__)
-    results = {}
-    if len(bon) and len(spf):
-        bon = bon, cllr_bits(bon, True)
-        spf = spf, cllr_bits(spf, False)
-        _pooled_block(results, bon, spf, attack, attack_count, cfg)
-        if spf_codec is not None:
-            _codec_blocks(results, bon, spf, bon_codec, spf_codec, bon_count,
-                          spf_count, attack, len(scored.attacks), cfg)
 
     codes = [(-1, -1)]
     codes.extend((a, -1) for a in attacks)
@@ -199,7 +185,8 @@ def axis_keys(table, axis):
 
 def rank_worst(table: BreakdownTable, metric: str, k: int,
                axis: str = "attack") -> list:
-    """Keys of the k worst (largest-metric) cells along one axis.
+    """Keys of the k worst (largest-metric) cells along one axis, or of
+    all of them when the axis holds fewer.
 
     Ties order lexicographically by id so rankings are reproducible.
     """
@@ -211,9 +198,6 @@ def rank_worst(table: BreakdownTable, metric: str, k: int,
     if k < 0:
         raise InvalidParameter("k must be nonnegative")
     keys = axis_keys(table, axis)
-    if len(keys) < k:
-        raise InsufficientCells(
-            f"asked for top {k} of {len(keys)} {axis} cells")
     keys.sort(key=lambda key: (-getattr(table.cells[key], metric),
                                (key.attack_id, key.codec_id)))
     return keys[:k]

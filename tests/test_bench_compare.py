@@ -1,5 +1,5 @@
 """The per-metric verdict rule of bench_compare.py, on hand-made runs,
-and the host entry of its report."""
+and the host and line-count entries of its report."""
 
 import importlib.util
 import platform
@@ -67,3 +67,22 @@ def test_host_records_the_software_stack():
     assert host.pop("nproc") >= 1
     assert host == {"python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def test_src_lines_counts_each_tree(tmp_path, monkeypatch):
+    # bench/run.py's rule: lines of src/launderbench/*.py, nothing deeper
+    # and no other suffix
+    for side, text in (("base", "a\nb\nc\n"), ("change", "a\nb")):
+        package = tmp_path / side / "src" / "launderbench"
+        (package / "sub").mkdir(parents=True)
+        (package / "one.py").write_text(text)
+        (package / "two.py").write_text("x = 1\n" * 4)
+        (package / "notes.txt").write_text("not code\n")
+        (package / "sub" / "deep.py").write_text("y = 2\n")
+    assert bench_compare.src_lines(tmp_path / "base") == 7
+    assert bench_compare.src_lines(tmp_path / "change") == 6
+    # and on this tree it reads what bench/run.py records
+    monkeypatch.syspath_prepend(str(bench_compare.ROOT / "bench"))
+    monkeypatch.syspath_prepend(str(bench_compare.ROOT / "src"))
+    run = importlib.import_module("run")
+    assert bench_compare.src_lines(bench_compare.ROOT) == run.src_lines()

@@ -698,7 +698,9 @@ class TestReport:
             f"command=report\nmanifest={manifest}\nscores={scores}\n"
             "trials_kept=10\nunscored_trials=0\norphan_scores=0\n"
             "skipped_cells=0\njoin=strict\ninvert_scores=False\n"
-            "c_miss=1.0\nc_fa=10.0\npi_spoof=0.05\n")
+            "c_miss=1.0\nc_fa=10.0\npi_spoof=0.05\n"
+            f"python={platform.python_version()}\nnumpy={np.__version__}\n"
+            f"scipy={scipy.__version__}\n")
 
     def test_summary_counts_intersect_drops(self, tmp_path):
         manifest, scores = self.fixture(tmp_path)
@@ -718,10 +720,13 @@ class TestReport:
         # skipped: (*, C01) and the three attacks' (A, C01)
         assert {k: summary[k] for k in (
             "trials_kept", "unscored_trials", "orphan_scores",
-            "skipped_cells", "join", "invert_scores", "c_fa")} == {
+            "skipped_cells", "join", "invert_scores", "c_fa", "python",
+            "numpy", "scipy")} == {
             "trials_kept": "8", "unscored_trials": "2", "orphan_scores": "1",
             "skipped_cells": "4", "join": "intersect",
-            "invert_scores": "True", "c_fa": "5.0"}
+            "invert_scores": "True", "c_fa": "5.0",
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
         assert len((out / "report_skipped.txt").read_text().splitlines()) \
             == 4
 

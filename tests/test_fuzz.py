@@ -368,7 +368,7 @@ def utf8(path, flag):
     return raw
 
 
-def reference_table(manifest, scores, policy, axes):
+def reference_table(manifest, scores, policy, grid):
     """The table test_protocol's per-line readers and dict join give for
     the files, or the message of the error they raise."""
     try:
@@ -387,31 +387,32 @@ def reference_table(manifest, scores, policy, axes):
             attacks,
             np.array([codecs_.index(r.codec_id) for r in kept], np.intp),
             codecs_, np.array(values, dtype=np.float64), unscored, orphans)
-        return reporting.compute_breakdown(scored, MetricConfig(), axes)
+        return reporting.compute_breakdown(scored, MetricConfig(), grid)
     except LaunderbenchError as e:
         return str(e)
 
 
+# each command with the breakdown shape it asks for
 SCORING_COMMANDS = pytest.mark.parametrize(
-    "command,axes", [("evaluate", ()), ("report", ("attack", "codec"))])
+    "command,grid", [("evaluate", False), ("report", True)])
 
 
 @SCORING_COMMANDS
-def test_scoring_input(tmp_path, capsys, command, axes):
-    check_scoring_input(tmp_path, capsys, command, axes)
+def test_scoring_input(tmp_path, capsys, command, grid):
+    check_scoring_input(tmp_path, capsys, command, grid)
 
 
 @SCORING_COMMANDS
-def test_scoring_input_forked(tmp_path, capsys, monkeypatch, command, axes):
+def test_scoring_input_forked(tmp_path, capsys, monkeypatch, command, grid):
     """The same cases with every non-empty score file parsed in a forked
     child, as files above cli.FORK_SCORES_BYTES are."""
     forks = fork_every_scores_file(monkeypatch)
-    seen = check_scoring_input(tmp_path, capsys, command, axes)
+    seen = check_scoring_input(tmp_path, capsys, command, grid)
     assert len(forks) == seen["non-empty scores"], seen
     assert_no_child_left()
 
 
-def check_scoring_input(tmp_path, capsys, command, axes):
+def check_scoring_input(tmp_path, capsys, command, grid):
     """Runs command on SCORING_CASES drawn cases against the references;
     returns the counts of what the cases gave."""
     manifest, scores = tmp_path / "trials.manifest", tmp_path / "scores.txt"
@@ -434,9 +435,9 @@ def check_scoring_input(tmp_path, capsys, command, axes):
         with mock.patch.object(cli, "compute_breakdown", spy), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rc = cli.main(argv + (["--out", str(out)] if axes else []))
+            rc = cli.main(argv + (["--out", str(out)] if grid else []))
         err = capsys.readouterr().err
-        want = reference_table(manifest, scores, policy, axes)
+        want = reference_table(manifest, scores, policy, grid)
         where = (case, m, s, policy)
         assert rc in (0, 1) and "Traceback" not in err, where
         if isinstance(want, str):
