@@ -9,8 +9,8 @@ default.  Exit codes: 0 success, 1 usage or input error, 2 batch
 finished with some jobs failed.
 
 evaluate and report parse a --scores file larger than FORK_SCORES_BYTES
-in a forked child process while the manifest parses, as launder's --jobs
-workers are forked processes.  Their memory is then split over two
+in a child process while the manifest parses, forked by pipeline.forked
+as launder's --jobs workers are.  Their memory is then split over two
 processes, and a peak RSS read with RUSAGE_SELF (the benchmark's
 peak_rss_mb) does not see the child's.
 """
@@ -21,10 +21,7 @@ import argparse
 import codecs
 import contextlib
 import functools
-import os
-import pickle
 import platform
-import signal
 import sys
 from pathlib import Path
 
@@ -33,10 +30,10 @@ import numpy as np
 from .audio import CodecBackend
 from .dsp import LOADABLE_NOISES, NoiseLibrary
 from .errors import (CorruptFile, DuplicateId, EmptyClass,
-                     InvalidParameter, LaunderbenchError, WorkerDied)
+                     InvalidParameter, LaunderbenchError)
 from .metrics import MetricConfig
-from .pipeline import (emit_augmented_manifest, execute_plan, plan_attacks,
-                       select_subset)
+from .pipeline import (emit_augmented_manifest, execute_plan, forked,
+                       plan_attacks, select_subset)
 from .protocol import (JOIN_POLICIES, ScoreColumns, encode_ids, join_scores,
                        parse_manifest, parse_scores)
 from .reporting import (FORMATS, METRIC_NAMES, POOLED, GroupKey,
@@ -83,53 +80,16 @@ def _resolve_backend(args):
 FORK_SCORES_BYTES = 4 << 20
 
 
-@contextlib.contextmanager
 def _scores_reader(value):
-    """A call that returns the ScoreColumns of the --scores file, or raises
-    the error its parse raised.
-
-    A file larger than FORK_SCORES_BYTES is parsed from the start in a
-    forked child, which pickles the columns or the exception back through
-    a pipe and writes nothing else; on leaving, the child is killed if it
-    is still running, and reaped.  A child that dies before sending is a
-    WorkerDied naming the file.
-    """
+    """A context whose value is a call that returns the ScoreColumns of the
+    --scores file, or raises the error its parse raised.  A file larger
+    than FORK_SCORES_BYTES is parsed from entry in a pipeline.forked child."""
     read = functools.partial(_parse, parse_scores, value, "--scores")
     if not (value is not None and Path(value).is_file()
             and Path(value).stat().st_size > FORK_SCORES_BYTES):
-        yield read
-        return
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(r)
-            try:
-                sent = (True, read())
-            except BaseException as e:
-                sent = (False, e)
-            with open(w, "wb") as pipe:
-                pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-
-    def received():
-        try:
-            ok, result = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise WorkerDied(f"the process reading --scores {value} died "
-                             f"before returning its scores") from None
-        if ok:
-            return result
-        raise result
-
-    try:
-        os.close(w)
-        with open(r, "rb") as pipe:
-            yield received
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        return contextlib.nullcontext(read)
+    return forked(read, f"the process reading --scores {value} died before "
+                        f"returning its scores")
 
 
 def _read_scored(args):
@@ -336,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=4,
                    help="sources processed at once, each in a forked "
                         "worker process that holds its own decoded source; "
-                        "1 runs inline")
+                        "at most one per CPU this process may run on; 1 "
+                        "runs inline")
     p.add_argument("--encode-cmd", help="recompression encoder command, "
                    "run without a shell: {in} is 16-bit WAV, {out} the coded "
                    "file, {bitrate_kbps} the rate; needs --decode-cmd")

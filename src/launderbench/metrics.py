@@ -21,7 +21,8 @@ import numpy as np
 from .errors import EmptyClass, InvalidParameter, NonFiniteScore
 
 _LN2 = math.log(2.0)
-# rows swept at once, which bounds the sweep's temporaries
+# rows swept at once: this bounds the sweep's temporaries, and the grid
+# sweeps faster in chunks of this size than in one pass over every row
 _SWEEP_ROWS = 1 << 16
 
 

@@ -12,16 +12,19 @@ Execution runs one task per source: the source is read once, and its
 attacks and writes run in plan order on that one decoded buffer.  A
 failed read fails exactly that source's jobs; a failed attack or write
 fails only its own job.  With more than one source and parallelism
-above 1, sources run in forked worker processes; otherwise they run
-inline, in the calling process, on the same code path.
+above 1, the sources are dealt in fixed slices to worker processes
+started by forked, the program's one way to run work in a child;
+otherwise they run inline, in the calling process, on the same code path.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
+import functools
+import os
+import pickle
 import posixpath
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -153,41 +156,67 @@ def plan_attacks(selected, seed: int) -> list:
     return jobs
 
 
-def _run_source(state, task):
-    """One source's jobs: one read, then each attack and write in plan
-    order; (clips, error) per job."""
-    jobs, audio_root, out_dir, noises, backend = state
-    source_path, indices = task
-    try:
-        buf = read_audio(audio_root / source_path)
-    except (LaunderbenchError, OSError) as e:
-        return [(0, e)] * len(indices)
-    # an attack that wrote into its input would corrupt the others
-    buf.samples.flags.writeable = False
-    results = []
-    for i in indices:
-        job = jobs[i]
+def _run_sources(tasks, jobs, audio_root, out_dir, noises, backend):
+    """(job index, (clips, error)) per job of tasks, a source at a time:
+    one read, then each attack and write in plan order."""
+    done = []
+    for source_path, indices in tasks:
         try:
-            out = apply_attack(buf, job.spec, job.job_seed, noises=noises,
-                               backend=backend)
-            dest = out_dir / job.output_path
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            results.append((write_audio(out, dest, format="flac"), None))
+            buf = read_audio(audio_root / source_path)
         except (LaunderbenchError, OSError) as e:
-            results.append((0, e))
-    return results
+            done += [(i, (0, e)) for i in indices]
+            continue
+        # an attack that wrote into its input would corrupt the others
+        buf.samples.flags.writeable = False
+        for i in indices:
+            job = jobs[i]
+            try:
+                out = apply_attack(buf, job.spec, job.job_seed, noises=noises,
+                                   backend=backend)
+                dest = out_dir / job.output_path
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                done.append((i, (write_audio(out, dest, format="flac"), None)))
+            except (LaunderbenchError, OSError) as e:
+                done.append((i, (0, e)))
+    return done
 
 
-_worker_state = None   # set only inside a worker process, by _bind_worker
+@contextlib.contextmanager
+def forked(call, died):
+    """Runs call() in a child forked on entry and yields received(), which
+    returns what call() returned or raises what it raised, pickled back
+    through a pipe; a child that dies before sending is a WorkerDied(died).
+    On leaving, the child is killed if it is still running, and reaped."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                sent = (True, call())
+            except BaseException as e:
+                sent = (False, e)
+            with open(w, "wb") as pipe:
+                pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
 
+    def received():
+        try:
+            ok, result = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise WorkerDied(died) from None
+        if ok:
+            return result
+        raise result
 
-def _bind_worker(*state):
-    global _worker_state
-    _worker_state = state
-
-
-def _run_in_worker(task):
-    return _run_source(_worker_state, task)
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            yield received
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
@@ -196,13 +225,12 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
 
     Jobs are grouped by source path in first-seen order, and each group
     is one task: one read, then its attacks and writes in plan order on
-    the shared, read-only decoded buffer.  Up to `parallelism` sources
-    run at once, each in a forked worker process that inherits the jobs,
-    noises and codec backend; only (source path, job indices) and the
-    results cross the pipe.  Each worker holds its own decoded source, so
-    memory grows with `parallelism`, and a warning raised in a worker is
-    printed by that worker.  With parallelism 1 or a single source the
-    sources run inline.
+    the shared, read-only decoded buffer.  Of W workers, the least of
+    parallelism, the sources and the CPUs this process may run on, worker
+    w runs every W-th task from the w-th in a forked child (inline if W is
+    1), which inherits the jobs, noises and codec backend and sends back
+    only its results.  Each worker holds its own decoded source, so memory
+    grows with W, and a warning raised in a worker is printed by it.
 
     Failures are collected in the report, in job order, instead of
     aborting the batch: an unreadable source fails exactly its own jobs
@@ -228,27 +256,21 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
         groups.setdefault(job.source.source_path, []).append(i)
     groups = list(groups.items())
 
-    state = (jobs, audio_root, out_dir, noises, backend)
-    workers = min(parallelism, len(groups))
-    if workers <= 1:
-        outcomes = [_run_source(state, g) for g in groups]
-    else:
-        try:
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_bind_worker, initargs=state) as pool:
-                outcomes = list(pool.map(_run_in_worker, groups))
-        except BrokenProcessPool:
-            raise WorkerDied("a worker process died before finishing its "
-                             "sources") from None
-    results = [None] * len(jobs)
-    for (_, indices), outcome in zip(groups, outcomes):
-        for i, result in zip(indices, outcome):
-            results[i] = result
+    workers = min(parallelism, len(groups), len(os.sched_getaffinity(0)))
+    calls = [functools.partial(_run_sources, groups[w::workers], jobs,
+                               audio_root, out_dir, noises, backend)
+             for w in range(workers)]
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            calls = [stack.enter_context(forked(
+                call, "a worker process died before finishing its sources"))
+                for call in calls]
+        results = dict(pair for call in calls for pair in call())
 
     clip_events = 0
     failures = []
-    for job, (clips, err) in zip(jobs, results):
+    for i, job in enumerate(jobs):
+        clips, err = results[i]
         if err is None:
             clip_events += clips
         else:

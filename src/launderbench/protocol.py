@@ -132,7 +132,7 @@ _OTHER_SEPARATORS = np.zeros(256, dtype=bool)
 _OTHER_SEPARATORS[[0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F]] = True
 
 
-_GAPS = (0x20, 0x09, 0x0A, 0x0D)
+_GAPS = (0x20, 0x09, 0x0A, 0x0D, 0x23)
 _SPAN = 1 << 22     # bytes the tokenizer scans at a time
 
 
@@ -140,13 +140,15 @@ def _tokens(raw, n_fields):
     """The starts and ends of the tokens of raw as (rows, n_fields)
     arrays, or None unless raw holds no separator but space, tab, LF and
     CR and every non-blank line has n_fields tokens.  CR ends a line as
-    LF does; the empty line inside a CRLF holds no token.
+    LF does; the empty line inside a CRLF holds no token.  A comment, from
+    a '#' to the line end, separates tokens as a space does.
 
     raw is scanned a span at a time, so its byte-sized masks stay small.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     position = np.int32 if len(buf) < 2 ** 31 else np.int64
     starts, ends, newlines = ([np.empty(0, position)] for _ in range(3))
+    comments, open_comment = b"#" in raw, False
     for lo in range(0, len(buf), _SPAN):
         span = buf[lo:lo + _SPAN]
         hi = lo + len(span)
@@ -159,6 +161,19 @@ def _tokens(raw, n_fields):
         gap[1:-1] = line_end | (span == 0x20) | (span == 0x09)
         gap[0] = lo == 0 or buf[lo - 1] in _GAPS
         gap[-1] = hi == len(buf) or buf[hi] in _GAPS
+        if comments:
+            # a comment runs from a line's first '#', or from lo if the
+            # span before left one open, to the line end
+            hashes = np.flatnonzero(span == 0x23)
+            hashes = np.r_[0, hashes] if open_comment else hashes
+            breaks = np.append(np.flatnonzero(line_end), len(span))
+            line, first = np.unique(np.searchsorted(breaks, hashes),
+                                    return_index=True)
+            bounds = np.c_[hashes[first], breaks[line]].ravel()
+            comment = np.repeat(np.arange(len(bounds) + 1) % 2 == 1,
+                                np.diff(bounds, prepend=0, append=len(span)))
+            gap[1:-1] |= comment
+            open_comment = bool(comment[-1])
         for found, at, mask in ((starts, lo, gap[:-2] > gap[1:-1]),
                                 (ends, lo + 1, gap[1:-1] < gap[2:]),
                                 (newlines, lo, line_end)):
@@ -213,9 +228,9 @@ def _gather(raw, starts, ends, shift=1):
 
 
 def _read(raw, n_fields, columns):
-    """columns(raw, starts, ends) of plain ASCII bytes without '#', or
-    None when the bytes or their columns need the per-line path."""
-    if not raw.isascii() or b"#" in raw:
+    """columns(raw, starts, ends) of plain ASCII bytes, or None when the
+    bytes or their columns need the per-line path."""
+    if not raw.isascii():
         return None
     tokens = _tokens(raw, n_fields)
     return None if tokens is None else columns(raw, *tokens)

@@ -407,6 +407,36 @@ class TestLaunder:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "augmented.manifest").exists()
         assert not (out / "run_summary.txt").exists()
+        assert_no_child_left()
+
+    def test_no_worker_outlives_a_run(self, tmp_path):
+        corpus = write_corpus(tmp_path, n_files=3)
+        argv = ["--fraction", "1.0", "--jobs", "2"]
+        assert main(launder_argv(corpus, tmp_path / "ok", argv)) == 0
+        assert_no_child_left()
+        manifest = corpus["manifest"]
+        manifest.write_text(manifest.read_text()
+                            + "u9999 spoof A17 C00 missing.flac\n")
+        assert main(launder_argv(corpus, tmp_path / "part", argv)) == 2
+        assert_no_child_left()
+
+    def test_worker_exception_comes_back_as_its_type(self, tmp_path,
+                                                     monkeypatch):
+        # raised outside the per-job handlers, which catch toolkit and OS
+        # errors only
+        corpus = write_corpus(tmp_path, n_files=3)
+        parent = os.getpid()
+
+        def failing_attack(*args, **kwargs):
+            assert os.getpid() != parent, "job ran inline"
+            raise AssertionError("raised in a worker")
+
+        monkeypatch.setattr(pipeline, "apply_attack", failing_attack)
+        argv = ["--fraction", "1.0", "--jobs", "2"]
+        with pytest.raises(AssertionError, match="raised in a worker"):
+            main(launder_argv(corpus, tmp_path / "out", argv))
+        assert not (tmp_path / "out" / "augmented.manifest").exists()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("fmt", ["flac", "wav16"])
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,8 +1,10 @@
 """Selection, planning, batch execution, and augmented-manifest emission."""
 
+import contextlib
 import hashlib
 import itertools
 import math
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -596,6 +598,36 @@ class TestExecutePlan:
         for job in jobs:
             assert (tmp_path / "p1" / job.output_path).read_bytes() == \
                 (tmp_path / "p4" / job.output_path).read_bytes()
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3)])
+    def test_workers_capped_at_the_cpus(self, corpus, tmp_path, monkeypatch,
+                                        cpus, workers):
+        # forked runs its call inline here, so no process starts however
+        # large parallelism is
+        slices = []
+
+        @contextlib.contextmanager
+        def inline(call, died):
+            slices.append([path for path, _ in call.args[0]])
+            outcome = call()
+            yield lambda: outcome
+
+        jobs = plan_attacks(corpus["trials"], seed=6)
+        want = execute_plan(jobs, corpus["audio_root"], tmp_path / "p1",
+                            noises=corpus["noises"], backend=fake_codec,
+                            parallelism=1)
+        monkeypatch.setattr(pipeline, "forked", inline)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        got = execute_plan(jobs, corpus["audio_root"], tmp_path / "big",
+                           noises=corpus["noises"], backend=fake_codec,
+                           parallelism=5000)
+        paths = [t.source_path for t in corpus["trials"]]
+        assert slices == [paths[w::workers] for w in range(workers)]
+        assert got == want
+        for job in jobs:
+            assert (tmp_path / "big" / job.output_path).read_bytes() == \
+                (tmp_path / "p1" / job.output_path).read_bytes()
 
     def test_recompression_output_deterministic(self, corpus, tmp_path):
         jobs = [j for j in plan_attacks(corpus["trials"], seed=17)

@@ -1,6 +1,7 @@
 """Manifest and score parsing, joining, and emission."""
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -441,6 +442,14 @@ _NOISY = {"id": "\u00fc{}",
           "lead": ["", " ", "\u3000"], "tail": ["", " # note", "#", "\r"],
           "end": ["\n", "\r\n", "\x0c", "\x85", "\u2028"],
           "other": ["   ", "# a comment"]}
+# ASCII text with comments, which the fast path reads: full-line, trailing,
+# tight against a field, several to a line, and one holding a \x0c, which
+# ends the line for the per-line path
+_COMMENTED = {"id": "u{}", "sep": [" ", "\t", " # cut"],
+              "lead": ["", " "],
+              "tail": ["", "  # attack=x", "#tight", " #a#b # c", "#\x0cu7"],
+              "end": ["\n", "\r\n", "\r"],
+              "other": ["# a comment", "#", "\t## two # marks "]}
 _DEFECTS = [None, None, "count", "label", "mismatch", "repeat", "stranger",
             "value"]
 _TAILS = [("", "_"), ("", "_"), ("", "\x00"), ("\x00", "\x00\x00"),
@@ -465,7 +474,7 @@ def _fields(draw, kind, uid, defect):
 def texts(draw, kind):
     """Manifest or score text; ids are distinct unless repeated on purpose,
     in an order of their own."""
-    style = draw(st.sampled_from([_CLEAN, _CLEAN, _ODD, _NOISY]))
+    style = draw(st.sampled_from([_CLEAN, _CLEAN, _ODD, _NOISY, _COMMENTED]))
     tails = draw(st.sampled_from(_TAILS))
 
     def ident(k):
@@ -625,6 +634,34 @@ def test_cr_line_ends_read_on_fast_path(end):
     assert _trial_lists(trials) == _trial_lists(lf_trials)
     assert np.array_equal(trials.order, lf_trials.order)
     assert _score_lists(cols) == _score_lists(parse_scores(scores.encode()))
+
+
+@pytest.mark.parametrize("span", [protocol._SPAN, 1, 5])
+def test_comments_read_on_fast_path(span):
+    # a comment, from '#' to the line end, separates tokens as a space
+    # does, so commented ASCII files are tokenized as their uncommented
+    # copies are, without the per-line readers, and a comment stays open
+    # across the tokenizer's spans
+    manifest = ("# full line\n" + MANIFEST.replace(".flac\n", ".flac  "
+                                                  "# attack=reverb_0.6\n", 1)
+                + "u004 spoof A17 C00 p#tight\r\n"
+                + "  ## two # marks\nu005 spoof A17 C01 q # a # b#c\n#")
+    scores = "#\nu003 0.5#x\nu001 2.0 # y # z\r# w\nu002 -1.0  #"
+    with mock.patch.object(protocol, "_manifest_lines",
+                           side_effect=AssertionError), \
+            mock.patch.object(protocol, "_score_lines",
+                              side_effect=AssertionError), \
+            mock.patch.object(protocol, "_SPAN", span):
+        rows, trials = parse_manifest(manifest.encode())
+        cols = parse_scores(scores.encode())
+    plain_rows, plain_trials = parse_manifest(
+        re.sub("#[^\r\n]*", "", manifest).encode())
+    assert len(rows) == 5
+    assert list(rows) == list(plain_rows)
+    assert _trial_lists(trials) == _trial_lists(plain_trials)
+    assert np.array_equal(trials.order, plain_trials.order)
+    assert _score_lists(cols) == _score_lists(
+        parse_scores(re.sub("#[^\r\n]*", "", scores).encode()))
 
 
 def _assert_join_matches_reference(manifest, scores, policy):
