@@ -1,4 +1,4 @@
-"""Mono audio container, WAV/FLAC file I/O, and the lossy-codec round trip."""
+"""Mono audio container, WAV/FLAC file I/O, and the lossy-codec adapter."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import os
 import secrets
 import subprocess
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import flacio
 from .errors import (BackendInvocationFailed, CorruptFile, EmptyBuffer,
                      InvalidParameter, IoFailure, MultichannelInput,
-                     SampleRateChangedByCodec, UnsupportedFormat)
+                     UnsupportedFormat)
 
 FORMATS = ("wav16", "flac")
 
@@ -195,33 +194,3 @@ def _run_backend(argv, stage):
         raise BackendInvocationFailed(
             f"{stage} command exited with status {proc.returncode}: "
             + " / ".join(tail))
-
-
-def codec_roundtrip(buf: AudioBuffer, bitrate_kbps: int,
-                    codec) -> AudioBuffer:
-    """Encode to a lossy codec and decode back.
-
-    The codec is the CodecBackend command adapter, or any callable
-    codec(buf, bitrate_kbps) -> AudioBuffer.  The decoded signal is
-    trimmed or zero-padded to the input length with no delay
-    compensation, and resampled back (with a warning) if the codec
-    returns a different rate.
-    """
-    if bitrate_kbps <= 0:
-        raise InvalidParameter(f"bitrate must be positive, got {bitrate_kbps}")
-    out = codec(buf, bitrate_kbps)
-
-    if out.sample_rate_hz != buf.sample_rate_hz:
-        warnings.warn(
-            f"codec returned {out.sample_rate_hz} Hz for "
-            f"{buf.sample_rate_hz} Hz input; resampling back",
-            SampleRateChangedByCodec, stacklevel=2)
-        from .dsp import resample
-        out = resample(out, buf.sample_rate_hz)
-
-    return AudioBuffer(fit_length(out.samples, len(buf)), buf.sample_rate_hz)
-
-
-def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
-    """The first n samples, zero-padded at the end when there are fewer."""
-    return np.pad(samples[:n], (0, max(0, n - len(samples))))

@@ -1,10 +1,10 @@
-"""Laundering attacks and the filter/RIR primitives behind them.
+"""Laundering attacks: their grid, draws and tags, and the transforms.
 
-Five attack families: reverberation (synthetic exponentially-decaying
-room response), additive noise at a target SNR, lossy recompression
-through the codec backend, resampling round trips, and Butterworth
-lowpass filtering.  Every transform is a pure function of its inputs;
-randomness enters only through explicit integer seeds.
+Five attack families, spelled out only in ATTACK_GRID: reverberation
+(synthetic exponentially-decaying room response), additive noise at a
+target SNR, lossy recompression through a codec round trip, resampling
+round trips, and Butterworth lowpass filtering.  Each transform is a pure
+function of its inputs; randomness enters only through integer seeds.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import (AudioBuffer, codec_roundtrip, fit_length, read_audio,
-                    rms_power)
+from .audio import AudioBuffer, read_audio, rms_power
 from .errors import (InvalidParameter, NoiseAssetMissing, RateMismatch,
-                     SilentInput, UnstableFilter)
-from .rng import derive_seed
+                     SampleRateChangedByCodec, SilentInput, UnstableFilter)
+from .rng import derive_seed, make_rng
 
 RT60_CHOICES = (0.3, 0.6, 0.9)
 NOISE_NAMES = ("babble", "volvo", "white", "cafe", "street")
@@ -34,8 +33,8 @@ LOWPASS_ORDER = 5
 NOISE_RATE_HZ = 16000
 LOADABLE_NOISES = ("babble", "volvo", "cafe", "street")
 
-# kind -> parameter -> allowed values, in plan order; pipeline.plan_attacks
-# draws one value per parameter (noise_name fans out over all its values)
+# kind -> parameter -> allowed values, in plan order; attack_specs draws
+# one value per parameter (noise_name fans out over all its values)
 ATTACK_GRID = {
     "reverberation": {"rt60_s": RT60_CHOICES},
     "additive_noise": {"noise_name": NOISE_NAMES, "snr_db": SNR_DB_CHOICES},
@@ -73,6 +72,28 @@ class AttackSpec:
             elif value not in grid[f.name]:
                 raise InvalidParameter(
                     f"{f.name} must be one of {grid[f.name]}, got {value!r}")
+
+
+def attack_tag(spec: AttackSpec) -> str:
+    """Stable injective label for one attack parameterization: the noise
+    name or else the kind, then each drawn parameter's value in grid order,
+    spelled as the grid spells it (so 8000.0 tags as 8000), joined by "_"."""
+    return "_".join([spec.noise_name or spec.kind] + [
+        str(values[values.index(getattr(spec, param))])
+        for param, values in ATTACK_GRID[spec.kind].items()
+        if param != "noise_name"])
+
+
+def attack_specs(seed, utt):
+    """One spec per ATTACK_GRID kind, one per noise name for additive
+    noise; each parameter is drawn by a fresh generator keyed by (seed,
+    utt, slot), the slot being the kind, or noise:{name} for each noise."""
+    for kind, grid in ATTACK_GRID.items():
+        for name in grid.get("noise_name", (None,)):
+            slot = kind if name is None else f"noise:{name}"
+            yield AttackSpec(kind, noise_name=name, **{
+                param: values[make_rng(seed, utt, slot).integers(len(values))]
+                for param, values in grid.items() if param != "noise_name"})
 
 
 @dataclass
@@ -241,6 +262,11 @@ def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
     return AudioBuffer(y, x.sample_rate_hz)
 
 
+def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
+    """The first n samples, zero-padded at the end when there are fewer."""
+    return np.pad(samples[:n], (0, max(0, n - len(samples))))
+
+
 @lru_cache(maxsize=64)
 def _resample_kernel(up: int, down: int) -> np.ndarray:
     # designed at the upsampled rate: passband 0.9/max, stopband 1/max,
@@ -275,6 +301,30 @@ def launder_resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     """Resample away and back, keeping the original rate and length."""
     y = resample(resample(x, target_rate_hz), x.sample_rate_hz)
     return AudioBuffer(fit_length(y.samples, len(x)), x.sample_rate_hz)
+
+
+def codec_roundtrip(buf: AudioBuffer, bitrate_kbps: int,
+                    codec) -> AudioBuffer:
+    """Encode to a lossy codec and decode back.
+
+    The codec is the audio.CodecBackend command adapter, or any callable
+    codec(buf, bitrate_kbps) -> AudioBuffer.  The decoded signal is
+    trimmed or zero-padded to the input length with no delay
+    compensation, and resampled back (with a warning) if the codec
+    returns a different rate.
+    """
+    if bitrate_kbps <= 0:
+        raise InvalidParameter(f"bitrate must be positive, got {bitrate_kbps}")
+    out = codec(buf, bitrate_kbps)
+
+    if out.sample_rate_hz != buf.sample_rate_hz:
+        warnings.warn(
+            f"codec returned {out.sample_rate_hz} Hz for "
+            f"{buf.sample_rate_hz} Hz input; resampling back",
+            SampleRateChangedByCodec, stacklevel=2)
+        out = resample(out, buf.sample_rate_hz)
+
+    return AudioBuffer(fit_length(out.samples, len(buf)), buf.sample_rate_hz)
 
 
 def apply_attack(x: AudioBuffer, spec: AttackSpec, seed: int,

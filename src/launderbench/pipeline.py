@@ -1,12 +1,11 @@
 """Batch laundering: subset selection, attack planning, and execution.
 
 A run takes a manifest, keeps a seeded fraction of its rows, drawn from
-their id order, and plans nine attacked copies per kept file: one
-reverberation, five additive noises (one per noise name), one
-recompression, one resampling, and one fixed lowpass.  Every random draw
-is keyed by (run seed, utterance id, attack slot), so plans and
-non-codec output bytes are reproducible from the manifest and the seed
-alone, regardless of manifest line order or worker scheduling.
+their id order, and plans one attacked copy per kept file and spec that
+dsp.attack_specs draws for its id, named by dsp.attack_tag and seeded by
+(run seed, utterance id, tag), so plans and non-codec output bytes are
+reproducible from the manifest and the seed alone, regardless of
+manifest line order or worker scheduling.
 
 Execution runs one task per source: the source is read once, and its
 attacks and writes run in plan order on that one decoded buffer.  A
@@ -30,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .audio import read_audio, write_audio
-from .dsp import ATTACK_GRID, AttackSpec, apply_attack
+from .dsp import apply_attack, attack_specs, attack_tag
 from .errors import (EmptyInput, InvalidParameter, IoFailure,
                      LaunderbenchError, WorkerDied, ZeroSelection)
 from .protocol import emit_manifest
@@ -42,7 +41,7 @@ class AugmentationJob:
     """One (source file, attack) pair scheduled for execution."""
 
     source: object
-    spec: AttackSpec
+    spec: object        # a dsp.AttackSpec
     job_seed: int
     output_utterance_id: str
     output_path: str
@@ -61,19 +60,6 @@ class AugmentReport:
     @property
     def jobs_succeeded(self) -> int:
         return self.jobs_total - self.jobs_failed
-
-
-def attack_tag(spec: AttackSpec) -> str:
-    """Stable injective label for one attack parameterization."""
-    if spec.kind == "reverberation":
-        return f"reverberation_{spec.rt60_s:.1f}"
-    if spec.kind == "additive_noise":
-        return f"{spec.noise_name}_{spec.snr_db}"
-    if spec.kind == "recompression":
-        return f"recompression_{spec.bitrate_kbps}"
-    if spec.kind == "resampling":
-        return f"resampling_{spec.target_rate_hz}"
-    return f"lowpass_{int(spec.cutoff_hz)}_{spec.order}"
 
 
 def select_subset(order, fraction: float, seed: int) -> list:
@@ -98,25 +84,8 @@ def select_subset(order, fraction: float, seed: int) -> list:
     return [int(order[i]) for i in sorted(perm[:count].tolist())]
 
 
-def _draw(seed, utt, slot, choices):
-    rng = make_rng(seed, utt, slot)
-    return choices[int(rng.integers(len(choices)))]
-
-
-def _attack_specs(seed, utt):
-    """One spec per ATTACK_GRID kind, one per noise name for additive
-    noise; each kind draws under its own slot, each noise under
-    noise:{name}."""
-    for kind, grid in ATTACK_GRID.items():
-        for name in grid.get("noise_name", (None,)):
-            slot = kind if name is None else f"noise:{name}"
-            yield AttackSpec(kind, noise_name=name, **{
-                param: _draw(seed, utt, slot, values)
-                for param, values in grid.items() if param != "noise_name"})
-
-
 def plan_attacks(selected, seed: int) -> list:
-    """Expand each selected record into its nine attack jobs.
+    """Expand each selected record into one job per attack drawn for it.
 
     The whole plan is refused, before anything runs, when an id's output
     path would be absolute, climb out of the output directory, hold a
@@ -129,7 +98,7 @@ def plan_attacks(selected, seed: int) -> list:
     writers = {}    # normalized output path -> the id that writes it
     for t in selected:
         utt = t.utterance_id
-        for spec in _attack_specs(seed, utt):
+        for spec in attack_specs(seed, utt):
             tag = attack_tag(spec)
             out_id = f"{utt}_{tag}"
             path = f"{utt[:2]}/{out_id}.flac"
@@ -188,7 +157,12 @@ def forked(call, died):
     through a pipe; a child that dies before sending is a WorkerDied(died).
     On leaving, the child is killed if it is still running, and reaped."""
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         try:
             os.close(r)
@@ -256,7 +230,9 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
         groups.setdefault(job.source.source_path, []).append(i)
     groups = list(groups.items())
 
-    workers = min(parallelism, len(groups), len(os.sched_getaffinity(0)))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)       # macOS has no sched_getaffinity
+    workers = min(parallelism, len(groups), cpus)
     calls = [functools.partial(_run_sources, groups[w::workers], jobs,
                                audio_root, out_dir, noises, backend)
              for w in range(workers)]

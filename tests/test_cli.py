@@ -1,6 +1,7 @@
 """CLI behavior: flag defaults, subcommands, exit codes."""
 
 import codecs
+import errno
 import hashlib
 import os
 import platform
@@ -408,6 +409,23 @@ class TestLaunder:
         assert not (out / "augmented.manifest").exists()
         assert not (out / "run_summary.txt").exists()
         assert_no_child_left()
+
+    def test_failed_fork_is_an_error_and_leaks_no_descriptor(
+            self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        corpus = write_corpus(tmp_path, n_files=3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        argv = ["--fraction", "1.0", "--jobs", "2"]
+        assert main(launder_argv(corpus, tmp_path / "out", argv)) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out" / "augmented.manifest").exists()
 
     def test_no_worker_outlives_a_run(self, tmp_path):
         corpus = write_corpus(tmp_path, n_files=3)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from launderbench.audio import AudioBuffer, CodecBackend, codec_roundtrip
+from launderbench.audio import AudioBuffer, CodecBackend
+from launderbench.dsp import codec_roundtrip
 from launderbench.errors import (BackendInvocationFailed, InvalidParameter,
                                  SampleRateChangedByCodec)
 

@@ -1,11 +1,14 @@
 """Laundering transforms: reverberation, noise mixing, filtering, resampling,
-and the attack dispatcher."""
+the attack dispatcher, and the imports that keep attack kinds in dsp."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal as sps
 
-from launderbench import dsp
+from launderbench import audio, dsp, pipeline
 from launderbench.audio import AudioBuffer, rms_power, write_audio
 from launderbench.dsp import (AttackSpec, FilterCoefficients, NoiseLibrary,
                               apply_attack, apply_filter, apply_reverberation,
@@ -106,6 +109,30 @@ class TestAttackGridRules:
             with pytest.raises(InvalidParameter,
                                match=f"{param} does not apply to {other}"):
                 AttackSpec(other, **{**grid_point(other), param: value})
+
+
+def imported_names(module):
+    """(module, name) of every import statement in module's source, those
+    inside functions included; a plain import has module None."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return [(getattr(node, "module", None), alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names]
+
+
+class TestAttackKindsLiveInDsp:
+    """A new attack kind needs an edit to dsp alone: audio knows nothing
+    of attacks, and pipeline takes specs and tags from dsp without
+    reading the grid or building specs itself."""
+
+    def test_audio_imports_nothing_from_dsp(self):
+        for module, name in imported_names(audio):
+            assert "dsp" not in f"{module}.{name}".split("."), (module, name)
+
+    def test_pipeline_imports_neither_grid_nor_spec(self):
+        names = {name for _, name in imported_names(pipeline)}
+        assert not names & {"ATTACK_GRID", "AttackSpec"}
 
 
 class TestRir:

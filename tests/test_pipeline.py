@@ -76,6 +76,8 @@ def grid_specs():
 
 
 class TestAttackTag:
+    # all 29 grid specs, each with the tag it has always had: tags name the
+    # output files and seed each job, so a changed tag changes the outputs
     @pytest.mark.parametrize("spec,tag", [
         (AttackSpec(kind="reverberation", rt60_s=0.3), "reverberation_0.3"),
         (AttackSpec(kind="reverberation", rt60_s=0.9), "reverberation_0.9"),
@@ -89,6 +91,49 @@ class TestAttackTag:
          "resampling_11025"),
         (AttackSpec(kind="lowpass", cutoff_hz=8000, order=5),
          "lowpass_8000_5"),
+        (AttackSpec(kind="reverberation", rt60_s=0.6), "reverberation_0.6"),
+        (AttackSpec(kind="additive_noise", noise_name="babble", snr_db=10),
+         "babble_10"),
+        (AttackSpec(kind="additive_noise", noise_name="babble", snr_db=20),
+         "babble_20"),
+        (AttackSpec(kind="additive_noise", noise_name="volvo", snr_db=0),
+         "volvo_0"),
+        (AttackSpec(kind="additive_noise", noise_name="volvo", snr_db=10),
+         "volvo_10"),
+        (AttackSpec(kind="additive_noise", noise_name="volvo", snr_db=20),
+         "volvo_20"),
+        (AttackSpec(kind="additive_noise", noise_name="white", snr_db=0),
+         "white_0"),
+        (AttackSpec(kind="additive_noise", noise_name="white", snr_db=10),
+         "white_10"),
+        (AttackSpec(kind="additive_noise", noise_name="cafe", snr_db=0),
+         "cafe_0"),
+        (AttackSpec(kind="additive_noise", noise_name="cafe", snr_db=10),
+         "cafe_10"),
+        (AttackSpec(kind="additive_noise", noise_name="cafe", snr_db=20),
+         "cafe_20"),
+        (AttackSpec(kind="additive_noise", noise_name="street", snr_db=0),
+         "street_0"),
+        (AttackSpec(kind="additive_noise", noise_name="street", snr_db=10),
+         "street_10"),
+        (AttackSpec(kind="additive_noise", noise_name="street", snr_db=20),
+         "street_20"),
+        (AttackSpec(kind="recompression", bitrate_kbps=16),
+         "recompression_16"),
+        (AttackSpec(kind="recompression", bitrate_kbps=128),
+         "recompression_128"),
+        (AttackSpec(kind="recompression", bitrate_kbps=192),
+         "recompression_192"),
+        (AttackSpec(kind="recompression", bitrate_kbps=256),
+         "recompression_256"),
+        (AttackSpec(kind="recompression", bitrate_kbps=320),
+         "recompression_320"),
+        (AttackSpec(kind="resampling", target_rate_hz=8000),
+         "resampling_8000"),
+        (AttackSpec(kind="resampling", target_rate_hz=22050),
+         "resampling_22050"),
+        (AttackSpec(kind="resampling", target_rate_hz=44100),
+         "resampling_44100"),
     ])
     def test_grammar(self, spec, tag):
         assert attack_tag(spec) == tag
@@ -599,9 +644,12 @@ class TestExecutePlan:
             assert (tmp_path / "p1" / job.output_path).read_bytes() == \
                 (tmp_path / "p4" / job.output_path).read_bytes()
 
-    @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3)])
+    # without sched_getaffinity, as on macOS, the CPUs are os.cpu_count()
+    @pytest.mark.parametrize("cpus, workers, affinity",
+                             [(2, 2, True), (8, 3, True), (2, 2, False)],
+                             ids=["2-2", "8-3", "2-2-cpu_count"])
     def test_workers_capped_at_the_cpus(self, corpus, tmp_path, monkeypatch,
-                                        cpus, workers):
+                                        cpus, workers, affinity):
         # forked runs its call inline here, so no process starts however
         # large parallelism is
         slices = []
@@ -617,8 +665,12 @@ class TestExecutePlan:
                             noises=corpus["noises"], backend=fake_codec,
                             parallelism=1)
         monkeypatch.setattr(pipeline, "forked", inline)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         got = execute_plan(jobs, corpus["audio_root"], tmp_path / "big",
                            noises=corpus["noises"], backend=fake_codec,
                            parallelism=5000)
