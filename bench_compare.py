@@ -60,13 +60,13 @@ def bench(tree, workload, seed, seconds):
 
 def host():
     """The CPUs and software stack the runs share: seeded output is
-    byte-identical on one stack only, so the versions of the libraries
-    that compute it are kept beside the interpreter's."""
+    byte-identical on one stack only, so the version of the library that
+    computes it is kept beside the interpreter's."""
     import numpy
-    import scipy
-    return {"nproc": len(os.sched_getaffinity(0)),
-            "python": sys.version.split()[0], "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)       # macOS has no sched_getaffinity
+    return {"nproc": cpus, "python": sys.version.split()[0],
+            "numpy": numpy.__version__}
 
 
 def src_lines(tree):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import io
 import os
 import secrets
+import struct
 import subprocess
 import tempfile
+import wave
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,14 @@ from .errors import (BackendInvocationFailed, CorruptFile, EmptyBuffer,
                      UnsupportedFormat)
 
 FORMATS = ("wav16", "flac")
+# (WAV format code, bytes per sample) -> (sample dtype, zero, full scale);
+# format 1 is PCM, 3 IEEE float, and 24-bit PCM is read into the top
+# three bytes of an int32
+_WAV_SAMPLES = {(1, 1): ("u1", 128.0, 128.0), (1, 2): ("<i2", 0.0, 2.0 ** 15),
+                (1, 3): ("<i4", 0.0, 2.0 ** 31), (1, 4): ("<i4", 0.0, 2.0 ** 31),
+                (3, 4): ("<f4", 0.0, 1.0), (3, 8): ("<f8", 0.0, 1.0)}
+# the SubFormat GUID of WAVE_FORMAT_EXTENSIBLE, after its format code
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 @dataclass
@@ -90,17 +99,45 @@ class CodecBackend:
             return read_audio(out_path)
 
 
-def _scale_to_float(data) -> np.ndarray:
-    if data.dtype == np.int16:
-        return data.astype(np.float64) / 32768.0
-    if data.dtype == np.int32:
-        # 24-bit PCM arrives left-justified in int32, so one divisor serves both
-        return data.astype(np.float64) / 2147483648.0
-    if data.dtype == np.uint8:
-        return (data.astype(np.float64) - 128.0) / 128.0
-    if data.dtype in (np.float32, np.float64):
-        return data.astype(np.float64)
-    raise UnsupportedFormat(f"unsupported WAV sample type {data.dtype}")
+def _read_wav(blob: bytes, path) -> AudioBuffer:
+    """A mono PCM (8, 16, 24 or 32-bit) or float (32 or 64-bit) RIFF/WAVE
+    file, plain or WAVE_FORMAT_EXTENSIBLE, scaled to [-1, 1]."""
+    chunks = {}
+    at = 12
+    while at + 8 <= len(blob) and b"data" not in chunks:
+        name = blob[at:at + 4]
+        size = int.from_bytes(blob[at + 4:at + 8], "little")
+        body = blob[at + 8:at + 8 + size]
+        if len(body) < size:
+            raise CorruptFile(f"{path}: {name!r} chunk of {size} bytes is "
+                              f"cut short at {len(body)}")
+        chunks.setdefault(name, body)
+        at += 8 + size + size % 2
+    fmt, data = chunks.get(b"fmt "), chunks.get(b"data")
+    if fmt is None or len(fmt) < 16 or data is None:
+        raise CorruptFile(f"{path}: no complete fmt chunk before a data chunk")
+    code, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if code == 0xFFFE and fmt[28:40] == _SUBFORMAT_TAIL:
+        code = int.from_bytes(fmt[24:28], "little")
+    if code not in (1, 3):
+        raise UnsupportedFormat(
+            f"{path}: WAV format code {code:#x} is neither PCM nor float")
+    if channels != 1:
+        raise (MultichannelInput if channels else CorruptFile)(
+            f"{path}: {channels} channels, only mono is supported")
+    if (code, align) not in _WAV_SAMPLES:
+        raise UnsupportedFormat(
+            f"{path}: unsupported {bits}-bit samples in {align}-byte frames")
+    if len(data) % align:
+        raise CorruptFile(f"{path}: data chunk ends inside a sample")
+    dtype, zero, scale = _WAV_SAMPLES[code, align]
+    if align == 3:
+        data = np.pad(np.frombuffer(data, np.uint8).reshape(-1, 3),
+                      ((0, 0), (1, 0)))
+    samples = np.frombuffer(data, dtype)
+    if code == 3 and not np.isfinite(samples).all():
+        raise CorruptFile(f"{path}: float samples include NaN or infinity")
+    return AudioBuffer((samples.astype(np.float64) - zero) / scale, rate)
 
 
 def read_audio(path) -> AudioBuffer:
@@ -112,21 +149,7 @@ def read_audio(path) -> AudioBuffer:
         raise IoFailure(f"cannot read {path}: {e}") from e
 
     if blob[:4] == b"RIFF" and blob[8:12] == b"WAVE":
-        from scipy.io import wavfile
-        try:
-            rate, data = wavfile.read(io.BytesIO(blob))
-        except ValueError as e:
-            if "nknown wave file format" in str(e):
-                raise UnsupportedFormat(f"{path}: {e}") from e
-            raise CorruptFile(f"{path}: {e}") from e
-        except Exception as e:
-            raise CorruptFile(f"{path}: {e}") from e
-        if data.ndim != 1:
-            raise MultichannelInput(
-                f"{path}: {data.shape[1]} channels, only mono is supported")
-        if data.dtype.kind == "f" and not np.isfinite(data).all():
-            raise CorruptFile(f"{path}: float samples include NaN or infinity")
-        return AudioBuffer(_scale_to_float(data), rate)
+        return _read_wav(blob, path)
 
     if blob[:4] == b"fLaC" or blob[:3] == b"ID3":
         samples, rate, bps = flacio.decode_flac(blob)
@@ -155,8 +178,11 @@ def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
     try:
         with open(tmp, "xb") as fh:
             if format == "wav16":
-                from scipy.io import wavfile
-                wavfile.write(fh, buf.sample_rate_hz, q.astype("<i2"))
+                with wave.open(fh, "wb") as w:
+                    w.setnchannels(1)
+                    w.setsampwidth(2)
+                    w.setframerate(buf.sample_rate_hz)
+                    w.writeframes(q.astype("<i2").tobytes())
             else:
                 fh.write(flacio.encode_flac(q, buf.sample_rate_hz))
         os.replace(tmp, path)

@@ -107,9 +107,8 @@ def _read_scored(args):
 def _write_summary(path, items):
     """key=value lines of items, then the software stack: seeded output is
     byte-identical, and metrics bit-identical, on one stack only."""
-    import scipy
     items = [*items, ("python", platform.python_version()),
-             ("numpy", np.__version__), ("scipy", scipy.__version__)]
+             ("numpy", np.__version__)]
     Path(path).write_text("".join(f"{key}={value}\n" for key, value in items))
 
 

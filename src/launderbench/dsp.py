@@ -5,6 +5,9 @@ Five attack families, spelled out only in ATTACK_GRID: reverberation
 target SNR, lossy recompression through a codec round trip, resampling
 round trips, and Butterworth lowpass filtering.  Each transform is a pure
 function of its inputs; randomness enters only through integer seeds.
+The transforms are numpy's FFTs and einsum loops, never BLAS calls, so
+their bits do not depend on the BLAS thread count; they compute what
+scipy.signal's fftconvolve, resample_poly and sosfilt do, up to rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer, read_audio, rms_power
 from .errors import (InvalidParameter, NoiseAssetMissing, RateMismatch,
@@ -32,6 +36,7 @@ LOWPASS_CUTOFF_HZ = 8000
 LOWPASS_ORDER = 5
 NOISE_RATE_HZ = 16000
 LOADABLE_NOISES = ("babble", "volvo", "cafe", "street")
+_FILTER_BLOCK = 64          # samples per step of the block IIR form
 
 # kind -> parameter -> allowed values, in plan order; attack_specs draws
 # one value per parameter (noise_name fans out over all its values)
@@ -159,12 +164,21 @@ def synthesize_rir(rt60_s: float, fs_hz: int, seed: int) -> AudioBuffer:
     return AudioBuffer(h, fs_hz)
 
 
+def _fft_size(n: int) -> int:
+    """The least 2**a * 3**b * 5**c >= n, the FFT length of a linear
+    convolution of n samples (scipy.fft.next_fast_len(n, real=True))."""
+    odd = (3 ** i * 5 ** j for i in range(n.bit_length())
+           for j in range(n.bit_length()))
+    return min(t << (-(-n // t) - 1).bit_length() for t in odd if t < 2 * n)
+
+
 def apply_reverberation(x: AudioBuffer, rt60_s: float, seed: int) -> AudioBuffer:
     rir = synthesize_rir(rt60_s, x.sample_rate_hz, seed)
     if len(x) == 0:
         return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
-    from scipy.signal import fftconvolve
-    y = fftconvolve(x.samples, rir.samples)[:len(x)]
+    size = _fft_size(len(x) + len(rir) - 1)
+    y = np.fft.irfft(np.fft.rfft(x.samples, size)
+                     * np.fft.rfft(rir.samples, size), size)[:len(x)]
     peak_in = np.max(np.abs(x.samples))
     peak_out = np.max(np.abs(y))
     if peak_out > peak_in and peak_out > 0:
@@ -250,16 +264,52 @@ def design_butterworth_lowpass(order: int, cutoff_hz: float,
     return FilterCoefficients(tuple(sections))
 
 
+@lru_cache(maxsize=16)
+def _block_form(sections: tuple) -> tuple:
+    """The cascade stepped L = _FILTER_BLOCK samples at a time: a block x
+    entered in state s leaves y = x @ t + s @ o and the next block enters
+    in s @ a + x @ k, s holding each section's two transposed direct
+    form II states.  The four are read off L + 2*len(sections) runs of
+    one block, stepped together: a unit impulse at each time from rest,
+    then each unit state without input."""
+    n = 2 * len(sections)
+    x = np.vstack([np.eye(_FILTER_BLOCK), np.zeros((n, _FILTER_BLOCK))])
+    s = np.vstack([np.zeros((_FILTER_BLOCK, n)), np.eye(n)])
+    y = np.empty_like(x)
+    for i in range(_FILTER_BLOCK):
+        u = x[:, i]
+        for m, (b0, b1, b2, a1, a2) in enumerate(sections):
+            out = b0 * u + s[:, 2 * m]
+            s[:, 2 * m:2 * m + 2] = np.stack(
+                [b1 * u - a1 * out + s[:, 2 * m + 1], b2 * u - a2 * out], 1)
+            u = out
+        y[:, i] = u
+    return y[:_FILTER_BLOCK], y[_FILTER_BLOCK:], s[_FILTER_BLOCK:], \
+        s[:_FILTER_BLOCK]
+
+
 def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
+    """Run the cascade from rest over x, a block of samples at a time."""
     if not c.is_stable():
         raise UnstableFilter("filter has poles on or outside the unit circle")
-    sos = np.array([[b0, b1, b2, 1.0, a1, a2]
-                    for b0, b1, b2, a1, a2 in c.sections])
     if len(x) == 0:
         return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
-    from scipy.signal import sosfilt
-    y = sosfilt(sos, x.samples)
-    return AudioBuffer(y, x.sample_rate_hz)
+    t, o, a, k = _block_form(tuple(map(tuple, c.sections)))
+    blocks = -(-len(x) // _FILTER_BLOCK)
+    xb = np.zeros(blocks * _FILTER_BLOCK)
+    xb[:len(x)] = x.samples
+    xb = xb.reshape(blocks, _FILTER_BLOCK)
+    # the state entering block j is the sum over i < j of
+    # xb[i] @ k @ a^(j-1-i): a prefix scan, by doubling
+    s = np.zeros((blocks, len(a)))
+    s[1:] = np.einsum("bi,im->bm", xb[:-1], k)
+    step = 1
+    while step < blocks:
+        s[step:] += np.einsum("bi,im->bm", s[:-step], a)
+        a = np.einsum("ij,jm->im", a, a)
+        step *= 2
+    y = np.einsum("bi,ij->bj", xb, t) + np.einsum("bm,mj->bj", s, o)
+    return AudioBuffer(y.reshape(-1)[:len(x)], x.sample_rate_hz)
 
 
 def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
@@ -267,19 +317,39 @@ def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
     return np.pad(samples[:n], (0, max(0, n - len(samples))))
 
 
-@lru_cache(maxsize=64)
 def _resample_kernel(up: int, down: int) -> np.ndarray:
-    # designed at the upsampled rate: passband 0.9/max, stopband 1/max,
-    # 80 dB of stopband attenuation
-    from scipy.signal import firwin, kaiserord
+    """Kaiser-window lowpass designed at the upsampled rate, as
+    scipy.signal's kaiserord and firwin give it: 80 dB of stopband
+    attenuation over a transition 0.1/max(up, down) of Nyquist wide, cut
+    off at 0.95/max(up, down), an odd tap count and unit DC gain."""
     cutoff = 1.0 / max(up, down)
-    numtaps, beta = kaiserord(80.0, 0.1 * cutoff)
-    numtaps |= 1
-    return firwin(numtaps, 0.95 * cutoff, window=("kaiser", beta))
+    width = 0.1 * cutoff
+    numtaps = math.ceil((80.0 - 7.95) / 2.285 / (math.pi * width) + 1) | 1
+    beta = 0.1102 * (80.0 - 8.7)
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    h = 0.95 * cutoff * np.sinc(0.95 * cutoff * m)
+    h *= np.kaiser(numtaps, beta)
+    return h / np.sum(h)
+
+
+@lru_cache(maxsize=64)
+def _phases(up: int, down: int) -> tuple:
+    """The kernel (times up) split into its up phases, as
+    scipy.signal.resample_poly applies it centred and zero-padded:
+    output o is taps[r] . x[q-n+1 : q+1], with q, r = divmod(o * down +
+    half, up) and x zero outside the signal.  Returns (half, taps)."""
+    h = _resample_kernel(up, down) * up
+    n = -(-len(h) // up)                        # taps per phase
+    taps = np.zeros(n * up)
+    taps[:len(h)] = h
+    return (len(h) - 1) // 2, taps.reshape(n, up).T[:, ::-1].copy()
 
 
 def resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
-    """Polyphase rational-ratio resampling with a Kaiser anti-alias filter."""
+    """Polyphase rational-ratio resampling with a Kaiser anti-alias filter:
+    the first round(len(x) * ratio) samples of resample_poly's output.
+    Outputs o and o + up share a phase and read inputs down apart, so
+    each phase is one einsum over a strided view of input windows."""
     if target_rate_hz <= 0:
         raise InvalidParameter(
             f"target rate must be positive, got {target_rate_hz}")
@@ -287,14 +357,22 @@ def resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     if target_rate_hz == source:
         return AudioBuffer(x.samples.copy(), source)
     ratio = Fraction(int(target_rate_hz), int(source))
+    up, down = ratio.numerator, ratio.denominator
     n_out = round(Fraction(len(x)) * ratio)
-    if len(x) == 0:
+    if n_out == 0:
         return AudioBuffer(np.zeros(0), target_rate_hz)
-    h = _resample_kernel(ratio.numerator, ratio.denominator)
-    from scipy.signal import resample_poly
-    y = resample_poly(x.samples, ratio.numerator, ratio.denominator,
-                      window=h)
-    return AudioBuffer(fit_length(y, n_out), target_rate_hz)
+    half, taps = _phases(up, down)
+    n = taps.shape[1]
+    last = ((n_out - 1) * down + half) // up    # the last input read
+    padded = np.zeros(n - 1 + max(len(x), last + 1))
+    padded[n - 1:n - 1 + len(x)] = x.samples
+    windows = sliding_window_view(padded, n)    # windows[q] ends at x[q]
+    y = np.empty(n_out)
+    for j in range(min(up, n_out)):
+        q, r = divmod(j * down + half, up)
+        y[j::up] = np.einsum("mi,i->m", windows[q::down][:len(y[j::up])],
+                             taps[r])
+    return AudioBuffer(y, target_rate_hz)
 
 
 def launder_resample(x: AudioBuffer, target_rate_hz: int) -> AudioBuffer:

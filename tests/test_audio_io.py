@@ -26,6 +26,19 @@ def make_wav(path, payload, bits=16, fmt=1, channels=1, rate=16000):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
+def make_extensible_wav(path, payload, bits, subformat, rate=16000):
+    """A mono WAVE_FORMAT_EXTENSIBLE file whose SubFormat GUID carries
+    the format code subformat."""
+    block = bits // 8
+    guid = (struct.pack("<I", subformat)
+            + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+    fmtc = struct.pack("<HHIIHHHHI", 0xFFFE, 1, rate, rate * block, block,
+                       bits, 22, bits, 4) + guid
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmtc)) + fmtc
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
 class TestAudioBuffer:
     def test_duration(self):
         buf = AudioBuffer(np.zeros(8000), 16000)
@@ -133,6 +146,101 @@ class TestScaling:
         assert buf.samples[0] == 0.0
         assert buf.samples[1] == pytest.approx(127 / 128)
         assert buf.samples[2] == -1.0
+
+
+def scipy_scaled(path):
+    """scipy.io.wavfile's reading of path, scaled to [-1, 1] by the rule
+    read_audio has always applied to it."""
+    from scipy.io import wavfile
+    rate, data = wavfile.read(path)
+    divisor = {np.dtype(np.int16): 32768.0,
+               np.dtype(np.int32): 2147483648.0}.get(data.dtype)
+    if data.dtype == np.uint8:
+        return rate, (data.astype(np.float64) - 128.0) / 128.0
+    if divisor:
+        return rate, data.astype(np.float64) / divisor
+    return rate, data.astype(np.float64)
+
+
+WAV_FORMATS = [  # (bits, format code, sample dtype)
+    (8, 1, "u1"), (16, 1, "<i2"), (24, 1, None), (32, 1, "<i4"),
+    (32, 3, "<f4"), (64, 3, "<f8")]
+
+
+def wav_payload(bits, dtype, n=999):
+    rng = np.random.default_rng(bits)
+    if bits == 24:
+        return rng.integers(0, 256, 3 * n, dtype=np.uint8).tobytes()
+    if dtype[1] == "f":
+        return rng.uniform(-1, 1, n).astype(dtype).tobytes()
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, n, endpoint=True,
+                        dtype=dtype).tobytes()
+
+
+class TestWavOracle:
+    """The RIFF reader against scipy.io.wavfile, which it replaces, on
+    every format these tests build, plain and WAVE_FORMAT_EXTENSIBLE."""
+
+    @pytest.mark.parametrize("extensible", [False, True],
+                             ids=["plain", "extensible"])
+    @pytest.mark.parametrize("bits,code,dtype", WAV_FORMATS,
+                             ids=[f"{'pcm' if c == 1 else 'float'}{b}"
+                                  for b, c, _ in WAV_FORMATS])
+    def test_matches_scipy(self, tmp_path, bits, code, dtype, extensible):
+        path = tmp_path / "w.wav"
+        payload = wav_payload(bits, dtype)
+        if extensible:
+            make_extensible_wav(path, payload, bits, code, rate=22050)
+        else:
+            make_wav(path, payload, bits=bits, fmt=code, rate=22050)
+        rate, want = scipy_scaled(path)
+        got = read_audio(path)
+        assert got.sample_rate_hz == rate == 22050
+        assert got.samples.dtype == np.float64
+        assert np.array_equal(got.samples, want)
+
+    def test_written_wav16_matches_scipy(self, tmp_path):
+        x = np.random.default_rng(3).uniform(-1.1, 1.1, 12345)
+        write_audio(AudioBuffer(x, 44100), tmp_path / "a.wav", "wav16")
+        rate, want = scipy_scaled(tmp_path / "a.wav")
+        assert rate == 44100
+        assert np.array_equal(read_audio(tmp_path / "a.wav").samples, want)
+
+    def test_chunks_before_data_are_skipped_with_padding(self, tmp_path):
+        path = tmp_path / "w.wav"
+        make_wav(path, struct.pack("<hh", 16384, -16384))
+        blob = path.read_bytes()
+        odd = b"LIST" + struct.pack("<I", 3) + b"abc\x00"   # one pad byte
+        at = blob.index(b"data")
+        blob = blob[:at] + odd + blob[at:]
+        path.write_bytes(blob[:4] + struct.pack("<I", len(blob) - 8)
+                         + blob[8:])
+        assert read_audio(path).samples.tolist() == [0.5, -0.5]
+
+    def test_unknown_extensible_subformat(self, tmp_path):
+        make_extensible_wav(tmp_path / "w.wav", b"\x00" * 8, 16, 0x11)
+        with pytest.raises(UnsupportedFormat):
+            read_audio(tmp_path / "w.wav")
+
+    @pytest.mark.parametrize("bits,code", [(16, 3), (64, 1), (40, 1)])
+    def test_unsupported_sample_width(self, tmp_path, bits, code):
+        make_wav(tmp_path / "w.wav", b"\x00" * 40, bits=bits, fmt=code)
+        with pytest.raises(UnsupportedFormat):
+            read_audio(tmp_path / "w.wav")
+
+    @pytest.mark.parametrize("cut", ["data", "sample", "fmt", "no_data"])
+    def test_damaged_file_is_corrupt(self, tmp_path, cut):
+        path = tmp_path / "w.wav"
+        make_wav(path, struct.pack("<hhh", 1, 2, 3))
+        blob = path.read_bytes()
+        blob = {"data": blob[:-2],                  # data chunk cut short
+                "sample": blob[:-10] + struct.pack("<I", 5) + blob[-6:-1],
+                "fmt": blob[:16] + struct.pack("<I", 12) + blob[20:32],
+                "no_data": blob[:36]}[cut]
+        path.write_bytes(blob)
+        with pytest.raises(CorruptFile, match=str(path)):
+            read_audio(path)
 
 
 class TestClipping:
@@ -246,16 +354,15 @@ class TestAtomicWrite:
 
     def test_write_failing_mid_file_leaves_earlier_file(self, tmp_path,
                                                         monkeypatch):
-        from scipy.io import wavfile
         dest = tmp_path / "a.wav"
         write_audio(AudioBuffer(np.zeros(100), 16000), dest, "wav16")
         before = dest.read_bytes()
 
-        def half_then_fail(fh, rate, data):
-            fh.write(b"RIFF\x00\x00")
+        def half_then_fail(self, data):
+            self._file.write(b"RIFF\x00\x00")
             raise OSError("disk full")
 
-        monkeypatch.setattr(wavfile, "write", half_then_fail)
+        monkeypatch.setattr(wave.Wave_write, "writeframes", half_then_fail)
         with pytest.raises(IoFailure, match="disk full"):
             write_audio(AudioBuffer(np.ones(100) / 2, 16000), dest, "wav16")
         assert [p.name for p in tmp_path.iterdir()] == ["a.wav"]

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy
 import pytest
-import scipy
 
 _spec = importlib.util.spec_from_file_location(
     "bench_compare", Path(__file__).resolve().parents[1] / "bench_compare.py")
@@ -66,7 +65,16 @@ def test_host_records_the_software_stack():
     host = bench_compare.host()
     assert host.pop("nproc") >= 1
     assert host == {"python": platform.python_version(),
-                    "numpy": numpy.__version__, "scipy": scipy.__version__}
+                    "numpy": numpy.__version__}
+
+
+def test_host_counts_cpus_without_sched_getaffinity(monkeypatch):
+    # macOS has no os.sched_getaffinity; the comparison must still start
+    monkeypatch.delattr(bench_compare.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(bench_compare.os, "cpu_count", lambda: 3)
+    assert bench_compare.host()["nproc"] == 3
+    monkeypatch.setattr(bench_compare.os, "cpu_count", lambda: None)
+    assert bench_compare.host()["nproc"] == 1
 
 
 def test_src_lines_counts_each_tree(tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy
 
 from launderbench import cli, flacio, pipeline, protocol
 from launderbench.audio import AudioBuffer, write_audio
@@ -147,7 +146,7 @@ class TestLaunder:
         assert summary["backend"] == "external"
         assert summary["python"] == platform.python_version()
         assert summary["numpy"] == np.__version__
-        assert summary["scipy"] == scipy.__version__
+        assert "scipy" not in summary
         assert summary["manifest_total"] == "10"
         assert summary["manifest_bonafide"] == "5"
         assert summary["manifest_spoof"] == "5"
@@ -747,8 +746,7 @@ class TestReport:
             "trials_kept=10\nunscored_trials=0\norphan_scores=0\n"
             "skipped_cells=0\njoin=strict\ninvert_scores=False\n"
             "c_miss=1.0\nc_fa=10.0\npi_spoof=0.05\n"
-            f"python={platform.python_version()}\nnumpy={np.__version__}\n"
-            f"scipy={scipy.__version__}\n")
+            f"python={platform.python_version()}\nnumpy={np.__version__}\n")
 
     def test_summary_counts_intersect_drops(self, tmp_path):
         manifest, scores = self.fixture(tmp_path)
@@ -769,12 +767,11 @@ class TestReport:
         assert {k: summary[k] for k in (
             "trials_kept", "unscored_trials", "orphan_scores",
             "skipped_cells", "join", "invert_scores", "c_fa", "python",
-            "numpy", "scipy")} == {
+            "numpy")} == {
             "trials_kept": "8", "unscored_trials": "2", "orphan_scores": "1",
             "skipped_cells": "4", "join": "intersect",
             "invert_scores": "True", "c_fa": "5.0",
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "python": platform.python_version(), "numpy": np.__version__}
         assert len((out / "report_skipped.txt").read_text().splitlines()) \
             == 4
 
@@ -1024,7 +1021,81 @@ class TestForkedScores:
             self.run("evaluate", manifest, scores, out)
 
 
+def fresh_python(code, env_update=None, drop=()):
+    """Run code in a fresh interpreter that imports this package."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]),
+         env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    env.update(env_update or {})
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def speech_like(rng, seconds=3.0, rate=16000):
+    """Harmonics of a gliding pitch, gated into syllables, over a little
+    noise: a source long enough that the transforms' products are large."""
+    t = np.arange(int(seconds * rate)) / rate
+    f0 = 120.0 + 30.0 * np.sin(2 * np.pi * 0.7 * t)
+    phase = 2 * np.pi * np.cumsum(f0) / rate
+    voiced = sum(np.sin(k * phase) / k for k in range(1, 12))
+    gate = np.sin(2 * np.pi * 3.0 * t) ** 2
+    x = voiced * gate + 0.05 * rng.standard_normal(len(t))
+    return 0.5 * x / np.abs(x).max()
+
+
 class TestImports:
+    def test_launder_loads_no_scipy(self, tmp_path):
+        corpus = write_corpus(tmp_path)
+        argv = launder_argv(corpus, tmp_path / "out",
+                            ["--jobs", "1", "--fraction", "1.0"])
+        done = fresh_python(
+            "import sys\n"
+            "from launderbench import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+        assert done.returncode == 0, done.stderr
+        assert len(list((tmp_path / "out").rglob("*.flac"))) == 90
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # one BLAS thread against the library's default (a thread per CPU):
+        # the FLAC bytes, and the float outputs of the transforms on a
+        # longer 44.1 kHz signal, whose products are larger still
+        corpus = write_corpus(tmp_path, n_files=2)
+        rng = np.random.default_rng(8)
+        for i in range(2):
+            write_audio(AudioBuffer(speech_like(rng), 16000),
+                        corpus["audio_root"] / f"u{i:04d}.flac")
+        outputs = {}
+        for threads in ("1", None):
+            out = tmp_path / f"out-{threads}"
+            argv = launder_argv(corpus, out,
+                                ["--jobs", "1", "--fraction", "1.0"])
+            done = fresh_python(
+                "import hashlib\n"
+                "import numpy as np\n"
+                "from launderbench import cli, dsp\n"
+                "from launderbench.audio import AudioBuffer\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "x = AudioBuffer(np.random.default_rng(0).uniform("
+                "-0.5, 0.5, 20 * 44100), 44100)\n"
+                "c = dsp.design_butterworth_lowpass(5, 8000, 44100)\n"
+                "ys = [dsp.apply_reverberation(x, 0.9, 1), "
+                "dsp.apply_filter(x, c)]\n"
+                "ys += [dsp.launder_resample(x, rate) "
+                "for rate in dsp.TARGET_RATE_CHOICES]\n"
+                "print(hashlib.sha256(b''.join(y.samples.tobytes() "
+                "for y in ys)).hexdigest())\n",
+                {"OPENBLAS_NUM_THREADS": threads} if threads else None,
+                drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+            assert done.returncode == 0, done.stderr
+            outputs[threads] = done.stdout, {
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                if p.suffix in (".flac", ".manifest")}
+        assert len(outputs["1"][1]) == 19
+        assert outputs["1"] == outputs[None]
+
     def test_scoring_leaves_scipy_signal_unloaded(self, tmp_path):
         manifest, scores = write_eval_fixture(tmp_path)
         code = ("import sys\n"
@@ -1034,12 +1105,7 @@ class TestImports:
                 "assert rc == 0, rc\n"
                 "assert 'scipy.signal' not in sys.modules\n"
                 "assert 'scipy.io' not in sys.modules\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = fresh_python(code)
         assert done.returncode == 0, done.stderr
 
 

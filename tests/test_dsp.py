@@ -2,10 +2,12 @@
 the attack dispatcher, and the imports that keep attack kinds in dsp."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy import signal as sps
 
 from launderbench import audio, dsp, pipeline
@@ -133,6 +135,21 @@ class TestAttackKindsLiveInDsp:
     def test_pipeline_imports_neither_grid_nor_spec(self):
         names = {name for _, name in imported_names(pipeline)}
         assert not names & {"ATTACK_GRID", "AttackSpec"}
+
+
+def test_program_imports_no_scipy():
+    # scipy is the tests' oracle only; the program runs on numpy alone
+    for path in sorted(Path(dsp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], \
+                (path.name, names)
 
 
 class TestRir:
@@ -543,3 +560,124 @@ class TestApplyAttack:
             y = apply_attack(x, spec, 8)
             assert len(y) == len(x)
             assert y.sample_rate_hz == x.sample_rate_hz
+
+
+# ---------------------------------------------------------- scipy as oracle
+
+def speech_like(seed, n):
+    """A seeded order-2 resonance driven by noise under a syllable-rate
+    envelope, peak 0.5."""
+    x = sps.lfilter([1.0], [1.0, -1.8, 0.9],
+                    np.random.default_rng(seed).standard_normal(n))
+    x *= 0.5 + 0.5 * np.sin(np.linspace(0, 12 * np.pi, n)) ** 2
+    return 0.5 * x / np.abs(x).max()
+
+
+def white(seed, n):
+    x = np.random.default_rng(seed).standard_normal(n)
+    return 0.5 * x / np.abs(x).max()
+
+
+def seconds_of(make, seed, rate):
+    """Three seconds and a few samples, so no block or period divides it."""
+    return make(seed, 3 * rate + 37)
+
+
+def quantized(y):
+    """The 16-bit samples that write_audio stores for y."""
+    return np.clip(np.rint(y * 32768.0), -32768, 32767)
+
+
+def assert_matches_oracle(got, want, atol):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= atol
+    assert np.array_equal(quantized(got), quantized(want))
+
+
+def scipy_kernel(up, down):
+    cutoff = 1.0 / max(up, down)
+    numtaps, beta = sps.kaiserord(80.0, 0.1 * cutoff)
+    return sps.firwin(numtaps | 1, 0.95 * cutoff, window=("kaiser", beta))
+
+
+SIGNALS = pytest.mark.parametrize("make", [speech_like, white],
+                                  ids=["speech", "white"])
+# the grid's lowpass where it bites and where it is clamped, then others
+LOWPASS_DESIGNS = [(dsp.LOWPASS_ORDER, dsp.LOWPASS_CUTOFF_HZ, fs)
+                   for fs in (16000, 22050, 44100)] + [
+    (4, 1000, 16000), (2, 3400, 8000), (8, 300, 44100), (3, 5000, 22050)]
+
+
+class TestScipyOracle:
+    """The numpy transforms against the scipy.signal calls they replace:
+    within a stated float tolerance, and equal after the 16-bit
+    quantization that write_audio applies."""
+
+    @pytest.mark.parametrize("rate", dsp.TARGET_RATE_CHOICES)
+    def test_resample_kernel(self, rate):
+        for source, target in ((16000, rate), (rate, 16000)):
+            ratio = Fraction(target, source)
+            up, down = ratio.numerator, ratio.denominator
+            want = scipy_kernel(up, down)
+            got = dsp._resample_kernel(up, down)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_fft_size(self):
+        for n in [*range(1, 2000), 48000 + 14399, 10 ** 6 + 1]:
+            assert dsp._fft_size(n) == sp_fft.next_fast_len(n, real=True)
+
+    @SIGNALS
+    @pytest.mark.parametrize("rt60", dsp.RT60_CHOICES)
+    def test_reverberation(self, make, rt60):
+        x = seconds_of(make, 1, 16000)
+        want = sps.fftconvolve(
+            x, synthesize_rir(rt60, 16000, 7).samples)[:len(x)]
+        if np.max(np.abs(want)) > np.max(np.abs(x)):
+            want *= np.max(np.abs(x)) / np.max(np.abs(want))
+        got = apply_reverberation(AudioBuffer(x, 16000), rt60, 7)
+        assert_matches_oracle(got.samples, want, 1e-13)
+
+    @SIGNALS
+    @pytest.mark.parametrize("rate", dsp.TARGET_RATE_CHOICES)
+    def test_resampling_to_and_from(self, make, rate):
+        for source, target in ((16000, rate), (rate, 16000)):
+            x = seconds_of(make, 2, source)
+            ratio = Fraction(target, source)
+            want = sps.resample_poly(
+                x, ratio.numerator, ratio.denominator,
+                window=scipy_kernel(ratio.numerator, ratio.denominator))
+            got = resample(AudioBuffer(x, source), target)
+            assert got.sample_rate_hz == target
+            assert_matches_oracle(got.samples,
+                                  want[:round(len(x) * ratio)], 1e-14)
+
+    @SIGNALS
+    @pytest.mark.parametrize("order,cutoff,fs", LOWPASS_DESIGNS)
+    def test_apply_filter(self, make, order, cutoff, fs):
+        if cutoff >= fs / 2:
+            with pytest.warns(UserWarning, match="clamped"):
+                c = design_butterworth_lowpass(order, cutoff, fs)
+        else:
+            c = design_butterworth_lowpass(order, cutoff, fs)
+        x = seconds_of(make, 3, fs)
+        want = sps.sosfilt([[b0, b1, b2, 1.0, a1, a2]
+                            for b0, b1, b2, a1, a2 in c.sections], x)
+        got = apply_filter(AudioBuffer(x, fs), c)
+        assert_matches_oracle(got.samples, want, 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1000])
+    def test_short_signals(self, n):
+        x = white(4, n)
+        c = design_butterworth_lowpass(4, 1000, 16000)
+        want = sps.sosfilt([[b0, b1, b2, 1.0, a1, a2]
+                            for b0, b1, b2, a1, a2 in c.sections], x)
+        assert_matches_oracle(apply_filter(AudioBuffer(x, 16000), c).samples,
+                              want, 1e-12)
+        for target in dsp.TARGET_RATE_CHOICES:
+            ratio = Fraction(target, 16000)
+            want = sps.resample_poly(
+                x, ratio.numerator, ratio.denominator,
+                window=scipy_kernel(ratio.numerator, ratio.denominator))
+            got = resample(AudioBuffer(x, 16000), target).samples
+            assert_matches_oracle(got, want[:round(n * ratio)], 1e-14)
