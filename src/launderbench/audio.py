@@ -101,14 +101,19 @@ class CodecBackend:
 
 def _read_wav(blob: bytes, path) -> AudioBuffer:
     """A mono PCM (8, 16, 24 or 32-bit) or float (32 or 64-bit) RIFF/WAVE
-    file, plain or WAVE_FORMAT_EXTENSIBLE, scaled to [-1, 1]."""
+    file, plain or WAVE_FORMAT_EXTENSIBLE, scaled to [-1, 1].  A data
+    chunk that claims more bytes than the file holds, as one written to a
+    pipe (size 0xFFFFFFFF) or cut off mid-recording does, is read to its
+    last whole sample, as scipy.io.wavfile reads it; any other chunk cut
+    short makes the file corrupt."""
     chunks = {}
     at = 12
     while at + 8 <= len(blob) and b"data" not in chunks:
         name = blob[at:at + 4]
         size = int.from_bytes(blob[at + 4:at + 8], "little")
         body = blob[at + 8:at + 8 + size]
-        if len(body) < size:
+        short = len(body) < size
+        if short and name != b"data":
             raise CorruptFile(f"{path}: {name!r} chunk of {size} bytes is "
                               f"cut short at {len(body)}")
         chunks.setdefault(name, body)
@@ -128,8 +133,10 @@ def _read_wav(blob: bytes, path) -> AudioBuffer:
     if (code, align) not in _WAV_SAMPLES:
         raise UnsupportedFormat(
             f"{path}: unsupported {bits}-bit samples in {align}-byte frames")
-    if len(data) % align:
+    # the loop ends at the data chunk, so short says whether it was cut
+    if len(data) % align and not short:
         raise CorruptFile(f"{path}: data chunk ends inside a sample")
+    data = data[:len(data) - len(data) % align]
     dtype, zero, scale = _WAV_SAMPLES[code, align]
     if align == 3:
         data = np.pad(np.frombuffer(data, np.uint8).reshape(-1, 3),

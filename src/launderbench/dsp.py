@@ -37,6 +37,7 @@ LOWPASS_ORDER = 5
 NOISE_RATE_HZ = 16000
 LOADABLE_NOISES = ("babble", "volvo", "cafe", "street")
 _FILTER_BLOCK = 64          # samples per step of the block IIR form
+_FILTER_ROWS = 4096         # blocks per product, 2 MB of float64 samples
 
 # kind -> parameter -> allowed values, in plan order; attack_specs draws
 # one value per parameter (noise_name fans out over all its values)
@@ -296,19 +297,29 @@ def apply_filter(x: AudioBuffer, c: FilterCoefficients) -> AudioBuffer:
         return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
     t, o, a, k = _block_form(tuple(map(tuple, c.sections)))
     blocks = -(-len(x) // _FILTER_BLOCK)
-    xb = np.zeros(blocks * _FILTER_BLOCK)
-    xb[:len(x)] = x.samples
-    xb = xb.reshape(blocks, _FILTER_BLOCK)
+    spans = [(r, min(r + _FILTER_ROWS, blocks))
+             for r in range(0, blocks, _FILTER_ROWS)]
+
+    def rows(r0, r1):               # blocks r0 to r1 - 1, the last padded
+        part = x.samples[r0 * _FILTER_BLOCK:r1 * _FILTER_BLOCK]
+        return fit_length(part, (r1 - r0) * _FILTER_BLOCK).reshape(
+            -1, _FILTER_BLOCK)
+
     # the state entering block j is the sum over i < j of
-    # xb[i] @ k @ a^(j-1-i): a prefix scan, by doubling
-    s = np.zeros((blocks, len(a)))
-    s[1:] = np.einsum("bi,im->bm", xb[:-1], k)
+    # block i @ k @ a^(j-1-i): a prefix scan, by doubling
+    s = np.zeros((blocks + 1, len(a)))
+    for r0, r1 in spans:
+        s[r0 + 1:r1 + 1] = np.einsum("bi,im->bm", rows(r0, r1), k)
+    s = s[:blocks]
     step = 1
     while step < blocks:
         s[step:] += np.einsum("bi,im->bm", s[:-step], a)
         a = np.einsum("ij,jm->im", a, a)
         step *= 2
-    y = np.einsum("bi,ij->bj", xb, t) + np.einsum("bm,mj->bj", s, o)
+    y = np.empty((blocks, _FILTER_BLOCK))
+    for r0, r1 in spans:
+        np.einsum("bi,ij->bj", rows(r0, r1), t, out=y[r0:r1])
+        y[r0:r1] += np.einsum("bm,mj->bj", s[r0:r1], o)
     return AudioBuffer(y.reshape(-1)[:len(x)], x.sample_rate_hz)
 
 

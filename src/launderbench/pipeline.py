@@ -11,9 +11,9 @@ Execution runs one task per source: the source is read once, and its
 attacks and writes run in plan order on that one decoded buffer.  A
 failed read fails exactly that source's jobs; a failed attack or write
 fails only its own job.  With more than one source and parallelism
-above 1, the sources are dealt by file size to worker processes started
-by forked, the program's one way to run work in a child; otherwise they
-run inline, in the calling process, on the same code path.
+above 1, the sources are dealt in fixed slices to worker processes
+started by forked, the program's one way to run work in a child;
+otherwise they run inline, in the calling process, on the same code path.
 """
 
 from __future__ import annotations
@@ -193,24 +193,6 @@ def forked(call, died):
         os.waitpid(pid, 0)
 
 
-def _deal(groups, audio_root, workers):
-    """groups in workers shares of about equal source bytes: largest
-    first, each to the least loaded share (the first on a tie), each
-    share in first-seen order; a source that cannot be stat'ed counts 0."""
-    sizes = []
-    for path, _ in groups:
-        try:
-            sizes.append((audio_root / path).stat().st_size)
-        except (OSError, ValueError):       # ValueError: a NUL in the path
-            sizes.append(0)
-    loads, shares = [0] * workers, [[] for _ in range(workers)]
-    for g in sorted(range(len(groups)), key=lambda g: -sizes[g]):
-        w = loads.index(min(loads))
-        loads[w] += sizes[g]
-        shares[w].append(g)
-    return [[groups[g] for g in sorted(share)] for share in shares]
-
-
 def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
                  parallelism: int = 4) -> AugmentReport:
     """Run jobs against audio under audio_root, writing FLAC to out_dir.
@@ -218,12 +200,11 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
     Jobs are grouped by source path in first-seen order, and each group
     is one task: one read, then its attacks and writes in plan order on
     the shared, read-only decoded buffer.  Of W workers, the least of
-    parallelism, the sources and the CPUs this process may run on, each
-    runs its share of the tasks (dealt by source file size, see _deal) in
-    a forked child (inline if W is 1), which inherits the jobs, noises and
-    codec backend and sends back only its results.  Each worker holds its
-    own decoded source, so memory grows with W, and a warning raised in a
-    worker is printed by it.
+    parallelism, the sources and the CPUs this process may run on, worker
+    w runs every W-th task from the w-th in a forked child (inline if W is
+    1), which inherits the jobs, noises and codec backend and sends back
+    only its results.  Each worker holds its own decoded source, so memory
+    grows with W, and a warning raised in a worker is printed by it.
 
     Failures are collected in the report, in job order, instead of
     aborting the batch: an unreadable source fails exactly its own jobs
@@ -252,9 +233,9 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)       # macOS has no sched_getaffinity
     workers = min(parallelism, len(groups), cpus)
-    calls = [functools.partial(_run_sources, share, jobs, audio_root,
-                               out_dir, noises, backend)
-             for share in _deal(groups, audio_root, workers)]
+    calls = [functools.partial(_run_sources, groups[w::workers], jobs,
+                               audio_root, out_dir, noises, backend)
+             for w in range(workers)]
     with contextlib.ExitStack() as stack:
         if workers > 1:
             calls = [stack.enter_context(forked(

@@ -3,6 +3,7 @@
 import os
 import struct
 import wave
+import warnings
 
 import numpy as np
 import pytest
@@ -229,13 +230,45 @@ class TestWavOracle:
         with pytest.raises(UnsupportedFormat):
             read_audio(tmp_path / "w.wav")
 
-    @pytest.mark.parametrize("cut", ["data", "sample", "fmt", "no_data"])
+    @pytest.mark.parametrize("cut", ["placeholder", "whole", "mid_sample"])
+    @pytest.mark.parametrize("bits,code,dtype", WAV_FORMATS,
+                             ids=[f"{'pcm' if c == 1 else 'float'}{b}"
+                                  for b, c, _ in WAV_FORMATS])
+    def test_data_past_the_end_matches_scipy(self, tmp_path, bits, code,
+                                             dtype, cut):
+        # a WAV written to a pipe carries a placeholder data size, and one
+        # cut off mid-recording ends before its data chunk does: both are
+        # read to their last whole sample
+        path = tmp_path / "w.wav"
+        make_wav(path, wav_payload(bits, dtype), bits=bits, fmt=code)
+        blob = path.read_bytes()
+        at = blob.index(b"data") + 4
+        if cut == "placeholder":
+            blob = blob[:at] + struct.pack("<I", 0xFFFFFFFF) + blob[at + 4:]
+        else:
+            blob = blob[:-(10 * bits // 8 + (cut == "mid_sample"))]
+        path.write_bytes(blob)
+        got = read_audio(path)
+        with warnings.catch_warnings():     # scipy warns of the early end
+            warnings.simplefilter("ignore", UserWarning)
+            if (bits, cut) == (24, "mid_sample"):
+                # scipy cannot shape a partial 24-bit sample: its reading
+                # of the file cut back to whole samples
+                with pytest.raises(ValueError):
+                    scipy_scaled(path)
+                path.write_bytes(blob[:-2])
+            rate, want = scipy_scaled(path)
+        assert got.sample_rate_hz == rate
+        assert len(want) == 999 - 10 * (cut != "placeholder") \
+            - (cut == "mid_sample")
+        assert np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize("cut", ["sample", "fmt", "no_data"])
     def test_damaged_file_is_corrupt(self, tmp_path, cut):
         path = tmp_path / "w.wav"
         make_wav(path, struct.pack("<hhh", 1, 2, 3))
         blob = path.read_bytes()
-        blob = {"data": blob[:-2],                  # data chunk cut short
-                "sample": blob[:-10] + struct.pack("<I", 5) + blob[-6:-1],
+        blob = {"sample": blob[:-10] + struct.pack("<I", 5) + blob[-6:-1],
                 "fmt": blob[:16] + struct.pack("<I", 12) + blob[20:32],
                 "no_data": blob[:36]}[cut]
         path.write_bytes(blob)

@@ -666,6 +666,17 @@ class TestScipyOracle:
         got = apply_filter(AudioBuffer(x, fs), c)
         assert_matches_oracle(got.samples, want, 1e-12)
 
+    @pytest.mark.parametrize("order,cutoff,fs", LOWPASS_DESIGNS[2:4])
+    def test_apply_filter_over_several_products(self, order, cutoff, fs):
+        # three spans of blocks, the last one block holding one sample
+        n = 2 * dsp._FILTER_ROWS * dsp._FILTER_BLOCK + 1
+        x = speech_like(9, n)
+        c = design_butterworth_lowpass(order, cutoff, fs)
+        want = sps.sosfilt([[b0, b1, b2, 1.0, a1, a2]
+                            for b0, b1, b2, a1, a2 in c.sections], x)
+        assert_matches_oracle(apply_filter(AudioBuffer(x, fs), c).samples,
+                              want, 1e-12)
+
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1000])
     def test_short_signals(self, n):
         x = white(4, n)

@@ -644,43 +644,6 @@ class TestExecutePlan:
             assert (tmp_path / "p1" / job.output_path).read_bytes() == \
                 (tmp_path / "p4" / job.output_path).read_bytes()
 
-    def test_sources_dealt_by_file_size(self, tmp_path, monkeypatch):
-        # largest file first, each to the worker with the fewest bytes so
-        # far; a source that cannot be stat'ed counts as empty, and still
-        # fails in its worker with the read's error
-        root = tmp_path / "audio"
-        root.mkdir()
-        lengths = [1000, 16000, 4000, 12000, 2500, 6000]
-        trials = make_trials(len(lengths) + 1, prefix="mx")
-        rng = np.random.default_rng(12)
-        for t, n in zip(trials, lengths):     # the last source is missing
-            write_audio(AudioBuffer(0.3 * rng.standard_normal(n), 16000),
-                        root / t.source_path)
-        shares = []
-
-        @contextlib.contextmanager
-        def inline(call, died):
-            shares.append([path for path, _ in call.args[0]])
-            outcome = call()
-            yield lambda: outcome
-
-        monkeypatch.setattr(pipeline, "forked", inline)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        jobs = [j for j in plan_attacks(trials, seed=3)
-                if j.spec.kind == "reverberation"]
-        report = execute_plan(jobs, root, tmp_path / "out", parallelism=2)
-        paths = [t.source_path for t in trials]
-        # 16000 -> w0, 12000 -> w1, 6000 -> w1, 4000 -> w0, 2500 -> w1,
-        # 1000 -> w0, the missing one (0 bytes) -> w1
-        assert shares == [[paths[0], paths[1], paths[2]],
-                          [paths[3], paths[4], paths[5], paths[6]]]
-        assert [job.source.source_path for job, _ in report.failures] == \
-            [paths[6]]
-        err = report.failures[0][1]
-        assert isinstance(err, IoFailure) and "cannot read" in str(err)
-        assert report.jobs_succeeded == len(lengths)
-
     # without sched_getaffinity, as on macOS, the CPUs are os.cpu_count()
     @pytest.mark.parametrize("cpus, workers, affinity",
                              [(2, 2, True), (8, 3, True), (2, 2, False)],
@@ -712,11 +675,7 @@ class TestExecutePlan:
                            noises=corpus["noises"], backend=fake_codec,
                            parallelism=5000)
         paths = [t.source_path for t in corpus["trials"]]
-        sizes = [(corpus["audio_root"] / p).stat().st_size for p in paths]
-        assert sizes[0] < sizes[1] < sizes[2]
-        # largest first, each to the least loaded worker, kept in order
-        assert slices == {2: [[paths[2]], paths[:2]],
-                          3: [[paths[2]], [paths[1]], [paths[0]]]}[workers]
+        assert slices == [paths[w::workers] for w in range(workers)]
         assert got == want
         for job in jobs:
             assert (tmp_path / "big" / job.output_path).read_bytes() == \
