@@ -166,37 +166,43 @@ def read_audio(path) -> AudioBuffer:
         f"{path}: not a RIFF/WAVE or FLAC file (header {blob[:4]!r})")
 
 
-def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
-    """Write 16-bit audio; returns the count of saturated samples.
-
-    Samples outside [-1, 1] are clamped to full scale rather than raising;
-    the returned count lets callers report clipping totals.  The file is
-    written under a temporary name in the destination directory and
-    renamed onto the destination once complete, so a writer that fails or
-    is killed never leaves a truncated file under the final name.
-    """
-    if format not in FORMATS:
-        raise UnsupportedFormat(
-            f"unknown output format {format!r}; expected one of {FORMATS}")
-    q = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype(np.int64)
-    clipped = int(np.count_nonzero(np.abs(buf.samples) > 1.0))
+def write_file(path, fill) -> None:
+    """Write path as what fill(fh) writes into an open binary file, under a
+    temporary name in its directory renamed onto path once complete, so a
+    writer that fails or is killed never leaves a truncated file there."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.part")
     try:
         with open(tmp, "xb") as fh:
-            if format == "wav16":
-                with wave.open(fh, "wb") as w:
-                    w.setnchannels(1)
-                    w.setsampwidth(2)
-                    w.setframerate(buf.sample_rate_hz)
-                    w.writeframes(q.astype("<i2").tobytes())
-            else:
-                fh.write(flacio.encode_flac(q, buf.sample_rate_hz))
+            fill(fh)
         os.replace(tmp, path)
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
     finally:
         tmp.unlink(missing_ok=True)  # already gone once renamed
+
+
+def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
+    """Write 16-bit audio with write_file; returns the count of saturated
+    samples, which are clamped to full scale rather than raising, so that
+    callers can report clipping totals."""
+    if format not in FORMATS:
+        raise UnsupportedFormat(
+            f"unknown output format {format!r}; expected one of {FORMATS}")
+    q = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype(np.int64)
+    clipped = int(np.count_nonzero(np.abs(buf.samples) > 1.0))
+
+    def fill(fh):
+        if format == "wav16":
+            with wave.open(fh, "wb") as w:
+                w.setnchannels(1)
+                w.setsampwidth(2)
+                w.setframerate(buf.sample_rate_hz)
+                w.writeframes(q.astype("<i2").tobytes())
+        else:
+            fh.write(flacio.encode_flac(q, buf.sample_rate_hz))
+
+    write_file(path, fill)
     return clipped
 
 

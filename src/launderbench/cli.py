@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import CodecBackend
+from .audio import CodecBackend, write_file
 from .dsp import LOADABLE_NOISES, NoiseLibrary
 from .errors import (CorruptFile, DuplicateId, EmptyClass,
                      InvalidParameter, LaunderbenchError)
@@ -104,12 +104,26 @@ def _read_scored(args):
     return metrics, join_scores(trials, scores, policy=args.join)
 
 
+def _write_utf8(path, text):
+    """text as UTF-8 through write_file; a path the file system gave as
+    undecodable bytes is written back as those bytes."""
+    write_file(path, lambda fh: fh.write(
+        text.encode("utf-8", "surrogateescape")))
+
+
+def _utf8_for_stdout(text):
+    """text as a string stdout writes as text's UTF-8 bytes: stdout's
+    surrogateescape writes each byte its encoding could not decode."""
+    return text.encode("utf-8", "surrogateescape").decode(
+        getattr(sys.stdout, "encoding", None) or "utf-8", "surrogateescape")
+
+
 def _write_summary(path, items):
     """key=value lines of items, then the software stack: seeded output is
     byte-identical, and metrics bit-identical, on one stack only."""
     items = [*items, ("python", platform.python_version()),
              ("numpy", np.__version__)]
-    Path(path).write_text("".join(f"{key}={value}\n" for key, value in items))
+    _write_utf8(path, "".join(f"{key}={value}\n" for key, value in items))
 
 
 def cmd_launder(args) -> int:
@@ -140,7 +154,7 @@ def cmd_launder(args) -> int:
     failed = {job for job, _ in report.failures}
     succeeded = [j for j in jobs if j not in failed]
     identity = backend.identity if backend is not None else None
-    (out_dir / "augmented.manifest").write_text(emit_augmented_manifest(
+    _write_utf8(out_dir / "augmented.manifest", emit_augmented_manifest(
         rows, succeeded, backend_identity=identity))
 
     bonafide = int(trials.bonafide.sum())
@@ -204,7 +218,7 @@ def cmd_report(args) -> int:
     # made once every file has rendered, so a failed render leaves none
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, text in files.items():
-        Path(path).write_text(text)
+        _write_utf8(path, text)
     _write_summary(out_dir / "report_summary.txt", [
         ("command", "report"),
         ("manifest", args.manifest),
@@ -224,7 +238,7 @@ def cmd_report(args) -> int:
         for axis in ("attack", "codec"):
             worst = rank_worst(table, metric, 5, axis=axis)
             ids = ",".join(getattr(key, f"{axis}_id") for key in worst)
-            print(f"worst_{metric}_by_{axis}={ids}")
+            print(_utf8_for_stdout(f"worst_{metric}_by_{axis}={ids}"))
     print(f"wrote {len(files)} report files under {out_dir}",
           file=sys.stderr)
     return 0

@@ -24,6 +24,9 @@ import os
 import pickle
 import posixpath
 import signal
+import sys
+import tempfile
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -150,30 +153,49 @@ def _run_sources(tasks, jobs, audio_root, out_dir, noises, backend):
     return done
 
 
+# seconds a child that forked leaves still running has to end after its
+# SIGTERM before it is sent SIGKILL
+TERM_GRACE_S = 5.0
+
+
 @contextlib.contextmanager
 def forked(call, died):
     """Runs call() in a child forked on entry and yields received(), which
     returns what call() returned or raises what it raised, pickled back
     through a pipe; a child that dies before sending is a WorkerDied(died).
-    On leaving, the child is killed if it is still running, and reaped."""
+    On leaving, the child is sent SIGTERM, which it raises as SystemExit
+    while call() runs, so that its with blocks unwind: a codec's temporary
+    directory is removed and its command killed.  A child not ended
+    TERM_GRACE_S seconds later is killed; either way it is reaped."""
     r, w = os.pipe()
+    # held until the child has its handler, which a SIGTERM sent on an
+    # early leave could otherwise miss
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
         pid = os.fork()
     except OSError:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(r)
         os.close(w)
         raise
     if pid == 0:
         try:
+            signal.signal(signal.SIGTERM,
+                          lambda signum, frame: sys.exit(128 + signum))
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(r)
             try:
                 sent = (True, call())
             except BaseException as e:
                 sent = (False, e)
+            # past here a SIGTERM ends the child at once, so none can
+            # raise in the finally clause and skip os._exit
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
             with open(w, "wb") as pipe:
                 pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(0)
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def received():
         try:
@@ -189,8 +211,12 @@ def forked(call, died):
         with open(r, "rb") as pipe:
             yield received
     finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        os.kill(pid, signal.SIGTERM)
+        deadline = time.monotonic() + TERM_GRACE_S
+        while not os.waitpid(pid, os.WNOHANG)[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+            time.sleep(0.001)
 
 
 def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
@@ -219,9 +245,7 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-probe"
-        probe.write_bytes(b"")
-        probe.unlink()
+        tempfile.TemporaryFile(dir=out_dir).close()
     except OSError as e:
         raise IoFailure(f"output directory {out_dir} is not writable: {e}")
 

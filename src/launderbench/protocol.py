@@ -84,8 +84,11 @@ class ScoreColumns:
 class ScoredTrials:
     """Joined trials as columns, in manifest order, with their scores.
 
-    ids are keys.  unscored and orphans count the trials and scores an
-    intersect join dropped.
+    ids are keys.  attacks and codecs are sorted, and attack and codec hold
+    indexes into them, so ascending codes are ascending ids; parse_manifest
+    gives the codes in the smallest unsigned dtype that holds them.
+    unscored and orphans count the trials and scores an intersect join
+    dropped.
     """
 
     ids: np.ndarray
@@ -312,10 +315,14 @@ def _sort_keys(*keys):
 
 
 def _codes(keys):
+    """Each key's index into the sorted vocabulary of keys, in the smallest
+    unsigned dtype that holds it, which a stable argsort groups by radix up
+    to 16 bits, and that vocabulary decoded."""
     vocab, code = np.unique(_sort_keys(keys)[0], return_inverse=True)
     row = np.empty(len(vocab), dtype=np.intp)
     row[code] = np.arange(len(code))    # any row of a code decodes it
-    return code, tuple(decode_ids(keys[row]))
+    return (code.astype(np.min_scalar_type(max(len(vocab) - 1, 0))),
+            tuple(decode_ids(keys[row])))
 
 
 def _manifest_columns(raw, starts, ends):

@@ -51,12 +51,6 @@ class BreakdownTable:
     skipped: tuple = ()
 
 
-def _small(codes, n_codes):
-    """codes (0 <= code < n_codes) in the smallest unsigned dtype, which a
-    stable argsort groups by radix up to 16 bits."""
-    return codes.astype(np.min_scalar_type(max(n_codes - 1, 0)))
-
-
 def _ascending(scored, grid):
     """Each class's scores ascending; for the grid also the attack codes of
     the spoof rows and the codec codes of both classes in that order."""
@@ -66,10 +60,9 @@ def _ascending(scored, grid):
     bon_rows, spf_rows = (
         rows[np.argsort(scored.scores[rows])] for rows in
         (np.flatnonzero(scored.bonafide), np.flatnonzero(~scored.bonafide)))
-    codec = _small(scored.codec, len(scored.codecs))
     return (scored.scores[bon_rows], scored.scores[spf_rows],
-            _small(scored.attack, len(scored.attacks))[spf_rows],
-            codec[bon_rows], codec[spf_rows])
+            scored.attack[spf_rows], scored.codec[bon_rows],
+            scored.codec[spf_rows])
 
 
 def _score_groups(results, column, bon, spf, counts, groups, attack,
@@ -150,12 +143,10 @@ def compute_breakdown(scored, cfg: MetricConfig = MetricConfig(),
         _score_groups(results, range(len(scored.codecs)), bon, spf, counts,
                       (bon_codec, spf_codec), attack, n_attacks, cfg)
         # ids come from the kept rows, which an intersect join may have
-        # emptied of some attack or codec
-        attacks = sorted(np.flatnonzero(np.bincount(
-            attack, minlength=n_attacks)).tolist(),
-            key=scored.attacks.__getitem__)
-        codecs = sorted(np.flatnonzero(counts.sum(axis=0)).tolist(),
-                        key=scored.codecs.__getitem__)
+        # emptied of some attack or codec; ascending codes are ascending ids
+        attacks = np.flatnonzero(np.bincount(attack,
+                                             minlength=n_attacks)).tolist()
+        codecs = np.flatnonzero(counts.sum(axis=0)).tolist()
 
     codes = [(-1, -1)]
     codes.extend((a, -1) for a in attacks)

@@ -3,18 +3,21 @@
 import codecs
 import errno
 import hashlib
+import io
 import os
 import platform
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from launderbench import cli, flacio, pipeline, protocol
+from launderbench import audio, cli, flacio, pipeline, protocol
 from launderbench.audio import AudioBuffer, write_audio
 from launderbench.cli import build_parser, main
 from launderbench.errors import InvalidParameter
@@ -408,6 +411,46 @@ class TestLaunder:
         assert not (out / "augmented.manifest").exists()
         assert not (out / "run_summary.txt").exists()
         assert_no_child_left()
+
+    def test_killed_worker_leaves_no_codec_scratch(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # u0000 and u0002 go to the first worker, u0001 to the second; the
+        # second sleeps in its first encode while the first worker dies
+        corpus = write_corpus(tmp_path, n_files=3)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        marker = tmp_path / "encoding"
+        stub = tmp_path / "slow_encode.py"
+        stub.write_text("import os, time\n"
+                        f"open({str(marker)!r}, 'w').write(str(os.getpid()))\n"
+                        "time.sleep(30)\n")
+        corpus["encode_cmd"] = (f"{sys.executable} {stub} {{in}} {{out}} "
+                                f"{{bitrate_kbps}}")
+        doomed = plan_attacks(manifest_records(corpus["manifest"].read_text()),
+                              seed=0)[0].job_seed
+        parent = os.getpid()
+        apply_attack = pipeline.apply_attack
+
+        def dying_attack(buf, spec, job_seed, **kwargs):
+            if job_seed == doomed:
+                assert os.getpid() != parent, "job ran inline"
+                deadline = time.monotonic() + 30
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(7)
+            return apply_attack(buf, spec, job_seed, **kwargs)
+
+        monkeypatch.setattr(pipeline, "apply_attack", dying_attack)
+        argv = ["--fraction", "1.0", "--seed", "0", "--jobs", "2"]
+        assert main(launder_argv(corpus, tmp_path / "out", argv)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: a worker process died")
+        assert not list(scratch.glob("launder-codec-*"))
+        assert_no_child_left()
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(marker.read_text()), 0)    # the encoder is gone
 
     def test_failed_fork_is_an_error_and_leaks_no_descriptor(
             self, tmp_path, capsys, monkeypatch):
@@ -863,6 +906,98 @@ class TestByteOrderMark:
         assert len(records) == 20
         assert not any("\ufeff" in r.utterance_id for r in records)
         assert not any("\ufeff" in str(p) for p in out.rglob("*"))
+
+
+class TestTextOutputs:
+    """Every text file in --out is UTF-8 bytes written by audio.write_file."""
+
+    def report_fixture(self, root):
+        manifest, scores = write_eval_fixture(root)
+        manifest.write_bytes(manifest.read_bytes().replace(
+            b"s001 spoof A17", "s001 spoof A\u00e9".encode()))
+        return manifest, scores
+
+    def outputs(self, argv, out, env_update=None):
+        done = fresh_python("import sys\n"
+                            "from launderbench import cli\n"
+                            f"sys.exit(cli.main({argv!r}))\n", env_update)
+        files = {p.relative_to(out): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out)
+        return done.returncode, done.stdout, done.stderr, files
+
+    @pytest.mark.parametrize("command", ["launder", "report"])
+    def test_non_utf8_locale_writes_the_same_bytes(self, tmp_path, command):
+        out = tmp_path / "out"
+        if command == "launder":
+            corpus = write_corpus(tmp_path)
+            path = corpus["manifest"]
+            path.write_bytes(path.read_bytes().replace(
+                b" A18 ", " A\u00e9 ".encode()))
+            argv = launder_argv(corpus, out, ["--jobs", "1"])
+        else:
+            manifest, scores = self.report_fixture(tmp_path)
+            argv = ["report", "--manifest", str(manifest),
+                    "--scores", str(scores), "--out", str(out)]
+        want = self.outputs(argv, out)
+        assert want[0] == 0, want[2]
+        text = want[3][Path("augmented.manifest" if command == "launder"
+                            else "report_by_attack.tsv")]
+        assert "A\u00e9".encode() in text
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                        "PYTHONUTF8": "0"}
+        assert self.outputs(argv, out, ascii_locale) == want
+
+    @pytest.mark.parametrize("stage", ["mid-file", "rename"])
+    @pytest.mark.parametrize("name", ["augmented.manifest",
+                                      "report_by_attack.tsv"])
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, capsys,
+                                                   monkeypatch, name, stage):
+        out = tmp_path / "out"
+        if name == "augmented.manifest":
+            corpus = write_corpus(tmp_path)
+
+            def run(seed):
+                return main(launder_argv(corpus, out,
+                                         ["--jobs", "1", "--seed", seed]))
+        else:
+            manifest, scores = self.report_fixture(tmp_path)
+
+            def run(seed):
+                # seed "1" reads the scores in the opposite sense
+                return main(["report", "--manifest", str(manifest),
+                             "--scores", str(scores), "--out", str(out)]
+                            + ["--invert-scores"] * (seed == "1"))
+        assert run("1") == 0
+        other = (out / name).read_bytes()
+        assert run("0") == 0
+        before = (out / name).read_bytes()
+        assert other != before
+        capsys.readouterr()
+
+        class HalfThenFail(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[:len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        real_open, real_replace = open, os.replace
+        if stage == "mid-file":
+            monkeypatch.setattr(audio, "open", lambda path, mode: (
+                HalfThenFail if name in path.name else real_open)(path, mode),
+                raising=False)
+        else:
+            def replace(src, dst):
+                if Path(dst).name == name:
+                    raise OSError("rename failed")
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+        assert run("1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (out / name).read_bytes() == before
+        assert not [p for p in out.rglob("*") if p.name.endswith(".part")]
 
 
 def fork_every_scores_file(monkeypatch):
