@@ -18,7 +18,6 @@ from .errors import (BackendInvocationFailed, CorruptFile, EmptyBuffer,
                      InvalidParameter, IoFailure, MultichannelInput,
                      UnsupportedFormat)
 
-FORMATS = ("wav16", "flac")
 # (WAV format code, bytes per sample) -> (sample dtype, zero, full scale);
 # format 1 is PCM, 3 IEEE float, and 24-bit PCM is read into the top
 # three bytes of an int32
@@ -183,12 +182,9 @@ def write_file(path, fill) -> None:
 
 
 def write_audio(buf: AudioBuffer, path, format: str = "flac") -> int:
-    """Write 16-bit audio with write_file; returns the count of saturated
-    samples, which are clamped to full scale rather than raising, so that
-    callers can report clipping totals."""
-    if format not in FORMATS:
-        raise UnsupportedFormat(
-            f"unknown output format {format!r}; expected one of {FORMATS}")
+    """Write 16-bit audio as "flac" or "wav16" with write_file; returns
+    the count of saturated samples, which are clamped to full scale
+    rather than raising, so that callers can report clipping totals."""
     q = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype(np.int64)
     clipped = int(np.count_nonzero(np.abs(buf.samples) > 1.0))
 

@@ -148,6 +148,8 @@ def cmd_launder(args) -> int:
     if taken.any():
         raise DuplicateId(f"output id {out_ids[taken.argmax()]!r} would "
                           f"appear more than once in augmented.manifest")
+    # the summary, written last, marks a complete run
+    (out_dir / "run_summary.txt").unlink(missing_ok=True)
     report = execute_plan(jobs, audio_root, out_dir, noises=noises,
                           backend=backend, parallelism=args.jobs)
 
@@ -217,6 +219,7 @@ def cmd_report(args) -> int:
             table, "grid", fmt, metric=metric)
     # made once every file has rendered, so a failed render leaves none
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report_summary.txt").unlink(missing_ok=True)
     for path, text in files.items():
         _write_utf8(path, text)
     _write_summary(out_dir / "report_summary.txt", [

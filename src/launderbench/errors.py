@@ -49,14 +49,6 @@ class SilentInput(LaunderbenchError):
     """Signal or noise has zero power; SNR mixing is undefined."""
 
 
-class RateMismatch(LaunderbenchError):
-    """Sample rates of two buffers differ where they must agree."""
-
-
-class UnstableFilter(LaunderbenchError):
-    """Filter has a pole on or outside the unit circle."""
-
-
 class NoiseAssetMissing(LaunderbenchError):
     """A named noise recording is absent from the noise directory."""
 

@@ -94,9 +94,6 @@ def plan_attacks(selected, seed: int) -> list:
     path would be absolute, climb out of the output directory, hold a
     NUL byte, which no file name can, or normalize to another id's path.
     """
-    selected = list(selected)
-    if not selected:
-        raise EmptyInput("cannot plan attacks for an empty selection")
     jobs = []
     writers = {}    # normalized output path -> the id that writes it
     for t in selected:
@@ -239,8 +236,6 @@ def execute_plan(jobs, audio_root, out_dir, noises=None, backend=None,
     fatal.
     """
     jobs = list(jobs)
-    if parallelism < 1:
-        raise InvalidParameter("parallelism must be at least 1")
     audio_root = Path(audio_root)
     out_dir = Path(out_dir)
     try:

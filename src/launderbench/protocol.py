@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (DuplicateId, InvalidParameter, MalformedLine,
-                     MissingScore, NonFiniteScore, OrphanScore)
+from .errors import (DuplicateId, MalformedLine, MissingScore,
+                     NonFiniteScore, OrphanScore)
 
 LABELS = ("bonafide", "spoof")
 BONAFIDE_ATTACK = "-"
@@ -427,9 +427,6 @@ def join_scores(trials: TrialColumns, scores: ScoreColumns,
     strict demands a bijection and raises on any mismatch; intersect keeps
     the matched pairs (in trial order) and warns with the drop count.
     """
-    if policy not in JOIN_POLICIES:
-        raise InvalidParameter(
-            f"policy must be 'strict' or 'intersect', got {policy!r}")
     by_trial, wanted = _sort_keys(trials.ids, scores.ids)
     order = np.argsort(wanted)
     wanted = wanted[order]

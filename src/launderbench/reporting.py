@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidParameter
+from .errors import EmptyInput
 from .metrics import MetricConfig, block_metrics, cllr_bits
 
 POOLED = "*"
 METRIC_NAMES = ("min_dcf", "act_dcf", "cllr", "eer")
-LAYOUTS = ("pooled", "per_attack", "per_codec", "grid")
 FORMATS = ("tsv", "csv", "markdown")
 
 
@@ -176,18 +175,11 @@ def axis_keys(table, axis):
 
 def rank_worst(table: BreakdownTable, metric: str, k: int,
                axis: str = "attack") -> list:
-    """Keys of the k worst (largest-metric) cells along one axis, or of
-    all of them when the axis holds fewer.
+    """Keys of the k worst (largest-metric) cells along the "attack" or
+    "codec" axis, or of all of them when the axis holds fewer.
 
     Ties order lexicographically by id so rankings are reproducible.
     """
-    if metric not in METRIC_NAMES:
-        raise InvalidParameter(
-            f"metric must be one of {METRIC_NAMES}, got {metric!r}")
-    if axis not in ("attack", "codec"):
-        raise InvalidParameter(f"axis must be attack or codec, got {axis!r}")
-    if k < 0:
-        raise InvalidParameter("k must be nonnegative")
     keys = axis_keys(table, axis)
     keys.sort(key=lambda key: (-getattr(table.cells[key], metric),
                                (key.attack_id, key.codec_id)))
@@ -221,16 +213,13 @@ def _flat_rows(table, keys):
 
 def render(table: BreakdownTable, layout: str, fmt: str = "tsv",
            metric: str = "min_dcf") -> str:
-    """Text table for one layout; grid layouts show a single metric.
+    """Text table in fmt (one of FORMATS) for one layout: "pooled",
+    "per_attack", "per_codec" or "grid", which shows a single metric.
 
     Grid rows are attacks ascending and columns codecs ascending, which
     puts the uncoded condition first under C00-style naming; cells the
     table skipped render as empty fields.
     """
-    if layout not in LAYOUTS:
-        raise InvalidParameter(f"layout must be one of {LAYOUTS}")
-    if fmt not in FORMATS:
-        raise InvalidParameter(f"fmt must be one of {FORMATS}")
     if layout == "pooled":
         key = GroupKey(POOLED, POOLED)
         if key not in table.cells:
@@ -243,9 +232,6 @@ def render(table: BreakdownTable, layout: str, fmt: str = "tsv",
             raise EmptyInput(f"table holds no {layout} cells")
         return _format_rows(_flat_rows(table, keys), fmt)
 
-    if metric not in METRIC_NAMES:
-        raise InvalidParameter(
-            f"metric must be one of {METRIC_NAMES}, got {metric!r}")
     every = list(table.cells) + list(table.skipped)
     attacks = sorted({k.attack_id for k in every} - {POOLED})
     codecs = sorted({k.codec_id for k in every} - {POOLED})

@@ -998,6 +998,9 @@ class TestTextOutputs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert (out / name).read_bytes() == before
         assert not [p for p in out.rglob("*") if p.name.endswith(".part")]
+        # the run failed, so no summary marks the directory complete
+        assert not [p for p in out.iterdir()
+                    if p.name.endswith("_summary.txt")]
 
 
 def fork_every_scores_file(monkeypatch):
@@ -1279,4 +1282,8 @@ class TestUsage:
         assert "launder" in capsys.readouterr().out
 
     def test_bad_flag_value(self, capsys):
-        assert main(["report", "--format", "xml"]) == 1
+        # argparse's choices are the one check of these values
+        for argv in (["report", "--format", "xml"],
+                     ["evaluate", "--join", "outer"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("usage: ")

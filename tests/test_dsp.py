@@ -2,6 +2,8 @@
 the attack dispatcher, and the imports that keep attack kinds in dsp."""
 
 import ast
+import contextlib
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,13 +14,13 @@ from scipy import signal as sps
 
 from launderbench import audio, dsp, pipeline
 from launderbench.audio import AudioBuffer, rms_power, write_audio
-from launderbench.dsp import (AttackSpec, FilterCoefficients, NoiseLibrary,
-                              apply_attack, apply_filter, apply_reverberation,
+from launderbench.dsp import (AttackSpec, NoiseLibrary, apply_attack,
+                              apply_filter, apply_reverberation,
                               design_butterworth_lowpass, generate_white_noise,
                               launder_resample, mix_noise, resample,
                               synthesize_rir)
 from launderbench.errors import (InvalidParameter, NoiseAssetMissing,
-                                 RateMismatch, SilentInput, UnstableFilter)
+                                 SilentInput)
 
 
 def sine(freq, seconds=1.0, rate=16000, amp=0.5):
@@ -29,6 +31,12 @@ def sine(freq, seconds=1.0, rate=16000, amp=0.5):
 def snr_db(reference, estimate):
     err = estimate - reference
     return 10 * np.log10(np.mean(reference ** 2) / np.mean(err ** 2))
+
+
+def is_stable(sections):
+    # stability triangle for z^2 + a1 z + a2
+    return all(abs(a2) < 1.0 and abs(a1) < 1.0 + a2
+               for _, _, _, a1, a2 in sections)
 
 
 class TestAttackSpec:
@@ -183,12 +191,6 @@ class TestRir:
         c = synthesize_rir(0.9, 16000, 124)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameter):
-            synthesize_rir(0.0, 16000, 1)
-        with pytest.raises(InvalidParameter):
-            synthesize_rir(0.6, 0, 1)
-
 
 class TestReverberation:
     def test_impulse_recovers_rir_up_to_peak_rule(self):
@@ -257,10 +259,6 @@ class TestWhiteNoise:
         assert abs(w.mean()) <= 4 / np.sqrt(16000)
         assert w.var() == pytest.approx(1.0, rel=0.1)
 
-    def test_invalid_count(self):
-        with pytest.raises(InvalidParameter):
-            generate_white_noise(0, 1)
-
 
 class TestMixNoise:
     def test_exact_snr_across_grid(self):
@@ -309,11 +307,6 @@ class TestMixNoise:
         with pytest.raises(SilentInput):
             mix_noise(x, AudioBuffer(np.zeros(0), 16000), 0, 1)
 
-    def test_rate_mismatch(self):
-        x = AudioBuffer(np.ones(100), 16000)
-        with pytest.raises(RateMismatch):
-            mix_noise(x, AudioBuffer(np.ones(100), 8000), 0, 1)
-
 
 class TestButterworth:
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
@@ -322,7 +315,7 @@ class TestButterworth:
     def test_matches_reference_design(self, order, fc, fs):
         mine = design_butterworth_lowpass(order, fc, fs)
         sos = np.array([[b0, b1, b2, 1, a1, a2]
-                        for b0, b1, b2, a1, a2 in mine.sections])
+                        for b0, b1, b2, a1, a2 in mine])
         ref = sps.butter(order, fc / (fs / 2), "low", output="sos")
         w = np.linspace(0, np.pi * 0.999, 513)
         _, h_mine = sps.sosfreqz(sos, worN=w)
@@ -332,38 +325,30 @@ class TestButterworth:
     def test_dc_and_cutoff_gains(self):
         c = design_butterworth_lowpass(5, 4000, 16000)
         sos = np.array([[b0, b1, b2, 1, a1, a2]
-                        for b0, b1, b2, a1, a2 in c.sections])
+                        for b0, b1, b2, a1, a2 in c])
         _, h = sps.sosfreqz(sos, worN=[1e-9, 2 * np.pi * 4000 / 16000])
         assert abs(h[0]) == pytest.approx(1.0, abs=1e-9)
         assert abs(h[1]) == pytest.approx(2 ** -0.5, abs=1e-6)
 
     def test_section_count(self):
-        assert len(design_butterworth_lowpass(5, 100, 16000).sections) == 3
-        assert len(design_butterworth_lowpass(4, 100, 16000).sections) == 2
-        assert len(design_butterworth_lowpass(1, 100, 16000).sections) == 1
+        assert len(design_butterworth_lowpass(5, 100, 16000)) == 3
+        assert len(design_butterworth_lowpass(4, 100, 16000)) == 2
+        assert len(design_butterworth_lowpass(1, 100, 16000)) == 1
 
     def test_nyquist_cutoff_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="clamp"):
             c = design_butterworth_lowpass(5, 8000, 16000)
-        assert c.is_stable()
+        assert is_stable(c)
         # effective cutoff 7920 Hz: -3 dB there
         sos = np.array([[b0, b1, b2, 1, a1, a2]
-                        for b0, b1, b2, a1, a2 in c.sections])
+                        for b0, b1, b2, a1, a2 in c])
         _, h = sps.sosfreqz(sos, worN=[2 * np.pi * 7920 / 16000])
         assert abs(h[0]) == pytest.approx(2 ** -0.5, abs=1e-6)
 
     def test_stability_across_grid(self):
         for order in range(1, 11):
             for fc in (50, 1000, 7000, 7920):
-                assert design_butterworth_lowpass(order, fc, 16000).is_stable()
-
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameter):
-            design_butterworth_lowpass(0, 1000, 16000)
-        with pytest.raises(InvalidParameter):
-            design_butterworth_lowpass(5, -1, 16000)
-        with pytest.raises(InvalidParameter):
-            design_butterworth_lowpass(5, 1000, 0)
+                assert is_stable(design_butterworth_lowpass(order, fc, 16000))
 
 
 class TestApplyFilter:
@@ -391,11 +376,6 @@ class TestApplyFilter:
         assert len(y) == len(x)
         assert y.sample_rate_hz == 16000
 
-    def test_unstable_rejected(self):
-        c = FilterCoefficients(((1.0, 0.0, 0.0, -2.0, 1.5),))
-        with pytest.raises(UnstableFilter):
-            apply_filter(AudioBuffer(np.zeros(10), 16000), c)
-
 
 class TestResample:
     def test_identity(self):
@@ -422,10 +402,6 @@ class TestResample:
     def test_empty(self):
         y = resample(AudioBuffer(np.zeros(0), 16000), 8000)
         assert len(y) == 0 and y.sample_rate_hz == 8000
-
-    def test_invalid_rate(self):
-        with pytest.raises(InvalidParameter):
-            resample(sine(440), 0)
 
 
 class TestLaunderResample:
@@ -551,15 +527,26 @@ class TestApplyAttack:
         assert np.array_equal(a.samples, b.samples)
 
     def test_every_attack_preserves_length_and_rate(self, tmp_path):
+        # every grid point at common source rates, so no value the grid
+        # admits reaches a transform that cannot take it
+        TestNoiseLibrary().make_assets(tmp_path)
+        lib = NoiseLibrary(tmp_path)
+        specs = [AttackSpec(kind, **dict(zip(grid, values)))
+                 for kind, grid in dsp.ATTACK_GRID.items()
+                 for values in itertools.product(*grid.values())]
+        assert len(specs) == 29
         rng = np.random.default_rng(14)
-        x = AudioBuffer(0.2 * rng.standard_normal(8000), 16000)
-        specs = [AttackSpec("reverberation", rt60_s=0.3),
-                 AttackSpec("additive_noise", noise_name="white", snr_db=20),
-                 AttackSpec("resampling", target_rate_hz=44100)]
-        for spec in specs:
-            y = apply_attack(x, spec, 8)
-            assert len(y) == len(x)
-            assert y.sample_rate_hz == x.sample_rate_hz
+        for rate in (8000, 11025, 16000, 22050, 44100):
+            x = AudioBuffer(0.2 * rng.standard_normal(8000), rate)
+            for spec in specs:
+                clamped = spec.kind == "lowpass" and spec.cutoff_hz >= rate / 2
+                with (pytest.warns(UserWarning, match="clamp") if clamped
+                      else contextlib.nullcontext()):
+                    y = apply_attack(x, spec, 8, noises=lib,
+                                     backend=lambda buf, kbps: buf)
+                assert len(y) == len(x)
+                assert y.sample_rate_hz == x.sample_rate_hz
+                assert np.isfinite(y.samples).all()
 
 
 # ---------------------------------------------------------- scipy as oracle
@@ -662,7 +649,7 @@ class TestScipyOracle:
             c = design_butterworth_lowpass(order, cutoff, fs)
         x = seconds_of(make, 3, fs)
         want = sps.sosfilt([[b0, b1, b2, 1.0, a1, a2]
-                            for b0, b1, b2, a1, a2 in c.sections], x)
+                            for b0, b1, b2, a1, a2 in c], x)
         got = apply_filter(AudioBuffer(x, fs), c)
         assert_matches_oracle(got.samples, want, 1e-12)
 
@@ -673,7 +660,7 @@ class TestScipyOracle:
         x = speech_like(9, n)
         c = design_butterworth_lowpass(order, cutoff, fs)
         want = sps.sosfilt([[b0, b1, b2, 1.0, a1, a2]
-                            for b0, b1, b2, a1, a2 in c.sections], x)
+                            for b0, b1, b2, a1, a2 in c], x)
         assert_matches_oracle(apply_filter(AudioBuffer(x, fs), c).samples,
                               want, 1e-12)
 
@@ -682,7 +669,7 @@ class TestScipyOracle:
         x = white(4, n)
         c = design_butterworth_lowpass(4, 1000, 16000)
         want = sps.sosfilt([[b0, b1, b2, 1.0, a1, a2]
-                            for b0, b1, b2, a1, a2 in c.sections], x)
+                            for b0, b1, b2, a1, a2 in c], x)
         assert_matches_oracle(apply_filter(AudioBuffer(x, 16000), c).samples,
                               want, 1e-12)
         for target in dsp.TARGET_RATE_CHOICES:

@@ -1,7 +1,9 @@
 """Every error survives the pickle round trip that carries it out of a
-worker process."""
+worker process, and every one is raised or caught somewhere."""
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +45,21 @@ def test_os_error_round_trip():
     assert type(back) is FileNotFoundError
     assert str(back) == str(err)
     assert (back.errno, back.filename) == (2, "u0001.flac")
+
+
+def test_every_error_is_named_outside_errors():
+    src = Path(errors.__file__).parent
+    defined = {node.name for node in ast.parse(
+        (src / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)}
+    named = set()
+    for path in src.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.asname or node.name)
+    assert sorted(defined - named) == []

@@ -424,10 +424,6 @@ class TestPlanAttacks:
         vectors = list(by_noise.values())
         assert any(vectors[0] != v for v in vectors[1:])
 
-    def test_empty_selection(self):
-        with pytest.raises(EmptyInput):
-            plan_attacks([], seed=0)
-
     @pytest.mark.parametrize("utt", ["../../evil", "/tmp/x", "..x"])
     def test_refuses_ids_that_leave_the_output_dir(self, utt):
         t = TrialRecord(utt, "bonafide", "-", "C00", "p.flac")
@@ -757,11 +753,6 @@ class TestExecutePlan:
         with pytest.raises(IoFailure):
             execute_plan(jobs, corpus["audio_root"], blocker,
                          noises=corpus["noises"])
-
-    def test_invalid_parallelism(self, corpus, tmp_path):
-        jobs = plan_attacks(corpus["trials"][:1], seed=0)
-        with pytest.raises(InvalidParameter):
-            execute_plan(jobs, corpus["audio_root"], tmp_path, parallelism=0)
 
 
 class TestEmitAugmentedManifest:

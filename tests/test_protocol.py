@@ -277,10 +277,6 @@ class TestJoinScores:
             self.join(self.pairs + [("u999", 1.0), ("u999", 2.0)],
                       policy=policy)
 
-    def test_unknown_policy(self):
-        with pytest.raises(InvalidParameter):
-            self.join(self.pairs, policy="outer")
-
     def test_scored_trial_carries_record(self):
         joined = self.join(self.pairs)
         assert joined.attacks[joined.attack[1]] == "A17"

@@ -9,7 +9,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from launderbench.errors import EmptyInput, InvalidParameter
+from launderbench.errors import EmptyInput
 from launderbench.metrics import (MetricConfig, ScoreSet, act_dcf, cllr, eer,
                                   min_dcf)
 from launderbench.protocol import (TrialRecord, emit_manifest, join_scores,
@@ -369,15 +369,6 @@ class TestRankWorst:
                                                    GroupKey("A17", "*")]
         assert rank_worst(table, "min_dcf", 1, axis="codec") == []
 
-    def test_invalid_arguments(self):
-        table = table_of({"A17": 0.4}, "attack")
-        with pytest.raises(InvalidParameter):
-            rank_worst(table, "auc", 1)
-        with pytest.raises(InvalidParameter):
-            rank_worst(table, "min_dcf", 1, axis="speaker")
-        with pytest.raises(InvalidParameter):
-            rank_worst(table, "min_dcf", -1)
-
     def test_pooled_cell_not_ranked(self):
         cells = dict(table_of({"A17": 0.4}, "attack").cells)
         cells[GroupKey("*", "*")] = CellMetrics(9.9, 1.0, 0.5, 1.0, 5, 5)
@@ -496,15 +487,6 @@ class TestRender:
         for layout in ("pooled", "per_attack", "per_codec", "grid"):
             with pytest.raises(EmptyInput):
                 render(table, layout)
-
-    def test_invalid_arguments(self):
-        table = full_grid_table()
-        with pytest.raises(InvalidParameter):
-            render(table, "heatmap")
-        with pytest.raises(InvalidParameter):
-            render(table, "grid", "xlsx")
-        with pytest.raises(InvalidParameter):
-            render(table, "grid", "tsv", metric="auc")
 
 
 class TestRenderSkipped:
