@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import secrets
+import signal
 import struct
 import subprocess
 import tempfile
@@ -26,6 +28,10 @@ _WAV_SAMPLES = {(1, 1): ("u1", 128.0, 128.0), (1, 2): ("<i2", 0.0, 2.0 ** 15),
                 (3, 4): ("<f4", 0.0, 1.0), (3, 8): ("<f8", 0.0, 1.0)}
 # the SubFormat GUID of WAVE_FORMAT_EXTENSIBLE, after its format code
 _SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# a codec command may run CODEC_FLOOR_S seconds plus CODEC_PER_AUDIO_S
+# seconds per second of the audio it codes; then it is killed
+CODEC_FLOOR_S = 30.0
+CODEC_PER_AUDIO_S = 10.0
 
 
 @dataclass
@@ -61,7 +67,8 @@ class CodecBackend:
     Placeholders {in}, {out}, and {bitrate_kbps} are substituted literally
     into whitespace-split argument vectors; no shell is involved.  Each
     call exchanges 16-bit WAV and the coded stream through files in its
-    own temporary directory.
+    own temporary directory, and each command runs for at most
+    CODEC_FLOOR_S + CODEC_PER_AUDIO_S * the audio's duration seconds.
     """
 
     encode_command_template: str
@@ -79,6 +86,7 @@ class CodecBackend:
                     f"decode template is missing the {ph} placeholder")
 
     def __call__(self, buf: AudioBuffer, bitrate_kbps: int) -> AudioBuffer:
+        seconds = CODEC_FLOOR_S + CODEC_PER_AUDIO_S * buf.duration_seconds
         with tempfile.TemporaryDirectory(prefix="launder-codec-") as tmp:
             wav_path = Path(tmp) / "in.wav"
             mp3_path = Path(tmp) / "coded.mp3"
@@ -86,12 +94,13 @@ class CodecBackend:
             write_audio(buf, wav_path, "wav16")
             _run_backend(_substitute(self.encode_command_template, {
                 "{in}": str(wav_path), "{out}": str(mp3_path),
-                "{bitrate_kbps}": str(int(bitrate_kbps))}), "encode")
+                "{bitrate_kbps}": str(int(bitrate_kbps))}), "encode", seconds)
             if not mp3_path.exists() or mp3_path.stat().st_size == 0:
                 raise BackendInvocationFailed(
                     f"encode command produced no output at {mp3_path}")
             _run_backend(_substitute(self.decode_command_template, {
-                "{in}": str(mp3_path), "{out}": str(out_path)}), "decode")
+                "{in}": str(mp3_path), "{out}": str(out_path)}), "decode",
+                seconds)
             if not out_path.exists():
                 raise BackendInvocationFailed(
                     f"decode command produced no output at {out_path}")
@@ -218,14 +227,31 @@ def _substitute(template: str, mapping: dict) -> list:
     return argv
 
 
-def _run_backend(argv, stage):
+def _run_backend(argv, stage, seconds):
+    """Run one codec command with no stdin, in a session of its own; one
+    still running after seconds, or when the call is interrupted (as a
+    worker's SIGTERM interrupts it), is killed with its whole process
+    group, so no process it started outlives the job."""
     try:
-        proc = subprocess.run(argv, capture_output=True)
+        proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, start_new_session=True)
     except OSError as e:
         raise BackendInvocationFailed(
             f"{stage} command {argv[0]!r} could not be launched: {e}") from e
+    with proc:
+        try:
+            _, err = proc.communicate(timeout=seconds)
+        except BaseException as e:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            if isinstance(e, subprocess.TimeoutExpired):
+                raise BackendInvocationFailed(
+                    f"{stage} command did not exit within its bound of "
+                    f"{seconds:.1f} s and was killed") from None
+            raise
     if proc.returncode != 0:
-        tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-3:]
+        tail = err.decode("utf-8", "replace").strip().splitlines()[-3:]
         raise BackendInvocationFailed(
             f"{stage} command exited with status {proc.returncode}: "
             + " / ".join(tail))

@@ -452,6 +452,44 @@ class TestLaunder:
         with pytest.raises(ProcessLookupError):
             os.kill(int(marker.read_text()), 0)    # the encoder is gone
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_codec_command_that_never_exits_fails_its_job(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        # each encode starts a grandchild that holds its stderr pipe, then
+        # sleeps past the bound, which is 1 s here
+        corpus = write_corpus(tmp_path, n_files=2)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(audio, "CODEC_FLOOR_S", 1.0)
+        monkeypatch.setattr(audio, "CODEC_PER_AUDIO_S", 0.0)
+        pids = tmp_path / "pids"
+        stub = tmp_path / "hang.py"
+        stub.write_text(
+            "import os, subprocess, sys, time\n"
+            "child = subprocess.Popen([sys.executable, '-c', "
+            "'import time; time.sleep(60)'])\n"
+            f"with open({str(pids)!r}, 'a') as f:\n"
+            "    f.write(f'{os.getpid()} {child.pid}\\n')\n"
+            "time.sleep(60)\n")
+        corpus["encode_cmd"] = (f"{sys.executable} {stub} {{in}} {{out}} "
+                                f"{{bitrate_kbps}}")
+        argv = ["--fraction", "1.0", "--jobs", jobs]
+        started = time.monotonic()
+        assert main(launder_argv(corpus, tmp_path / "out", argv)) == 2
+        assert time.monotonic() - started < 30
+        err = capsys.readouterr().err
+        assert err.count("encode command did not exit within its bound "
+                         "of 1.0 s") == 2
+        assert "laundered 16/18 jobs" in err
+        assert_no_child_left()
+        assert not list(scratch.glob("launder-codec-*"))
+        started = pids.read_text().split()
+        assert len(started) == 4
+        for pid in map(int, started):
+            assert ended(pid)
+
     def test_failed_fork_is_an_error_and_leaks_no_descriptor(
             self, tmp_path, capsys, monkeypatch):
         def no_fork():
@@ -1023,6 +1061,20 @@ def fork_every_scores_file(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def ended(pid, seconds=5.0):
+    """Whether process pid ends within seconds; a zombie has ended."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] in ("Z", "X"):
+            return True
+        time.sleep(0.01)
+    return False
 
 
 class TestForkedScores:
