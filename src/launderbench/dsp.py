@@ -36,8 +36,6 @@ LOWPASS_CUTOFF_HZ = 8000
 LOWPASS_ORDER = 5
 NOISE_RATE_HZ = 16000
 LOADABLE_NOISES = ("babble", "volvo", "cafe", "street")
-_FILTER_BLOCK = 64          # samples per step of the block IIR form
-_FILTER_ROWS = 4096         # blocks per product, 2 MB of float64 samples
 
 # kind -> parameter -> allowed values, in plan order; attack_specs draws
 # one value per parameter (noise_name fans out over all its values)
@@ -157,16 +155,21 @@ def _fft_size(n: int) -> int:
     return min(t << (-(-n // t) - 1).bit_length() for t in odd if t < 2 * n)
 
 
+def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The first len(x) samples of the linear convolution of x and h,
+    through FFTs of a 5-smooth length."""
+    size = _fft_size(len(x) + len(h) - 1)
+    spectrum = np.fft.rfft(x, size)
+    spectrum *= np.fft.rfft(h, size)
+    return np.fft.irfft(spectrum, size)[:len(x)]
+
+
 def apply_reverberation(x: AudioBuffer, rt60_s: float, seed: int) -> AudioBuffer:
     rir = synthesize_rir(rt60_s, x.sample_rate_hz, seed)
-    if len(x) == 0:
-        return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
-    size = _fft_size(len(x) + len(rir) - 1)
-    y = np.fft.irfft(np.fft.rfft(x.samples, size)
-                     * np.fft.rfft(rir.samples, size), size)[:len(x)]
-    peak_in = np.max(np.abs(x.samples))
-    peak_out = np.max(np.abs(y))
-    if peak_out > peak_in and peak_out > 0:
+    y = _convolve(x.samples, rir.samples)
+    peak_in = np.max(np.abs(x.samples), initial=0.0)
+    peak_out = np.max(np.abs(y), initial=0.0)
+    if peak_out > peak_in:
         y *= peak_in / peak_out
     return AudioBuffer(y, x.sample_rate_hz)
 
@@ -241,60 +244,24 @@ def design_butterworth_lowpass(order: int, cutoff_hz: float,
 
 
 @lru_cache(maxsize=16)
-def _block_form(sections: tuple) -> tuple:
-    """The cascade stepped L = _FILTER_BLOCK samples at a time: a block x
-    entered in state s leaves y = x @ t + s @ o and the next block enters
-    in s @ a + x @ k, s holding each section's two transposed direct
-    form II states.  The four are read off L + 2*len(sections) runs of
-    one block, stepped together: a unit impulse at each time from rest,
-    then each unit state without input."""
-    n = 2 * len(sections)
-    x = np.vstack([np.eye(_FILTER_BLOCK), np.zeros((n, _FILTER_BLOCK))])
-    s = np.vstack([np.zeros((_FILTER_BLOCK, n)), np.eye(n)])
-    y = np.empty_like(x)
-    for i in range(_FILTER_BLOCK):
-        u = x[:, i]
-        for m, (b0, b1, b2, a1, a2) in enumerate(sections):
-            out = b0 * u + s[:, 2 * m]
-            s[:, 2 * m:2 * m + 2] = np.stack(
-                [b1 * u - a1 * out + s[:, 2 * m + 1], b2 * u - a2 * out], 1)
-            u = out
-        y[:, i] = u
-    return y[:_FILTER_BLOCK], y[_FILTER_BLOCK:], s[_FILTER_BLOCK:], \
-        s[:_FILTER_BLOCK]
+def _impulse_response(sections: tuple) -> np.ndarray:
+    """The cascade's impulse response: 2*len(sections) samples, then the n
+    in which its slowest pole (radius sqrt(a2), or |a1| for a first-order
+    section) decays by 2**-80; the inverse rFFT of the product of the
+    sections' responses on a grid of twice that length."""
+    radius = max(math.sqrt(a2) if a2 else abs(a1) for *_, a1, a2 in sections)
+    n = 2 * len(sections) + math.ceil(-80 / math.log2(max(radius, 2 ** -80)))
+    response = np.ones(n + 1, dtype=complex)
+    for b0, b1, b2, a1, a2 in sections:
+        response *= np.fft.rfft([b0, b1, b2], 2 * n)
+        response /= np.fft.rfft([1.0, a1, a2], 2 * n)
+    return np.fft.irfft(response, 2 * n)[:n]
 
 
 def apply_filter(x: AudioBuffer, sections: tuple) -> AudioBuffer:
-    """Run the cascade of sections from rest over x, a block of samples at
-    a time."""
-    if len(x) == 0:
-        return AudioBuffer(x.samples.copy(), x.sample_rate_hz)
-    t, o, a, k = _block_form(sections)
-    blocks = -(-len(x) // _FILTER_BLOCK)
-    spans = [(r, min(r + _FILTER_ROWS, blocks))
-             for r in range(0, blocks, _FILTER_ROWS)]
-
-    def rows(r0, r1):               # blocks r0 to r1 - 1, the last padded
-        part = x.samples[r0 * _FILTER_BLOCK:r1 * _FILTER_BLOCK]
-        return fit_length(part, (r1 - r0) * _FILTER_BLOCK).reshape(
-            -1, _FILTER_BLOCK)
-
-    # the state entering block j is the sum over i < j of
-    # block i @ k @ a^(j-1-i): a prefix scan, by doubling
-    s = np.zeros((blocks + 1, len(a)))
-    for r0, r1 in spans:
-        s[r0 + 1:r1 + 1] = np.einsum("bi,im->bm", rows(r0, r1), k)
-    s = s[:blocks]
-    step = 1
-    while step < blocks:
-        s[step:] += np.einsum("bi,im->bm", s[:-step], a)
-        a = np.einsum("ij,jm->im", a, a)
-        step *= 2
-    y = np.empty((blocks, _FILTER_BLOCK))
-    for r0, r1 in spans:
-        np.einsum("bi,ij->bj", rows(r0, r1), t, out=y[r0:r1])
-        y[r0:r1] += np.einsum("bm,mj->bj", s[r0:r1], o)
-    return AudioBuffer(y.reshape(-1)[:len(x)], x.sample_rate_hz)
+    """Run the cascade of sections from rest over x, by FFT convolution."""
+    return AudioBuffer(_convolve(x.samples, _impulse_response(sections)),
+                       x.sample_rate_hz)
 
 
 def fit_length(samples: np.ndarray, n: int) -> np.ndarray:

@@ -589,9 +589,11 @@ def scipy_kernel(up, down):
 
 SIGNALS = pytest.mark.parametrize("make", [speech_like, white],
                                   ids=["speech", "white"])
-# the grid's lowpass where it bites and where it is clamped, then others
+# the grid's lowpass where it is clamped (at 8,000 and 11,025 Hz its
+# slowest poles) and where it bites, then others
 LOWPASS_DESIGNS = [(dsp.LOWPASS_ORDER, dsp.LOWPASS_CUTOFF_HZ, fs)
-                   for fs in (16000, 22050, 44100)] + [
+                   for fs in (8000, 11025, 16000, 22050, 44100, 48000,
+                              96000)] + [
     (4, 1000, 16000), (2, 3400, 8000), (8, 300, 44100), (3, 5000, 22050)]
 
 
@@ -653,11 +655,10 @@ class TestScipyOracle:
         got = apply_filter(AudioBuffer(x, fs), c)
         assert_matches_oracle(got.samples, want, 1e-12)
 
-    @pytest.mark.parametrize("order,cutoff,fs", LOWPASS_DESIGNS[2:4])
-    def test_apply_filter_over_several_products(self, order, cutoff, fs):
-        # three spans of blocks, the last one block holding one sample
-        n = 2 * dsp._FILTER_ROWS * dsp._FILTER_BLOCK + 1
-        x = speech_like(9, n)
+    @pytest.mark.parametrize("order,cutoff,fs", [(5, 8000, 44100),
+                                                 (4, 1000, 16000)])
+    def test_apply_filter_over_a_long_signal(self, order, cutoff, fs):
+        x = speech_like(9, 524289)
         c = design_butterworth_lowpass(order, cutoff, fs)
         want = sps.sosfilt([[b0, b1, b2, 1.0, a1, a2]
                             for b0, b1, b2, a1, a2 in c], x)
