@@ -147,6 +147,9 @@ def _run_sources(tasks, jobs, audio_root, out_dir, noises, backend):
                 done.append((i, (write_audio(out, dest, format="flac"), None)))
             except (LaunderbenchError, OSError) as e:
                 done.append((i, (0, e)))
+            # an output held through the next attack would add a copy of
+            # the signal to that attack's peak memory
+            out = None
     return done
 
 
