@@ -67,8 +67,7 @@ class CodecBackend:
     Placeholders {in}, {out}, and {bitrate_kbps} are substituted literally
     into whitespace-split argument vectors; no shell is involved.  Each
     call exchanges 16-bit WAV and the coded stream through files in its
-    own temporary directory, and each command runs for at most
-    CODEC_FLOOR_S + CODEC_PER_AUDIO_S * the audio's duration seconds.
+    own temporary directory, and each command runs for a bounded time.
     """
 
     encode_command_template: str

@@ -6,8 +6,10 @@ target SNR, lossy recompression through a codec round trip, resampling
 round trips, and Butterworth lowpass filtering.  Each transform is a pure
 function of its inputs; randomness enters only through integer seeds.
 The transforms are numpy's FFTs and einsum loops, never BLAS calls, so
-their bits do not depend on the BLAS thread count; they compute what
-scipy.signal's fftconvolve, resample_poly and sosfilt do, up to rounding.
+their bits do not depend on the BLAS thread count.  Reverberation and the
+lowpass are one FFT convolution, the lowpass's with its cascade's impulse
+response; with resampling, they compute what scipy.signal's fftconvolve,
+sosfilt and resample_poly do, up to rounding.
 """
 
 from __future__ import annotations
